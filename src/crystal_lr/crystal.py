@@ -142,6 +142,34 @@ def phi(word, k):
     return len(_signature(word, k)[1])
 
 
+def signature_vectors(word, lo, hi):
+    """(eps vector, phi vector) of word over the colors lo..hi-1 in one
+    left-to-right pass.
+
+    A letter is plus or minus only at colors i-1 and i, so per-color counts
+    of unmatched pluses and minuses replace one _signature scan per color.
+    Letters outside [lo, hi] touch no color in range.
+    """
+    n = hi - lo
+    # slot c + 1 - lo holds color c, so colors lo-1 and hi get slots 0, n+1
+    plus = [0] * (n + 2)
+    minus = [0] * (n + 2)
+    for i, dual in word:
+        j = i - lo
+        if j < 0 or j > n:
+            continue
+        if dual:
+            p, m = j, j + 1
+        else:
+            p, m = j + 1, j
+        plus[p] += 1
+        if plus[m]:
+            plus[m] -= 1
+        else:
+            minus[m] += 1
+    return tuple(minus[1:n + 1]), tuple(plus[1:n + 1])
+
+
 def lower_word(word, k):
     """Apply the lowering operator at color k, or None."""
     minus, plus = _signature(word, k)
@@ -274,6 +302,17 @@ def hw_tableau(lam, lo, hi, dual=False):
         v = hi - r if dual else lo + r
         rows.append((v,) * width)
     return Tableau(rows, dual)
+
+
+def lw_tableau(lam, lo, hi):
+    """The unique sink of SST(lam) over [lo, hi]: every column holds the
+    largest letters of the window."""
+    lam = shapes.normalize(lam)
+    if len(lam) > hi - lo + 1:
+        raise ValueError("shape %r too tall for [%d,%d]" % (lam, lo, hi))
+    heights = shapes.conjugate(lam)
+    return Tableau([tuple(hi - heights[c] + 1 + r for c in range(width))
+                    for r, width in enumerate(lam)])
 
 
 # ---------------------------------------------------------------- components

@@ -367,7 +367,9 @@ class _WindowTooSmall(Exception):
 
 
 class _TooLarge(Exception):
-    pass
+    def __init__(self, shape, lo, hi):
+        super().__init__("shape %r over [%d,%d] exceeds %d tableaux"
+                         % (shape, lo, hi, _WORD_CAP))
 
 
 _WORD_CAP = 500000
@@ -479,51 +481,81 @@ def _windowed_words(shape, lo, hi):
     for t in crystal.enumerate_sst(shape, lo, hi):
         words.append(crystal.tableau_word(t))
         if len(words) > _WORD_CAP:
-            raise _TooLarge("shape %r over [%d,%d] exceeds %d tableaux"
-                            % (shape, lo, hi, _WORD_CAP))
+            raise _TooLarge(shape, lo, hi)
     return words
+
+
+def _factor_shape(fac, lo, hi):
+    """Tableau shape, constant weight offset and dualization of one tensor
+    factor restricted to the letters [lo, hi]."""
+    if fac[0] == "Bmn":
+        shape, s = _level0_shape(fac[1], fac[2], hi - lo + 1)
+        off = Weight(0, {j: -s for j in range(lo, hi + 1)} if s else None)
+        return shape, off, False
+    lam = fac[1]
+    n = len(lam)
+    shape = _hw_shape(lam, lo, hi)
+    off = Weight(n, {j: -n for j in range(lo, min(hi, 0) + 1)})
+    if fac[0] == "Bdual":
+        return shape, -off, True
+    return shape, off, False
 
 
 def _realize_factor(fac, lo, hi):
     """Word list and constant weight offset for one tensor factor restricted
     to the letters [lo, hi]."""
-    nletters = hi - lo + 1
-    if fac[0] == "Bmn":
-        mu, nu = fac[1], fac[2]
-        shape, s = _level0_shape(mu, nu, nletters)
-        words = _windowed_words(shape, lo, hi)
-        off = Weight(0, {j: -s for j in range(lo, hi + 1)} if s else None)
-        return words, off
-    lam = fac[1]
-    n = len(lam)
-    shape = _hw_shape(lam, lo, hi)
+    shape, off, dual = _factor_shape(fac, lo, hi)
     words = _windowed_words(shape, lo, hi)
-    off = Weight(n, {j: -n for j in range(lo, min(hi, 0) + 1)})
-    if fac[0] == "Bdual":
+    if dual:
         words = [crystal.dual_word(w) for w in words]
-        off = -off
     return words, off
+
+
+def _realize_source(fac, lo, hi):
+    """Source word and constant weight offset of one tensor factor restricted
+    to the letters [lo, hi], without enumerating the factor.
+
+    The source of SST(shape) is its highest tableau; the dual of a word
+    crystal reverses its arrows, so a Bdual factor's source is the dual of
+    the lowest tableau.  The size refusal counts the tableaux instead, so it
+    trips exactly where enumerating them would.  The source is checked
+    against the per-color signature rule, independently of
+    crystal.signature_vectors.
+    """
+    shape, off, dual = _factor_shape(fac, lo, hi)
+    if shapes.num_sst(shape, hi - lo + 1) > _WORD_CAP:
+        raise _TooLarge(shape, lo, hi)
+    if dual:
+        word = crystal.dual_word(crystal.tableau_word(
+            crystal.lw_tableau(shape, lo, hi)))
+    else:
+        word = crystal.tableau_word(crystal.hw_tableau(shape, lo, hi))
+    if any(crystal.eps(word, k) for k in range(lo, hi)):
+        raise AssertionError("computed source %r is not highest weight"
+                             % (word,))
+    return word, off
 
 
 def _word_rows(words, lo, hi):
     """Per-word (eps vector, phi vector, weight) over the colors lo..hi-1."""
-    colors = range(lo, hi)
     rows = []
     for w in words:
-        evec = tuple(crystal.eps(w, k) for k in colors)
-        pvec = tuple(crystal.phi(w, k) for k in colors)
+        evec, pvec = crystal.signature_vectors(w, lo, hi)
         rows.append((evec, pvec, crystal.weight(w)))
     return rows
 
 
 def _source_census(tables, offset, threads=1):
     """Counter of total weights of the sources of the tensor product whose
-    factors are given as _word_rows tables; offset is added to every key."""
-    first = [r for r in tables[0] if not any(r[0])]
-    if len(first) != 1:
-        raise AssertionError("factor is not irreducible: %d sources"
-                             % len(first))
-    _, phi0, wt0 = first[0]
+    factors are given as _word_rows tables; offset is added to every key.
+
+    By Kashiwara's tensor product rule the sources of B1 (x) B2 are exactly
+    the b1 (x) b2 with b1 a source of B1 and eps_k(b2) <= phi_k(b1) for
+    every color k, and then phi(b1 (x) b2) = phi(b1) - eps(b2) + phi(b2).
+    Each factor is irreducible, so the first table is the single row of
+    its source; every later table lists the whole factor.
+    """
+    (_, phi0, wt0), = tables[0]
 
     def walk(i, phis, wt, out):
         if i == len(tables):
@@ -555,6 +587,19 @@ def _source_census(tables, offset, threads=1):
     out = Counter()
     walk(1, phi0, wt0, out)
     return out
+
+
+def _window_census(factors, lo, hi, threads=1):
+    """Source census of the product of normalized factors restricted to the
+    letters [lo, hi]: only the leading factor's source is realized, every
+    later factor in full.  Raises _WindowTooSmall or _TooLarge."""
+    source, offset = _realize_source(factors[0], lo, hi)
+    realized = [_realize_factor(f, lo, hi) for f in factors[1:]]
+    tables = [_word_rows([source], lo, hi)]
+    for words, off in realized:
+        tables.append(_word_rows(words, lo, hi))
+        offset = offset + off
+    return _source_census(tables, offset, threads=threads)
 
 
 def _class_census(cls, lo, hi):
@@ -605,6 +650,11 @@ def verify_truncated(factors, window, predicted, threads=1):
     Returns a report dict with status "ok", "mismatch" (first discrepancies
     listed) or "window-too-small"; widens the window step by step and retries
     before giving up.
+
+    The census realizes only the source of the leading factor, which is
+    exact by Kashiwara's tensor product rule: the sources of B1 (x) B2 are
+    the b1 (x) b2 with b1 the source of B1 and eps_k(b2) <= phi_k(b1) for
+    every color k, so no other element of B1 can start a source.
     """
     factors = [_factor_norm(f) for f in factors]
     lo0, hi0 = window
@@ -630,14 +680,9 @@ def verify_truncated(factors, window, predicted, threads=1):
 
     def attempt(lo, hi):
         try:
-            realized = [_realize_factor(f, lo, hi) for f in factors]
+            lhs = _window_census(factors, lo, hi, threads=threads)
         except (_WindowTooSmall, _TooLarge) as exc:
             return None, exc
-        tables = [_word_rows(words, lo, hi) for words, _ in realized]
-        offset = Weight(0)
-        for _, off in realized:
-            offset = offset + off
-        lhs = _source_census(tables, offset, threads=threads)
         rhs = Counter()
         for cls, mult in expanded.items():
             part = _class_census(cls, lo, hi)

@@ -1,0 +1,207 @@
+"""The windowed source census of verify_truncated against an oracle that
+enumerates every factor, its irreducibility and size-refusal invariants, and
+mutated predictions it must reject."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from crystal_lr import crystal, lr_engine
+from crystal_lr.crystal import Weight
+from crystal_lr.lr_engine import pieri_column, verify_truncated
+
+
+# ---------------------------------------------------------------- oracle
+
+def _rows_per_color(words, lo, hi):
+    colors = range(lo, hi)
+    return [(tuple(crystal.eps(w, k) for k in colors),
+             tuple(crystal.phi(w, k) for k in colors), crystal.weight(w))
+            for w in words]
+
+
+def enumerated_census(factors, lo, hi, threads=1):
+    """The census that realizes every factor in full, the leading one
+    included, finds the leading factor's sources among all its words with
+    per-color eps/phi, and walks the same tensor product rule.  threads is
+    ignored; it lets this stand in for lr_engine._window_census."""
+    realized = [lr_engine._realize_factor(f, lo, hi) for f in factors]
+    tables = [_rows_per_color(words, lo, hi) for words, _ in realized]
+    offset = Weight(0)
+    for _, off in realized:
+        offset = offset + off
+    sources = [r for r in tables[0] if not any(r[0])]
+    assert len(sources) == 1, "factor is not irreducible"
+    out = Counter()
+
+    def walk(i, phis, wt):
+        if i == len(tables):
+            out[(wt + offset).key()] += 1
+            return
+        for evec, pvec, w in tables[i]:
+            if all(e <= p for e, p in zip(evec, phis)):
+                walk(i + 1, tuple(p - e + q
+                                  for e, p, q in zip(evec, phis, pvec)),
+                     wt + w)
+
+    _, phi0, wt0 = sources[0]
+    walk(1, phi0, wt0)
+    return out
+
+
+def _both(factors, lo, hi):
+    """(census or exception text) by the source route and by the oracle."""
+    factors = [lr_engine._factor_norm(f) for f in factors]
+    out = []
+    for census in (lr_engine._window_census, enumerated_census):
+        try:
+            out.append(census(factors, lo, hi))
+        except (lr_engine._WindowTooSmall, lr_engine._TooLarge) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+FIXED = [
+    [("B", (0,)), ("Bcol", 2)],
+    [("B", (1, 0)), ("Bmn", (), (1,))],
+    [("B", (1, -1)), ("Bmn", (1,), (1,))],
+    # leading Bdual
+    [("Bdual", (0,)), ("Bcol", 1)],
+    [("Bdual", (1,)), ("B", (0,))],
+    [("Bdual", (1, 0)), ("Bmn", (1,), ())],
+    [("Bdual", (0,)), ("Bdual", (0,))],
+    # three factors
+    [("B", (0,)), ("Bcol", 1), ("Bmn", (), (1,))],
+    [("B", (1,)), ("B", (0,)), ("Bdual", (0,))],
+    [("Bdual", (0,)), ("B", (0,)), ("Bcol", 1)],
+    # level-zero prefix
+    [("Bmn", (1,), ()), ("B", (0,))],
+    [("Bmn", (), (1,)), ("B", (0,)), ("B", (0,))],
+    [("Bcol", 2), ("Bmn", (1,), (1,)), ("B", (-1,))],
+    [("Bmn", (2,), (1,)), ("B", (1, 0))],
+]
+
+
+@pytest.mark.parametrize("factors", FIXED)
+@pytest.mark.parametrize("window", [(-2, 2), (-2, 1), (-1, 3)])
+def test_source_census_matches_enumeration(factors, window):
+    new, old = _both(factors, *window)
+    assert new == old
+    if isinstance(new, Counter):
+        norm = [lr_engine._factor_norm(f) for f in factors]
+        assert lr_engine._window_census(norm, *window, threads=2) == old
+
+
+def _random_factor(rng):
+    kind = rng.choice(["B", "Bdual", "Bmn", "Bcol"])
+    if kind == "Bcol":
+        return ("Bcol", rng.randrange(0, 3))
+    if kind == "Bmn":
+        return ("Bmn", rng.choice([(), (1,), (2,), (1, 1)]),
+                rng.choice([(), (1,), (1, 1)]))
+    n = rng.randrange(1, 3)
+    return (kind, tuple(sorted((rng.randrange(-1, 2) for _ in range(n)),
+                               reverse=True)))
+
+
+def test_source_census_matches_enumeration_random():
+    rng = random.Random(7)
+    censuses = 0
+    for _ in range(120):
+        factors = [_random_factor(rng) for _ in range(rng.randrange(1, 4))]
+        lo = rng.randrange(-3, 0)
+        hi = lo + rng.randrange(2, 5)
+        new, old = _both(factors, lo, hi)
+        assert new == old, (factors, lo, hi)
+        censuses += isinstance(new, Counter)
+    assert censuses > 60
+
+
+# ---------------------------------------------------------------- sources
+
+GRID = ([("B", lam) for lam in [(0,), (1,), (-1,), (1, 0), (0, 0), (1, -1),
+                                (2, 0, -1)]]
+        + [("Bdual", lam) for lam in [(0,), (1,), (1, 0), (0, -1)]]
+        + [("Bcol", a) for a in range(4)]
+        + [("Bmn", mu, nu) for mu, nu in [((), ()), ((1,), ()), ((), (2,)),
+                                          ((2, 1), (1,)), ((1, 1), (1, 1))]])
+
+
+@pytest.mark.parametrize("fac", GRID, ids=repr)
+def test_factor_source_is_unique_and_computed(fac):
+    fac = lr_engine._factor_norm(fac)
+    checked = 0
+    for nletters in range(3, 7):
+        for lo in (-3, -2, -1):
+            hi = lo + nletters - 1
+            try:
+                words, off = lr_engine._realize_factor(fac, lo, hi)
+            except lr_engine._WindowTooSmall:
+                continue
+            table = lr_engine._word_rows(words, lo, hi)
+            sources = [r for r in table if not any(r[0])]
+            source, source_off = lr_engine._realize_source(fac, lo, hi)
+            assert sources == lr_engine._word_rows([source], lo, hi)
+            assert source_off == off
+            checked += 1
+    assert checked
+
+
+# ---------------------------------------------------------------- size cap
+
+@pytest.mark.parametrize("cap", [5, 10, 12, 40])
+def test_word_cap_refusal_unchanged(monkeypatch, cap):
+    monkeypatch.setattr(lr_engine, "_WORD_CAP", cap)
+    cases = [
+        ([("B", (0,)), ("Bcol", 1)], (-2, 2), pieri_column((0,), 1)),
+        # a dropped class widens the window until the cap stops it
+        ([("B", (0,)), ("Bcol", 2)], (-2, 2),
+         dict(list(pieri_column((0,), 2).items())[1:])),
+        ([("Bdual", (0,)), ("B", (0,))], (-2, 2), {}),
+        ([("B", (1,)), ("Bmn", (), (1,))], (-1, 1),
+         dict(list(pieri_column((1,), 1, True).items())[1:])),
+        # here the later factor outgrows the cap before the leading one
+        ([("B", (2,)), ("Bcol", 2)], (-2, 2),
+         dict(list(pieri_column((2,), 2).items())[:-1])),
+    ]
+    for factors, window, predicted in cases:
+        new = verify_truncated(factors, window, predicted)
+        with monkeypatch.context() as m:
+            m.setattr(lr_engine, "_window_census", enumerated_census)
+            old = verify_truncated(factors, window, predicted)
+        assert new == old
+
+
+def test_word_cap_refusal_trips_on_leading_factor(monkeypatch):
+    monkeypatch.setattr(lr_engine, "_WORD_CAP", 20)
+    rep = verify_truncated([("B", (0,)), ("Bcol", 2)], (-2, 2),
+                           dict(list(pieri_column((0,), 2).items())[1:]))
+    # (1^3) over 5 letters has 10 tableaux, (1^4) over 7 has 35
+    assert rep["status"] == "mismatch" and rep["window"] == [-2, 2]
+
+
+# ---------------------------------------------------------------- mutants
+
+def _mutants(lam, a, dual):
+    full = pieri_column(lam, a, dual)
+    first = next(iter(full))
+    dropped = {c: m for c, m in full.items() if c != first}
+    return {"drop": dropped, "double": {**full, first: 2}}
+
+
+@pytest.mark.parametrize("factors, lam, a, dual, windows", [
+    ([("B", (0,)), ("Bcol", 2)], (0,), 2, False,
+     {"drop": [-9, 9], "double": [-10, 10]}),
+    ([("B", (1, 0)), ("Bmn", (), (1,))], (1, 0), 1, True,
+     {"drop": [-5, 5], "double": [-5, 5]}),
+])
+def test_mutated_pieri_prediction_is_a_mismatch(factors, lam, a, dual,
+                                                windows):
+    assert verify_truncated(factors, (-3, 3), pieri_column(lam, a, dual))[
+        "status"] == "ok"
+    for kind, predicted in _mutants(lam, a, dual).items():
+        rep = verify_truncated(factors, (-3, 3), predicted)
+        assert rep["status"] == "mismatch", kind
+        assert rep["window"] == windows[kind], kind
+        assert rep["discrepancies"], kind
