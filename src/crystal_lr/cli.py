@@ -292,13 +292,6 @@ def _suite_pieri(cfg):
 def _suite_s_action(cfg):
     span, musz = (2, 3) if cfg["quick"] else (3, 4)
     mus = [mu for s in range(musz + 1) for mu in partitions_of(s)]
-    ops = {}
-
-    def op(sign, shape):
-        if (sign, shape) not in ops:
-            ops[(sign, shape)] = ring.s_operator(sign, shape)
-        return ops[(sign, shape)]
-
     bad = bad_exp = None
     count = count_exp = 0
     for n in (1, 2, 3):
@@ -311,7 +304,7 @@ def _suite_s_action(cfg):
                 inner_plus = mu_star(mu, n) if fits else None
                 inner_minus = mu + (0,) * (n - len(mu)) if fits else None
                 for sign, inner in ((+1, inner_plus), (-1, inner_minus)):
-                    got = op(sign, conjugate(mu))(zl)
+                    got = ring.s_operator(sign, conjugate(mu))(zl)
                     want = ring.z_skew_schur(lam, inner) if fits else {}
                     count += 1
                     if got != want:
@@ -343,13 +336,6 @@ def _suite_s_action(cfg):
         _check("skew-expansion", bad_exp is None, count_exp, None, bad_exp),
     ]
     nmax = 3 if cfg["quick"] else 4
-    hops = {}
-
-    def hop(sign, rank):
-        if (sign, rank) not in hops:
-            hops[(sign, rank)] = ring.h_operator(sign, rank)
-        return hops[(sign, rank)]
-
     badh = None
     counth = 0
     for n in range(1, nmax + 1):
@@ -357,12 +343,13 @@ def _suite_s_action(cfg):
             break
         for lam in _gen_grid(n, -2, 2):
             zl = ring.z_schur(lam)
-            ok = (hop(+1, n)(zl) == ring.z_schur(tuple(x + 1 for x in lam))
-                  and hop(-1, n)(zl) == ring.z_schur(tuple(x - 1
-                                                           for x in lam)))
+            up, down = ring.h_operator(+1, n), ring.h_operator(-1, n)
+            ok = (up(zl) == ring.z_schur(tuple(x + 1 for x in lam))
+                  and down(zl) == ring.z_schur(tuple(x - 1 for x in lam)))
             if ok:
                 for i in range(n + 1):
-                    if hop(+1, n)(hop(-1, i)(zl)) != hop(+1, n - i)(zl):
+                    if (up(ring.h_operator(-1, i)(zl))
+                            != ring.h_operator(+1, n - i)(zl)):
                         ok = False
                         break
             counth += 1

@@ -95,16 +95,6 @@ def tr_expand_schur(f, n, T):
 
 # ---------------------------------------------------------------- modes
 
-_LOWER = {}
-
-
-def _lower(shape):
-    op = _LOWER.get(shape)
-    if op is None:
-        op = _LOWER[shape] = ring.s_operator(-1, shape)
-    return op
-
-
 def bt_apply(k, f, T):
     """Apply the mode operator b^t_k, raising z-degree by exactly one.
 
@@ -119,11 +109,11 @@ def bt_apply(k, f, T):
     for e, sl in tr_slices(f, T).items():
         deg = max((len(key) for key in sl), default=0)
         for j in range(T - e + 1):
-            g = _lower((1,) * j)(sl)
+            g = ring.s_operator(-1, (1,) * j)(sl)
             if not g:
                 continue
             for d in range(deg + 2):
-                h = _lower((d,))(g) if d else g
+                h = ring.s_operator(-1, (d,))(g) if d else g
                 if d > deg:
                     if h:
                         raise ValueError("row term beyond the operand degree"
@@ -236,13 +226,13 @@ def bt_lambda_classes(lam, T):
                 for nu in partitions_of(snu, max_length=n):
                     if len(nu) > deg:
                         continue
-                    gnu = _lower(conjugate(nu))(sl)
+                    gnu = ring.s_operator(-1, conjugate(nu))(sl)
                     if not gnu:
                         continue
                     for smu in range(n * deg + 1):
                         for mu in partitions_of(smu, max_length=n,
                                                 max_part=deg):
-                            g = _lower(mu)(gnu)
+                            g = ring.s_operator(-1, mu)(gnu)
                             if not g:
                                 continue
                             msign = -1 if smu % 2 else 1

@@ -74,16 +74,6 @@ def decomposition_to_json(dec):
     return out
 
 
-def decomposition_from_json(items):
-    """Inverse of decomposition_to_json."""
-    out = {}
-    for entry in items:
-        body = entry["class"]
-        cls = ExtremalClass(body["mu"], body["nu"], body["hw"])
-        _bump(out, cls, entry["mult"])
-    return out
-
-
 # ---------------------------------------------------------------- LR sums
 
 def _bump(d, key, c):

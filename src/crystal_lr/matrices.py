@@ -121,14 +121,6 @@ def row_raise(v, k, col_lo=0):
     return tuple(out)
 
 
-def is_k_admissible(A, k):
-    """Signature bounds exist; immediate for finite row intervals."""
-    j = k - A.col_lo
-    if j < 0 or j + 1 >= A.ncols:
-        raise ValueError("columns %d,%d outside matrix" % (k, k + 1))
-    return True
-
-
 def _matrix_signature(A, k):
     """Surviving minus/plus row offsets at color k after cancelling (+,-)
     pairs with the + in an earlier row."""

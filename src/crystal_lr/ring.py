@@ -8,17 +8,17 @@ multiset) in normal order: all z's left of all s's, s^+ and s^- commuting.
 
 Sign bookkeeping, fixed once: the symbol s^+_n acts as the derivation
 gamma^+_n = (-1)^(n-1) sum_k z_{k-n} d/dz_k (indices drop), s^-_n raises
-them; the Schur-shape operator family s_operator(+1, -) raising z-Schur
-indices is therefore assembled from p_action(-1, -) compositions and vice
-versa.
+them.  The Schur-shape operator s_operator(sign, -) is named by the
+direction it moves z indices: s_operator(+1, -) raises them, so it is the
+image of s_mu under p_n -> gamma^-_n, and s_operator(-1, -) lowers them
+through gamma^+_n.
 """
 
 import itertools
-import math
 from fractions import Fraction
 from functools import cache
 
-from .shapes import conjugate, mu_star, normalize, partitions_of
+from .shapes import _sst_fillings, conjugate, normalize, partitions_of
 
 
 # ---------------------------------------------------------------- RElem
@@ -41,13 +41,6 @@ def _bump(d, key, c):
         d[key] = v
     elif key in d:
         del d[key]
-
-
-def r_add(f, g):
-    out = dict(f)
-    for k, c in g.items():
-        _bump(out, k, c)
-    return out
 
 
 def r_sub(f, g):
@@ -142,22 +135,11 @@ def d_from_r(f):
     return {(k, (), ()): c for k, c in f.items()}
 
 
-def d_add(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        _bump(out, k, c)
-    return out
-
-
 def d_sub(a, b):
     out = dict(a)
     for k, c in b.items():
         _bump(out, k, -c)
     return out
-
-
-def d_scale(a, c):
-    return {k: c * v for k, v in a.items()} if c else {}
 
 
 def _s_times(sign, n, d):
@@ -234,35 +216,6 @@ def apply_delem(d, f):
     return intify
 
 
-@cache
-def sym_character(lam, rho):
-    """Character value of the symmetric group via border-strip recursion on
-    beta numbers."""
-    lam = normalize(lam)
-    rho = normalize(rho)
-    if sum(lam) != sum(rho):
-        raise ValueError("size mismatch")
-    if not rho:
-        return 1
-    n = len(lam) if lam else 1
-    betas = tuple(lam[i] + n - 1 - i for i in range(len(lam)))
-    if not betas:
-        betas = (0,)
-    r = rho[0]
-    total = 0
-    bset = set(betas)
-    for b in betas:
-        nb = b - r
-        if nb < 0 or nb in bset:
-            continue
-        crossings = sum(1 for x in betas if nb < x < b)
-        new = sorted(bset - {b} | {nb}, reverse=True)
-        m = len(new)
-        nlam = normalize(tuple(new[i] - (m - 1 - i) for i in range(m)))
-        total += (-1 if crossings % 2 else 1) * sym_character(nlam, rho[1:])
-    return total
-
-
 def _z_rho(rho):
     out = 1
     counts = {}
@@ -275,44 +228,68 @@ def _z_rho(rho):
     return out
 
 
+def _compositions(m, n):
+    """Weak compositions of m into n parts."""
+    if n == 0:
+        if m == 0:
+            yield ()
+        return
+    for first in range(m, -1, -1):
+        for rest in _compositions(m - first, n - 1):
+            yield (first,) + rest
+
+
+@cache
 def s_operator(sign, mu):
-    """The Schur-shape operator: expand the shape into power sums over the
-    rationals and compose p_action maps of the opposite symbol family (the
-    sign names the direction z-Schur indices move).  Results are asserted
-    integral."""
+    """The Schur-shape operator s_mu(gamma), moving z indices up for sign
+    +1 and down for sign -1.
+
+    The gamma_n are commuting derivations, so p_n -> gamma_n makes the
+    z-ring a module algebra over symmetric functions and s_mu acts on a
+    product through the coproduct Delta s_lam = sum s_nu (x) s_{lam/nu}
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.5).  On a
+    single variable gamma_n z_k = (-1)^(n-1) z_{k+sign*n}, so only column
+    shapes survive there and
+
+        s_mu z_{k1}...z_{kn} = sum_a K_{mu',a} z_{k1+sign a1}...z_{kn+sign an}
+
+    over the weak compositions a of |mu| into n parts, with Kostka number
+    weights.  Monomials of degree below mu_1 = len(mu') are killed; the
+    empty shape acts as the identity.  The shift table of each degree is
+    built on first use and kept with the (cached) operator.
+    """
     mu = normalize(mu)
-    plan = []
-    for rho in partitions_of(sum(mu)):
-        chi = sym_character(mu, rho)
-        if chi:
-            plan.append((Fraction(chi, _z_rho(rho)), rho))
-    psign = -sign
-    den = math.lcm(*(c.denominator for c, _ in plan)) if plan else 1
-    plan = [(int(c * den), rho) for c, rho in plan]
+    cols = conjugate(mu)
+    tables = {}
+
+    def table(n):
+        rows = tables.get(n)
+        if rows is None:
+            kostka = {}
+            rows = tables[n] = []
+            for a in _compositions(sum(mu), n):
+                content = tuple(sorted(a))
+                if content not in kostka:
+                    kostka[content] = sum(
+                        1 for _ in _sst_fillings(cols, content))
+                if kostka[content]:
+                    rows.append((tuple(sign * x for x in a),
+                                 kostka[content]))
+        return rows
 
     def act(f):
-        total = {}
-        for coeff, rho in plan:
-            g = f
-            for r in rho:
-                g = p_action(psign, r, g)
-            for k, v in g.items():
-                _bump(total, k, coeff * v)
         out = {}
-        for k, v in total.items():
-            q, r = divmod(v, den)
-            if r:
-                raise ValueError("non-integral s-operator result")
-            if q:
-                out[k] = q
+        for z, c in f.items():
+            for shift, k in table(len(z)):
+                zz = tuple(sorted((x + y for x, y in zip(z, shift)),
+                                  reverse=True))
+                _bump(out, zz, c * k)
         return out
 
     return act
 
 
 def h_operator(sign, n):
-    if n == 0:
-        return lambda f: dict(f)
     return s_operator(sign, (n,))
 
 

@@ -9,7 +9,7 @@ from crystal_lr.crystal import (Tableau, Weight, enumerate_sst,
 from crystal_lr.matrices import (BinaryMatrix, MayaRow, bicrystal_components,
                                  cap_lower, cap_raise, dual, embed_sigma,
                                  embed_tau, enumerate_matrices, format_matrix,
-                                 is_k_admissible, matrix_lower, matrix_raise,
+                                 matrix_lower, matrix_raise,
                                  maya_lower, maya_raise, maya_weight,
                                  maya_weight_total, parse_matrix, rho_inverse,
                                  rho_transpose, row_lower, row_raise,
@@ -43,7 +43,6 @@ def test_signature_cases():
     C = M(1, 1, [(0, 1), (1, 0)])
     assert matrix_raise(C, 1) == M(1, 1, [(1, 0), (1, 0)])
     assert matrix_lower(C, 1) == M(1, 1, [(0, 1), (0, 1)])
-    assert is_k_admissible(A, 1)
     with pytest.raises(ValueError):
         matrix_lower(A, 2)
 

@@ -1,14 +1,83 @@
+import math
 import random
+from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from crystal_lr.ring import (annihilator_relations, apply_delem, d_multiply,
-                             d_one, d_sub, delem_to_json, expand_in_z_schur,
-                             h_delem, h_operator, omega, omega_r, p_action,
-                             r_monomial, r_mul, r_sub, relem_to_json,
-                             s_operator, sym_character, z_schur, z_skew_schur)
+from crystal_lr.ring import (_z_rho, annihilator_relations, apply_delem,
+                             d_multiply, d_one, d_sub, delem_to_json,
+                             expand_in_z_schur, h_delem, h_operator, omega,
+                             omega_r, p_action, r_monomial, r_mul, r_sub,
+                             relem_to_json, s_operator, z_schur, z_skew_schur)
 from crystal_lr.shapes import (conjugate, gen_lr_coefficient, mu_star,
                                normalize, partitions_of)
+
+
+# ------------------------------------------------ power-sum oracle
+
+@cache
+def sym_character(lam, rho):
+    """Character value of the symmetric group via border-strip recursion on
+    beta numbers."""
+    lam = normalize(lam)
+    rho = normalize(rho)
+    if sum(lam) != sum(rho):
+        raise ValueError("size mismatch")
+    if not rho:
+        return 1
+    n = len(lam) if lam else 1
+    betas = tuple(lam[i] + n - 1 - i for i in range(len(lam)))
+    if not betas:
+        betas = (0,)
+    r = rho[0]
+    total = 0
+    bset = set(betas)
+    for b in betas:
+        nb = b - r
+        if nb < 0 or nb in bset:
+            continue
+        crossings = sum(1 for x in betas if nb < x < b)
+        new = sorted(bset - {b} | {nb}, reverse=True)
+        m = len(new)
+        nlam = normalize(tuple(new[i] - (m - 1 - i) for i in range(m)))
+        total += (-1 if crossings % 2 else 1) * sym_character(nlam, rho[1:])
+    return total
+
+
+def power_sum_s_operator(sign, mu):
+    """The Schur-shape operator through its power-sum expansion
+    s_mu = sum_rho chi^mu(rho)/z_rho p_rho, each p_r acting as a p_action
+    of the opposite symbol family; results are asserted integral."""
+    mu = normalize(mu)
+    plan = []
+    for rho in partitions_of(sum(mu)):
+        chi = sym_character(mu, rho)
+        if chi:
+            plan.append((Fraction(chi, _z_rho(rho)), rho))
+    psign = -sign
+    den = math.lcm(*(c.denominator for c, _ in plan)) if plan else 1
+    plan = [(int(c * den), rho) for c, rho in plan]
+
+    def act(f):
+        total = {}
+        for coeff, rho in plan:
+            g = f
+            for r in rho:
+                g = p_action(psign, r, g)
+            for k, v in g.items():
+                total[k] = total.get(k, 0) + coeff * v
+        out = {}
+        for k, v in total.items():
+            q, r = divmod(v, den)
+            if r:
+                raise ValueError("non-integral s-operator result")
+            if q:
+                out[k] = q
+        return out
+
+    return act
 
 
 def test_z_schur_frozen():
@@ -142,6 +211,28 @@ def test_sym_character():
     assert sym_character((2, 1), (2, 1)) == 0
     assert sym_character((2, 1), (3,)) == -1
     assert sym_character((2, 2), (2, 2)) == 2
+
+
+_shapes = st.integers(0, 5).flatmap(
+    lambda size: st.sampled_from(list(partitions_of(size))))
+_monomials = st.lists(st.integers(-3, 3), max_size=3).map(
+    lambda ks: tuple(sorted(ks, reverse=True)))
+_elements = st.dictionaries(_monomials,
+                            st.integers(-3, 3).filter(bool), max_size=5)
+
+
+@settings(deadline=None)
+@given(st.sampled_from((-1, 1)), _shapes, _elements)
+@example(1, (), {(): 2, (1,): -1, (2, 0, -1): 3})
+@example(-1, (3, 1), {(0, 0): 1, (2, -1): -2, (1,): 1})
+@example(1, (2, 2, 1), {(3, 0, -2): 1, (1,): 3, (): -1})
+def test_s_operator_matches_power_sum_oracle(sign, mu, f):
+    got = s_operator(sign, mu)(f)
+    assert got == power_sum_s_operator(sign, mu)(f)
+    if not mu:
+        assert got == f
+    elif all(len(z) < mu[0] for z in f):
+        assert got == {}
 
 
 def test_s_operator_frozen():
