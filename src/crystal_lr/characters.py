@@ -1,10 +1,10 @@
 """Exact symmetric Laurent-polynomial arithmetic in finitely many variables.
 
-A LaurentPoly is a dict mapping fixed-length integer exponent tuples to
-nonzero integer coefficients.  Everything here is the character-side oracle:
-Laurent Schur polynomials via the bialternant ratio, the two-alphabet
-branching expansion, and Hall-Littlewood P polynomials with TPoly
-coefficients.
+A LaurentPoly is a zero-free dict mapping fixed-length integer exponent
+tuples to integer coefficients, summed with the kernel of shapes.
+Everything here is the character-side oracle: Laurent Schur polynomials via
+the bialternant ratio, the two-alphabet branching expansion, and
+Hall-Littlewood P polynomials with TPoly coefficients.
 """
 
 import itertools
@@ -15,33 +15,11 @@ from . import shapes
 
 # ---------------------------------------------------------------- basics
 
-def lp_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-        if out[e] == 0:
-            del out[e]
-    return out
-
-
-def lp_scale(a, c):
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in a.items()}
-
-
-def lp_sub(a, b):
-    return lp_add(a, lp_scale(b, -1))
-
-
 def lp_mul(a, b):
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-            if out[e] == 0:
-                del out[e]
+            shapes.bump(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
     return out
 
 
@@ -80,10 +58,7 @@ def _alternant(avec):
         inv = sum(1 for i in range(n) for j in range(i + 1, n)
                   if perm[i] > perm[j])
         exps = tuple(avec[perm[i]] for i in range(n))
-        sign = -1 if inv % 2 else 1
-        out[exps] = out.get(exps, 0) + sign
-        if out[exps] == 0:
-            del out[exps]
+        shapes.bump(out, exps, -1 if inv % 2 else 1)
     return out
 
 
@@ -99,16 +74,11 @@ def _divide_linear(f, i, j):
         q = list(e)
         q[i] -= 1
         q = tuple(q)
-        out[q] = out.get(q, 0) + c
-        if out[q] == 0:
-            del out[q]
+        shapes.bump(out, q, c)
         del f[e]
         r = list(q)
         r[j] += 1
-        r = tuple(r)
-        f[r] = f.get(r, 0) + c
-        if f[r] == 0:
-            del f[r]
+        shapes.bump(f, tuple(r), c)
     return out
 
 
@@ -154,7 +124,7 @@ def branch_split(lam, m, n):
         out[(mu, nu)] = c
         prod = lp_mul(lp_lift(laurent_schur(mu), m + n, 0),
                       lp_lift(laurent_schur(nu), m + n, m))
-        f = lp_sub(f, lp_scale(prod, c))
+        f = shapes.lin_add(f, prod, -c)
     return out
 
 
@@ -185,14 +155,7 @@ def _hl_p(mu, nvars):
             if not psi:
                 continue
             for e, tp in _hl_p(nu, nvars - 1).items():
-                key = e + (k,)
-                c = shapes.tpoly_mul(tp, psi)
-                if key in out:
-                    c = shapes.tpoly_add(out[key], c)
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
+                shapes.bump_poly(out, e + (k,), shapes.tpoly_mul(tp, psi))
     return out
 
 
@@ -230,12 +193,6 @@ def schur_to_hl(lam, nvars):
         assert shapes.is_partition(e)
         ktp = f[e]
         out[mu] = ktp
-        p = _hl_p(mu, nvars)
-        for pe, ptp in p.items():
-            c = shapes.tpoly_mul(ptp, ktp)
-            cur = shapes.tpoly_add(f.get(pe, {}), shapes.tpoly_scale(c, -1))
-            if cur:
-                f[pe] = cur
-            elif pe in f:
-                del f[pe]
+        for pe, ptp in _hl_p(mu, nvars).items():
+            shapes.bump_poly(f, pe, shapes.tpoly_mul(ptp, ktp), -1)
     return out

@@ -25,16 +25,15 @@ from . import characters, ring, shapes
 from . import hall_littlewood as hl
 from .crystal import (decompose_components, enumerate_sst, hw_tableau,
                       tableau_word, weight)
-from .lr_engine import (ExtremalClass, MixedLevelError, _gen_partitions_box,
-                        decomposition_to_json, expr_decompose, extremal_lr,
-                        hw_past_level0, parse_tensor_expr, pieri_column,
-                        verify_truncated)
+from .lr_engine import (ExtremalClass, MixedLevelError, decomposition_to_json,
+                        expr_decompose, extremal_lr, hw_past_level0,
+                        parse_tensor_expr, pieri_column, verify_truncated)
 from .matrices import (BinaryMatrix, bicrystal_components, cap_lower,
                        cap_raise, enumerate_matrices, format_matrix,
                        matrix_lower, matrix_raise)
-from .shapes import (conjugate, gen_lr_coefficient, kostka_foulkes,
-                     lr_coefficient, mu_star, num_sst, partitions_of,
-                     tpoly_pairs)
+from .shapes import (conjugate, gen_lr_coefficient, gen_partitions_box,
+                     kostka_foulkes, lin_add, lr_coefficient, mu_star,
+                     num_sst, partitions_of, tpoly_pairs)
 
 
 # ---------------------------------------------------------------- output
@@ -316,9 +315,7 @@ def _suite_s_action(cfg):
                     exp = ring.expand_in_z_schur(want, n)
                     back = {}
                     for eta, c in exp.items():
-                        for k, v in ring.z_schur(eta).items():
-                            back[k] = back.get(k, 0) + c * v
-                    back = {k: v for k, v in back.items() if v}
+                        back = lin_add(back, ring.z_schur(eta), c)
                     count_exp += 1
                     if back != want or any(
                             gen_lr_coefficient(lam, inner, eta) != c
@@ -380,8 +377,8 @@ def _suite_ore(cfg):
             for sign in (+1, -1):
                 s = {((), (n,), ()) if sign > 0 else ((), (), (n,)): 1}
                 zk = {((k,), (), ()): 1}
-                comm = ring.d_sub(ring.d_multiply(s, zk),
-                                  ring.d_multiply(zk, s))
+                comm = lin_add(ring.d_multiply(s, zk),
+                               ring.d_multiply(zk, s), -1)
                 shift = k - n if sign > 0 else k + n
                 want = {((shift,), (), ()): 1 if n % 2 else -1}
                 count += 1
@@ -496,7 +493,7 @@ def _identity_block(rho, p, q, degree, szleft, cache):
                 s = (sum(rho) + sum(t[0]) - sum(t[1]) - sum(mu) + sum(nu))
                 stotals.setdefault(s, []).append(t)
             for s, tlist in stotals.items():
-                for lam in _gen_partitions_box(m, lob, hib, s):
+                for lam in gen_partitions_box(m, lob, hib, s):
                     key = (lam, mu, nu)
                     if key not in cache:
                         cache[key] = hw_past_level0(lam, mu, nu)
@@ -510,8 +507,7 @@ def _identity_block(rho, p, q, degree, szleft, cache):
                             if lam not in sx:
                                 sx[lam] = lift(lam, 0)
                             term = characters.lp_mul(sx[lam], base)
-                        lhs[t] = characters.lp_add(
-                            lhs[t], characters.lp_scale(term, c))
+                        lhs[t] = lin_add(lhs[t], term, c)
     rhs_base = characters.lp_mul(lift(rho, 0),
                                  _geometry_factor(m, p, q, degree))
     checked = 0

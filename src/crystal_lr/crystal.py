@@ -42,11 +42,6 @@ def _raised(let):
     return (i + 1, True) if dual else (i - 1, False)
 
 
-def format_letter(let):
-    i, dual = let
-    return "%d*" % i if dual else "%d" % i
-
-
 # ---------------------------------------------------------------- weights
 
 class Weight:

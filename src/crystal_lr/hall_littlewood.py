@@ -1,19 +1,19 @@
 """Hall-Littlewood vertex operators on the z-ring.
 
-A truncated element (TRElem) is a dict {monomial: TPoly}; the truncation
-order T is passed explicitly and arithmetic drops every power of t above
-it.  The mode operator b^t_k raises z-degree by one; words in the modes
-applied to 1 expand in the z-Schur basis with Kostka-Foulkes coefficients,
-interpolating between a single z-Schur class at t=0 and the plain monomial
-product at t=1.
+A truncated element (TRElem) is a zero-free dict {monomial: TPoly}, summed
+with shapes.bump_poly; the truncation order T is passed explicitly and
+arithmetic drops every power of t above it.  The mode operator b^t_k raises
+z-degree by one; words in the modes applied to 1 expand in the z-Schur basis
+with Kostka-Foulkes coefficients, interpolating between a single z-Schur
+class at t=0 and the plain monomial product at t=1.
 """
 
 import itertools
 
 from . import ring
-from .lr_engine import _gen_partitions_box
-from .shapes import (conjugate, gen_lr_coefficient, is_gen_partition,
-                     lr_coefficient, mu_star, partitions_of, tpoly_add)
+from .shapes import (bump_poly, conjugate, gen_lr_coefficient,
+                     gen_partitions_box, is_gen_partition, lr_coefficient,
+                     mu_star, partitions_of)
 
 
 # ---------------------------------------------------------------- TRElem
@@ -31,18 +31,10 @@ def tr_from_r(f, j=0):
     return {k: {j: c} for k, c in f.items() if c}
 
 
-def _tr_bump(out, key, tp):
-    cur = tpoly_add(out.get(key, {}), tp)
-    if cur:
-        out[key] = cur
-    elif key in out:
-        del out[key]
-
-
 def tr_add(a, b):
-    out = {k: dict(tp) for k, tp in a.items()}
+    out = dict(a)
     for k, tp in b.items():
-        _tr_bump(out, k, tp)
+        bump_poly(out, k, tp)
     return out
 
 
@@ -78,10 +70,8 @@ def tr_eval(f, t):
 
 def tr_omega(f):
     """z_k -> z_{-k} on every slice."""
-    out = {}
-    for k, tp in f.items():
-        _tr_bump(out, tuple(sorted((-x for x in k), reverse=True)), tp)
-    return out
+    return {tuple(sorted((-x for x in k), reverse=True)): tp
+            for k, tp in f.items()}
 
 
 def tr_expand_schur(f, n, T):
@@ -124,7 +114,7 @@ def bt_apply(k, f, T):
                 sign = -1 if d % 2 else 1
                 term = ring.r_mul(ring.r_monomial((j + d + k,)), h)
                 for key, c in term.items():
-                    _tr_bump(out, key, {e + j: sign * c})
+                    bump_poly(out, key, {e + j: c}, sign)
     return out
 
 
@@ -195,7 +185,7 @@ def bt_lambda(alpha, T):
             for m in reversed(w):
                 g = bt_apply(m, g, T)
             for key, tp in tr_t_shift(g, r, T, -1 if r % 2 else 1).items():
-                _tr_bump(out, key, tp)
+                bump_poly(out, key, tp)
         return out
 
     return act
@@ -243,7 +233,7 @@ def bt_lambda_classes(lam, T):
                                     continue
                                 star = mu_star(sigma, n)
                                 wide = sigma[0] if sigma else 0
-                                for eta in _gen_partitions_box(
+                                for eta in gen_partitions_box(
                                         n, lam[-1] - smu - snu,
                                         lam[0] + wide,
                                         sum(lam) + smu + snu):
@@ -252,8 +242,8 @@ def bt_lambda_classes(lam, T):
                                         continue
                                     term = ring.r_mul(ring.z_schur(eta), g)
                                     for key, c in term.items():
-                                        _tr_bump(out, key,
-                                                 {e + snu: msign * c1 * c2 * c})
+                                        bump_poly(out, key, {e + snu: c},
+                                                  msign * c1 * c2)
         return out
 
     return act

@@ -12,7 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import crystal, shapes
 from .crystal import Weight
-from .shapes import conjugate, gen_lr_coefficient, lr_coefficient, normalize
+from .shapes import (bump, conjugate, gen_lr_coefficient, gen_partitions_box,
+                     lr_coefficient, normalize, strips_above, strips_below)
 
 
 class MixedLevelError(ValueError):
@@ -76,14 +77,6 @@ def decomposition_to_json(dec):
 
 # ---------------------------------------------------------------- LR sums
 
-def _bump(d, key, c):
-    v = d.get(key, 0) + c
-    if v:
-        d[key] = v
-    elif key in d:
-        del d[key]
-
-
 def _lr_expand(mu, nu):
     """Classical product expansion s_mu s_nu = {lam: c}."""
     mu, nu = normalize(mu), normalize(nu)
@@ -131,31 +124,6 @@ def _subpartitions(mu):
     return out
 
 
-def _gen_partitions_box(length, lo, hi, total=None):
-    """Weakly decreasing integer tuples with entries in [lo, hi], optionally
-    of fixed sum."""
-    if length == 0:
-        if total in (None, 0):
-            yield ()
-        return
-
-    def rec(i, prefix, acc):
-        if i == length:
-            if total is None or acc == total:
-                yield tuple(prefix)
-            return
-        cap = hi if not prefix else min(hi, prefix[-1])
-        for v in range(lo, cap + 1):
-            if total is not None:
-                rest_hi = acc + v + (length - i - 1) * min(v, hi)
-                rest_lo = acc + v + (length - i - 1) * lo
-                if not (rest_lo <= total <= rest_hi):
-                    continue
-            yield from rec(i + 1, prefix + [v], acc + v)
-
-    yield from rec(0, [], 0)
-
-
 # ---------------------------------------------------------------- products
 
 def level0_product(mu, nu, sigma, tau):
@@ -164,7 +132,7 @@ def level0_product(mu, nu, sigma, tau):
     out = {}
     for eta, a in _lr_expand(mu, sigma).items():
         for theta, b in _lr_expand(nu, tau).items():
-            _bump(out, ExtremalClass(eta, theta), a * b)
+            bump(out, ExtremalClass(eta, theta), a * b)
     return out
 
 
@@ -179,54 +147,11 @@ def hw_product(mu, nu, window):
     mu, nu = tuple(mu), tuple(nu)
     lo, hi = window
     out = {}
-    for lam in _gen_partitions_box(len(mu) + len(nu), lo, hi,
-                                   total=sum(mu) + sum(nu)):
+    for lam in gen_partitions_box(len(mu) + len(nu), lo, hi,
+                                  total=sum(mu) + sum(nu)):
         c = gen_lr_coefficient(lam, mu, nu)
         if c:
             out[lam] = c
-    return out
-
-
-def _strips_above(lam, size):
-    """mu in Z^n weakly decreasing such that mu/lam is a horizontal strip of
-    the given size after subtracting the common baseline lam_n."""
-    n = len(lam)
-    if n == 0:
-        return [()] if size == 0 else []
-    out = []
-
-    def rec(i, prefix, left):
-        if i == n:
-            if left == 0:
-                out.append(tuple(prefix))
-            return
-        base = lam[i]
-        cap = (lam[i - 1] if i else lam[0] + left) - base
-        for add in range(min(cap, left) + 1):
-            rec(i + 1, prefix + [base + add], left - add)
-
-    rec(0, [], size)
-    return out
-
-
-def _strips_below(lam, size):
-    """nu in Z^n weakly decreasing such that lam/nu is a horizontal strip of
-    the given size after subtracting the common baseline nu_n."""
-    n = len(lam)
-    if n == 0:
-        return [()] if size == 0 else []
-    out = []
-
-    def rec(i, prefix, left):
-        if i == n:
-            if left == 0:
-                out.append(tuple(prefix))
-            return
-        floor = lam[i + 1] if i + 1 < n else lam[i] - left
-        for v in range(max(floor, lam[i] - left), lam[i] + 1):
-            rec(i + 1, prefix + [v], left - (lam[i] - v))
-
-    rec(0, [], size)
     return out
 
 
@@ -245,10 +170,10 @@ def pieri_column(lam, a, dual=False):
     for k in range(a + 1):
         col = (1,) * k
         if dual:
-            for nu in _strips_below(lam, a - k):
+            for nu in strips_below(lam, a - k):
                 out[ExtremalClass((), col, nu or None)] = 1
         else:
-            for mu in _strips_above(lam, a - k):
+            for mu in strips_above(lam, a - k):
                 out[ExtremalClass(col, (), mu or None)] = 1
     return out
 
@@ -277,19 +202,19 @@ def hw_past_level0(lam, mu, nu):
                     lob = (lam[-1] if lam else 0) - m * (alpha[0] if alpha
                                                          else 0) - asz
                     upb = (lam[0] if lam else 0) + (alpha[0] if alpha else 0)
-                    for eta in _gen_partitions_box(m, lob, upb,
-                                                   total=sum(lam) + asz):
+                    for eta in gen_partitions_box(m, lob, upb,
+                                                  total=sum(lam) + asz):
                         c3 = gen_lr_coefficient(lam, eta, star)
                         if not c3:
                             continue
-                        for rho in _gen_partitions_box(
+                        for rho in gen_partitions_box(
                                 m, (eta[-1] if eta else 0) - bsz,
                                 eta[0] if eta else 0,
                                 total=sum(eta) - bsz):
                             c4 = gen_lr_coefficient(eta, rho, beta_p)
                             if c4:
-                                _bump(out, (sigma, tau, rho), c1 * c2 * c3
-                                      * c4)
+                                bump(out, (sigma, tau, rho),
+                                     c1 * c2 * c3 * c4)
     return {ExtremalClass(s, t, r or None): c
             for (s, t, r), c in out.items()}
 
@@ -303,24 +228,16 @@ def extremal_lr(lam, mu, nu, rho, sigma, tau, window):
     needs the window.  m or n may be zero, degenerating to the simpler
     products.
     """
-    lam, rho = tuple(lam), tuple(rho)
-    lo, hi = window
     out = {}
     for cls, d in hw_past_level0(lam, sigma, tau).items():
-        alpha = cls.hw or ()
-        zetas = {}
-        for zeta in _gen_partitions_box(len(lam) + len(rho), lo, hi,
-                                        total=sum(alpha) + sum(rho)):
-            c = gen_lr_coefficient(zeta, alpha, rho)
-            if c:
-                zetas[zeta] = c
+        zetas = hw_product(cls.hw or (), rho, window)
         if not zetas:
             continue
         for eta, c2 in _lr_expand(cls.mu, mu).items():
             for theta, c3 in _lr_expand(cls.nu, nu).items():
                 for zeta, c1 in zetas.items():
-                    _bump(out, ExtremalClass(eta, theta, zeta or None),
-                          d * c1 * c2 * c3)
+                    bump(out, ExtremalClass(eta, theta, zeta or None),
+                         d * c1 * c2 * c3)
     return out
 
 
@@ -336,7 +253,7 @@ def product_decomposition(d1, d2, window):
     for c1, a in d1.items():
         for c2, b in d2.items():
             for c3, m in class_product(c1, c2, window).items():
-                _bump(out, c3, a * b * m)
+                bump(out, c3, a * b * m)
     return out
 
 

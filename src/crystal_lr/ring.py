@@ -1,9 +1,10 @@
 """The ring of z-polynomials and its Ore extension by the shift operators
 s^+/s^-, with the derivation calculus (p, h, s families) acting on it.
 
-An RElem is a dict mapping z-monomials to coefficients; a z-monomial is a
-weakly decreasing tuple of integer indices (z_0 is a variable, nothing
-vanishes or collapses).  A DElem key is (z-monomial, s^+ multiset, s^-
+An RElem is a zero-free dict mapping z-monomials to coefficients, added
+and scaled with the kernel of shapes; a z-monomial is a weakly decreasing
+tuple of integer indices (z_0 is a variable, nothing vanishes or
+collapses).  A DElem is the same with keys (z-monomial, s^+ multiset, s^-
 multiset) in normal order: all z's left of all s's, s^+ and s^- commuting.
 
 Sign bookkeeping, fixed once: the symbol s^+_n acts as the derivation
@@ -18,47 +19,21 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .shapes import _sst_fillings, conjugate, normalize, partitions_of
+from .shapes import (_sst_fillings, bump, conjugate, lin_add, normalize,
+                     partitions_of)
 
 
 # ---------------------------------------------------------------- RElem
 
-def r_zero():
-    return {}
-
-
-def r_one():
-    return {(): 1}
-
-
 def r_monomial(ks, c=1):
     return {tuple(sorted(ks, reverse=True)): c} if c else {}
-
-
-def _bump(d, key, c):
-    v = d.get(key, 0) + c
-    if v:
-        d[key] = v
-    elif key in d:
-        del d[key]
-
-
-def r_sub(f, g):
-    out = dict(f)
-    for k, c in g.items():
-        _bump(out, k, -c)
-    return out
-
-
-def r_scale(f, c):
-    return {k: c * v for k, v in f.items()} if c else {}
 
 
 def r_mul(f, g):
     out = {}
     for k1, c1 in f.items():
         for k2, c2 in g.items():
-            _bump(out, tuple(sorted(k1 + k2, reverse=True)), c1 * c2)
+            bump(out, tuple(sorted(k1 + k2, reverse=True)), c1 * c2)
     return out
 
 
@@ -81,13 +56,8 @@ def _perm_sign(p):
 
 
 def z_schur(lam):
-    """det(z_{lam_i - i + j}) over the full permutation expansion."""
-    n = len(lam)
-    out = {}
-    for p in itertools.permutations(range(n)):
-        ks = tuple(lam[i] - i + p[i] for i in range(n))
-        _bump(out, tuple(sorted(ks, reverse=True)), _perm_sign(p))
-    return out
+    """det(z_{lam_i - i + j}): the skew determinant with empty inner shape."""
+    return z_skew_schur(lam, (0,) * len(lam))
 
 
 def z_skew_schur(lam, mu):
@@ -98,7 +68,7 @@ def z_skew_schur(lam, mu):
     out = {}
     for p in itertools.permutations(range(n)):
         ks = tuple(lam[i] - mu[p[i]] - i + p[i] for i in range(n))
-        _bump(out, tuple(sorted(ks, reverse=True)), _perm_sign(p))
+        bump(out, tuple(sorted(ks, reverse=True)), _perm_sign(p))
     return out
 
 
@@ -109,7 +79,7 @@ def expand_in_z_schur(f, n, cap=10000):
     forced.  Monomials like z_1 z_0 expand to infinitely many z-Schur
     terms; the cap turns that into an error."""
     r_degree(f, n)
-    work = dict(f)
+    work = f
     out = {}
     for _ in range(cap):
         if not work:
@@ -117,29 +87,14 @@ def expand_in_z_schur(f, n, cap=10000):
         mu = min(work)
         c = work[mu]
         out[mu] = c
-        work = r_sub(work, r_scale(z_schur(mu), c))
+        work = lin_add(work, z_schur(mu), -c)
     raise ValueError("not a finite z-Schur combination within cap=%d" % cap)
 
 
 # ---------------------------------------------------------------- DElem
 
-def d_zero():
-    return {}
-
-
 def d_one():
     return {((), (), ()): 1}
-
-
-def d_from_r(f):
-    return {(k, (), ()): c for k, c in f.items()}
-
-
-def d_sub(a, b):
-    out = dict(a)
-    for k, c in b.items():
-        _bump(out, k, -c)
-    return out
 
 
 def _s_times(sign, n, d):
@@ -153,11 +108,11 @@ def _s_times(sign, n, d):
             key = (z, tuple(sorted(sp + (n,))), sm)
         else:
             key = (z, sp, tuple(sorted(sm + (n,))))
-        _bump(out, key, c)
+        bump(out, key, c)
         for i in range(len(z)):
             zz = tuple(sorted(z[:i] + (z[i] + shift,) + z[i + 1:],
                               reverse=True))
-            _bump(out, (zz, sp, sm), c * eps)
+            bump(out, (zz, sp, sm), c * eps)
     return out
 
 
@@ -172,7 +127,7 @@ def d_multiply(a, b):
                 carrier = _s_times(+1, n, carrier)
             for (z, sp, sm), c in carrier.items():
                 key = (tuple(sorted(z1 + z, reverse=True)), sp, sm)
-                _bump(out, key, c)
+                bump(out, key, c)
     return out
 
 
@@ -189,7 +144,7 @@ def p_action(sign, n, f):
         for i in range(len(z)):
             zz = tuple(sorted(z[:i] + (z[i] + shift,) + z[i + 1:],
                               reverse=True))
-            _bump(out, zz, c * eps)
+            bump(out, zz, c * eps)
     return out
 
 
@@ -204,7 +159,7 @@ def apply_delem(d, f):
         for n in sp:
             g = p_action(+1, n, g)
         for k, v in r_mul(r_monomial(z), g).items():
-            _bump(total, k, c * v)
+            bump(total, k, c * v)
     intify = {}
     for k, v in total.items():
         if isinstance(v, Fraction):
@@ -283,7 +238,7 @@ def s_operator(sign, mu):
             for shift, k in table(len(z)):
                 zz = tuple(sorted((x + y for x, y in zip(z, shift)),
                                   reverse=True))
-                _bump(out, zz, c * k)
+                bump(out, zz, c * k)
         return out
 
     return act
@@ -302,26 +257,21 @@ def h_delem(sign, n):
     for rho in partitions_of(n):
         key = tuple(sorted(rho))
         if sign > 0:
-            _bump(out, ((), (), key), Fraction(1, _z_rho(rho)))
+            bump(out, ((), (), key), Fraction(1, _z_rho(rho)))
         else:
-            _bump(out, ((), key, ()), Fraction(1, _z_rho(rho)))
+            bump(out, ((), key, ()), Fraction(1, _z_rho(rho)))
     return out
 
 
 def omega(a):
     """z_k -> z_{-k}, s^+ <-> s^-; involutive ring map."""
-    out = {}
-    for (z, sp, sm), c in a.items():
-        zz = tuple(sorted((-k for k in z), reverse=True))
-        _bump(out, (zz, sm, sp), c)
-    return out
+    return {(tuple(sorted((-k for k in z), reverse=True)), sm, sp): c
+            for (z, sp, sm), c in a.items()}
 
 
 def omega_r(f):
-    out = {}
-    for z, c in f.items():
-        _bump(out, tuple(sorted((-k for k in z), reverse=True)), c)
-    return out
+    return {tuple(sorted((-k for k in z), reverse=True)): c
+            for z, c in f.items()}
 
 
 def annihilator_relations(n):
@@ -334,7 +284,7 @@ def annihilator_relations(n):
         rels.append(h_delem(-1, m))
     for i in range(0, n + 1):
         prod = d_multiply(h_delem(+1, n), h_delem(-1, i))
-        rels.append(d_sub(prod, h_delem(+1, n - i)))
+        rels.append(lin_add(prod, h_delem(+1, n - i), -1))
     return rels
 
 

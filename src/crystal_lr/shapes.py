@@ -5,7 +5,15 @@ rest of the package is built on.
 Conventions: a Partition is a tuple of weakly decreasing positive ints
 (trailing zeros stripped, () is empty); a GenPartition is a weakly decreasing
 tuple of ints of fixed length, negative entries allowed; a TPoly is a dict
-{power: coeff} with zero coefficients removed.
+{power of t: coeff}.
+
+Every finite linear combination in the package is a dict {key: coeff}:
+TPolys here, Laurent polynomials in characters, z-ring and Ore elements in
+ring, truncated elements {monomial: TPoly} in hall_littlewood and
+{class: mult} decompositions in lr_engine.  All of them are zero-free: no
+key maps to 0 (or to an empty TPoly), so two combinations are equal exactly
+when their dicts are.  bump, lin_add, scale and bump_poly below are the one
+arithmetic kernel that keeps this invariant.
 """
 
 from fractions import Fraction
@@ -49,10 +57,6 @@ def parse_gen_partition(text):
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("entries not weakly decreasing in %r" % text)
     return parts
-
-
-def format_gen_partition(lam):
-    return ",".join(str(p) for p in lam)
 
 
 def parse_skew(text):
@@ -101,10 +105,6 @@ def contains(outer, inner):
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-def skew_size(outer, inner):
-    return sum(outer) - sum(inner)
-
-
 def _pad(mu, n):
     return tuple(mu) + (0,) * (n - len(mu))
 
@@ -127,48 +127,58 @@ def is_vertical_strip(outer, inner):
     return all(outer[i] - inner[i] <= 1 for i in range(len(outer)))
 
 
-def horizontal_strips_above(mu, k):
-    """Partitions lam >= mu with lam/mu a horizontal strip of size k."""
-    mu = normalize(mu)
-    rows = len(mu) + 1
+def strips_above(lam, size):
+    """mu in Z^n weakly decreasing such that mu/lam is a horizontal strip of
+    the given size after subtracting the common baseline lam_n."""
+    n = len(lam)
+    if n == 0:
+        return [()] if size == 0 else []
     out = []
 
-    def go(i, rem, prefix):
-        if i == rows:
-            if rem == 0:
-                out.append(normalize(tuple(prefix)))
+    def rec(i, prefix, left):
+        if i == n:
+            if left == 0:
+                out.append(tuple(prefix))
             return
-        lo = mu[i] if i < len(mu) else 0
-        hi = prefix[-1] if prefix else lo + rem
-        hi = min(hi, lo + rem)
-        if i > 0:
-            # horizontal strip: lam[i] <= mu[i-1]
-            hi = min(hi, mu[i - 1])
-        for v in range(lo, hi + 1):
-            go(i + 1, rem - (v - lo), prefix + [v])
+        base = lam[i]
+        cap = (lam[i - 1] if i else lam[0] + left) - base
+        for add in range(min(cap, left) + 1):
+            rec(i + 1, prefix + [base + add], left - add)
 
-    go(0, k, [])
+    rec(0, [], size)
     return out
+
+
+def strips_below(lam, size):
+    """nu in Z^n weakly decreasing such that lam/nu is a horizontal strip of
+    the given size after subtracting the common baseline nu_n."""
+    n = len(lam)
+    if n == 0:
+        return [()] if size == 0 else []
+    out = []
+
+    def rec(i, prefix, left):
+        if i == n:
+            if left == 0:
+                out.append(tuple(prefix))
+            return
+        floor = lam[i + 1] if i + 1 < n else lam[i] - left
+        for v in range(max(floor, lam[i] - left), lam[i] + 1):
+            rec(i + 1, prefix + [v], left - (lam[i] - v))
+
+    rec(0, [], size)
+    return out
+
+
+def horizontal_strips_above(mu, k):
+    """Partitions lam >= mu with lam/mu a horizontal strip of size k."""
+    return [normalize(lam) for lam in strips_above(normalize(mu) + (0,), k)]
 
 
 def horizontal_strips_below(mu, k):
     """Partitions nu <= mu with mu/nu a horizontal strip of size k."""
-    mu = normalize(mu)
-    out = []
-
-    def go(i, rem, prefix):
-        if i == len(mu):
-            if rem == 0:
-                out.append(normalize(tuple(prefix)))
-            return
-        hi = mu[i]
-        lo = mu[i + 1] if i + 1 < len(mu) else 0
-        for v in range(hi, lo - 1, -1):
-            if hi - v <= rem:
-                go(i + 1, rem - (hi - v), prefix + [v])
-
-    go(0, k, [])
-    return out
+    return [normalize(nu) for nu in strips_below(normalize(mu), k)
+            if not nu or nu[-1] >= 0]
 
 
 def vertical_strips_above(mu, k):
@@ -193,6 +203,31 @@ def partitions_of(n, max_length=None, max_part=None):
     for first in range(min(n, max_part), 0, -1):
         for rest in partitions_of(n - first, max_length - 1, first):
             yield (first,) + rest
+
+
+def gen_partitions_box(length, lo, hi, total=None):
+    """Weakly decreasing integer tuples with entries in [lo, hi], optionally
+    of fixed sum."""
+    if length == 0:
+        if total in (None, 0):
+            yield ()
+        return
+
+    def rec(i, prefix, acc):
+        if i == length:
+            if total is None or acc == total:
+                yield tuple(prefix)
+            return
+        cap = hi if not prefix else min(hi, prefix[-1])
+        for v in range(lo, cap + 1):
+            if total is not None:
+                rest_hi = acc + v + (length - i - 1) * min(v, hi)
+                rest_lo = acc + v + (length - i - 1) * lo
+                if not (rest_lo <= total <= rest_hi):
+                    continue
+            yield from rec(i + 1, prefix + [v], acc + v)
+
+    yield from rec(0, [], 0)
 
 
 def mu_star(mu, n):
@@ -292,41 +327,60 @@ def gen_lr_coefficient(lam, mu, nu):
         return lr_coefficient(lam_s, mu_s, nu_s)
 
 
+# ---------------------------------------------------------------- sparse sums
+
+def bump(d, key, c):
+    """d[key] += c in place, deleting the key when it reaches 0."""
+    v = d.get(key, 0) + c
+    if v:
+        d[key] = v
+    elif key in d:
+        del d[key]
+
+
+def lin_add(a, b, c=1):
+    """The combination a + c*b, as a new dict."""
+    out = dict(a)
+    # bump inlined: this loop runs once per term of every bt_apply
+    for key, v in b.items():
+        v = out.get(key, 0) + c * v
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
+    return out
+
+
+def scale(a, c):
+    """The combination c*a, as a new dict."""
+    return {key: c * v for key, v in a.items()} if c else {}
+
+
+def bump_poly(d, key, tp, c=1):
+    """d[key] += c*tp in place for TPoly-valued dicts, deleting the key when
+    its TPoly vanishes.  The stored TPoly is replaced, never mutated."""
+    tp = lin_add(d.get(key, {}), tp, c)
+    if tp:
+        d[key] = tp
+    elif key in d:
+        del d[key]
+
+
 # ---------------------------------------------------------------- TPoly
 
 def tpoly(pairs):
     """Build a TPoly from (power, coeff) pairs, dropping zeros."""
     out = {}
     for e, c in pairs:
-        out[e] = out.get(e, 0) + c
-        if out[e] == 0:
-            del out[e]
+        bump(out, e, c)
     return out
-
-
-def tpoly_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-        if out[e] == 0:
-            del out[e]
-    return out
-
-
-def tpoly_scale(a, c):
-    if c == 0:
-        return {}
-    return {e: v * c for e, v in a.items()}
 
 
 def tpoly_mul(a, b):
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-            if out[e] == 0:
-                del out[e]
+            bump(out, e1 + e2, c1 * c2)
     return out
 
 

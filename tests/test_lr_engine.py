@@ -257,7 +257,7 @@ def character_identity_holds(rho, sigma, tau, p, q, degree):
                     continue
                 term = characters.lp_mul(characters.lp_mul(sx(lam), ymono),
                                          wmono)
-                lhs = characters.lp_add(lhs, characters.lp_scale(term, c))
+                lhs = shapes.lin_add(lhs, term, c)
 
     rhs = characters.lp_mul(characters.lp_mul(sx(rho), spart(sigma, p, m)),
                             spart(tau, q, m + p))

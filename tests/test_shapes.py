@@ -1,6 +1,9 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from crystal_lr import shapes
 
@@ -62,6 +65,34 @@ def test_strip_enumeration():
         assert shapes.is_horizontal_strip(lam, (3, 2))
     for nu in shapes.vertical_strips_below((2, 2, 1), 2):
         assert shapes.is_vertical_strip((2, 2, 1), nu)
+
+
+def test_strip_enumeration_is_complete():
+    # every enumerator against a brute-force filter of all partitions, also
+    # for strips larger than the shape (below) and with no duplicates
+    for n in range(8):
+        for mu in shapes.partitions_of(n):
+            for k in range(6):
+                above = list(shapes.partitions_of(n + k))
+                below = list(shapes.partitions_of(n - k)) if k <= n else []
+                cases = [
+                    (shapes.horizontal_strips_above,
+                     [lam for lam in above
+                      if shapes.is_horizontal_strip(lam, mu)]),
+                    (shapes.vertical_strips_above,
+                     [lam for lam in above
+                      if shapes.is_vertical_strip(lam, mu)]),
+                    (shapes.horizontal_strips_below,
+                     [nu for nu in below
+                      if shapes.is_horizontal_strip(mu, nu)]),
+                    (shapes.vertical_strips_below,
+                     [nu for nu in below
+                      if shapes.is_vertical_strip(mu, nu)]),
+                ]
+                for enumerate_strips, want in cases:
+                    got = enumerate_strips(mu, k)
+                    assert sorted(got) == sorted(want), (
+                        enumerate_strips.__name__, mu, k)
 
 
 def test_partitions_of():
@@ -202,12 +233,60 @@ def test_kostka_at_one_counts_sst():
 def test_tpoly_ops():
     a = shapes.tpoly([(0, 1), (2, 3)])
     b = shapes.tpoly([(1, 2), (2, -3)])
-    assert shapes.tpoly_add(a, b) == {0: 1, 1: 2}
+    assert shapes.lin_add(a, b) == {0: 1, 1: 2}
     assert shapes.tpoly_mul(a, b) == {1: 2, 2: -3, 3: 6, 4: -9}
     assert shapes.tpoly_pairs(shapes.tpoly_mul(a, b)) == \
         [[1, 2], [2, -3], [3, 6], [4, -9]]
     assert shapes.tpoly_truncate(shapes.tpoly_mul(a, b), 2) == {1: 2, 2: -3}
-    assert shapes.tpoly_scale(a, 0) == {}
+    assert shapes.scale(a, 0) == {}
+
+
+_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3))
+# few keys, so sums collide and cancel often
+_combos = st.dictionaries(st.integers(0, 3), _coeffs).map(
+    lambda d: {k: v for k, v in d.items() if v})
+
+
+@given(_combos, _combos, _coeffs)
+@example({0: 1, 1: 2}, {0: 1, 1: 2}, -1)
+@example({0: Fraction(1, 2)}, {0: Fraction(1, 4)}, -2)
+@example({0: 1}, {1: 5}, 0)
+def test_lin_add_matches_counter(a, b, c):
+    a_copy, b_copy = dict(a), dict(b)
+    acc = Counter(a)
+    acc.update({k: c * v for k, v in b.items()})
+    # want holds no zero, so equality also checks that none is stored
+    want = {k: v for k, v in acc.items() if v}
+    bumped = dict(a)
+    for k, v in b.items():
+        shapes.bump(bumped, k, c * v)
+    assert shapes.lin_add(a, b, c) == want and bumped == want
+    assert (a, b) == (a_copy, b_copy)
+    assert shapes.scale(a, c) == {k: c * v for k, v in a.items() if c * v}
+
+
+@given(st.dictionaries(st.integers(0, 2), _combos.filter(bool)),
+       st.lists(st.tuples(st.integers(0, 2), _combos, _coeffs),
+                max_size=6))
+@example({0: {1: 2}}, [(0, {1: 1}, -2)])
+@example({}, [(1, {0: Fraction(1, 3), 2: 1}, 3),
+              (1, {0: Fraction(1, 3)}, -3), (1, {2: 1}, -3)])
+def test_bump_poly_matches_counter(d, updates):
+    stored = list(d.values())
+    snapshot = [dict(tp) for tp in stored]
+    acc = Counter({(k, e): v for k, tp in d.items() for e, v in tp.items()})
+    for key, tp, c in updates:
+        shapes.bump_poly(d, key, tp, c)
+        acc.update({(key, e): c * v for e, v in tp.items()})
+    # want holds no zero and no empty TPoly; equality checks d holds none
+    want = {}
+    for (k, e), v in acc.items():
+        if v:
+            want.setdefault(k, {})[e] = v
+    assert d == want
+    assert stored == snapshot
 
 
 def test_num_sst():
