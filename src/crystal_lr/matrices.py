@@ -4,6 +4,15 @@ left (level 1).
 
 Row and column index intervals are explicit data: the transpose bijection rho
 negates and swaps them, so nothing may be implicit in array offsets.
+
+The column operators (`matrix_lower`/`matrix_raise`, color k) read the pairs
+(A(i, k), A(i, k+1)) down the rows.  The row operators (`cap_lower`/
+`cap_raise`, color l) are their conjugates by rho, computed directly from
+rows l and l+1: the columns are read from right to left (the row order of
+`rho_transpose(A)`), a column (1,0) is +, (0,1) is -, and a + cancels a
+later -.  Lowering moves the 1 of the first surviving + down to row l+1,
+raising moves the 1 of the last surviving - up to row l; this equals
+`rho_inverse(matrix_*(rho_transpose(A), l))` without building either copy.
 """
 
 import itertools
@@ -24,6 +33,14 @@ class BinaryMatrix:
         w = {len(r) for r in self.entries}
         if len(w) > 1:
             raise ValueError("ragged rows")
+
+    @classmethod
+    def _of_rows(cls, row_lo, col_lo, rows):
+        """The operators' constructor: `rows` is already a tuple of
+        equal-length tuples, so it is shared, not copied or checked."""
+        A = object.__new__(cls)
+        A.row_lo, A.col_lo, A.entries = row_lo, col_lo, rows
+        return A
 
     @property
     def nrows(self):
@@ -129,11 +146,10 @@ def _matrix_signature(A, k):
         raise ValueError("columns %d,%d outside matrix" % (k, k + 1))
     plus, minus = [], []
     for r, row in enumerate(A.entries):
-        pair = (row[j], row[j + 1])
-        if pair == (1, 0):
-            plus.append(r)
-        elif pair == (0, 1):
-            if plus:
+        if row[j] != row[j + 1]:
+            if row[j]:
+                plus.append(r)
+            elif plus:
                 plus.pop()
             else:
                 minus.append(r)
@@ -151,7 +167,7 @@ def matrix_lower(A, k):
     row = list(rows[r])
     row[j], row[j + 1] = 0, 1
     rows[r] = tuple(row)
-    return BinaryMatrix(A.row_lo, A.col_lo, rows)
+    return BinaryMatrix._of_rows(A.row_lo, A.col_lo, tuple(rows))
 
 
 def matrix_raise(A, k):
@@ -165,7 +181,7 @@ def matrix_raise(A, k):
     row = list(rows[r])
     row[j], row[j + 1] = 1, 0
     rows[r] = tuple(row)
-    return BinaryMatrix(A.row_lo, A.col_lo, rows)
+    return BinaryMatrix._of_rows(A.row_lo, A.col_lo, tuple(rows))
 
 
 # ---------------------------------------------------------------- transpose
@@ -173,6 +189,7 @@ def matrix_raise(A, k):
 def rho_transpose(A):
     """The bijection sending an I x J matrix to a (-J) x I matrix with
     entry(r, c) = A(c, -r)."""
+    _check_rho(A)
     rows = []
     for r in range(-A.col_hi, -A.col_lo + 1):
         rows.append(tuple(A.entry(c, -r)
@@ -182,6 +199,7 @@ def rho_transpose(A):
 
 def rho_inverse(B):
     """Inverse of rho_transpose: entry(i, j) = B(-j, i)."""
+    _check_rho(B)
     rows = []
     for i in range(B.col_lo, B.col_hi + 1):
         rows.append(tuple(B.entry(-j, i)
@@ -189,15 +207,54 @@ def rho_inverse(B):
     return BinaryMatrix(B.col_lo, -B.row_hi, rows)
 
 
+def _check_rho(A):
+    # the image would have no rows, and a matrix without rows keeps no
+    # column interval
+    if A.nrows and not A.ncols:
+        raise ValueError("rho needs a column: matrix has rows %d..%d and "
+                         "no columns" % (A.row_lo, A.row_hi))
+
+
+def _cap_signature(A, l):
+    """Row offset i = l - row_lo and the surviving minus/plus column offsets
+    at row color l, in right-to-left reading order."""
+    i = l - A.row_lo
+    if i < 0 or i + 1 >= A.nrows:
+        raise ValueError("rows %d,%d outside matrix" % (l, l + 1))
+    top, bot = A.entries[i], A.entries[i + 1]
+    plus, minus = [], []
+    for j in range(len(top) - 1, -1, -1):
+        if top[j] != bot[j]:
+            if top[j]:
+                plus.append(j)
+            elif plus:
+                plus.pop()
+            else:
+                minus.append(j)
+    return i, minus, plus
+
+
+def _cap_move(A, i, j, up):
+    """A with the 1 in column offset j moved between rows i and i+1."""
+    top, bot = list(A.entries[i]), list(A.entries[i + 1])
+    top[j], bot[j] = (1, 0) if up else (0, 1)
+    rows = list(A.entries)
+    rows[i], rows[i + 1] = tuple(top), tuple(bot)
+    return BinaryMatrix._of_rows(A.row_lo, A.col_lo, tuple(rows))
+
+
 def cap_lower(A, l):
-    """Row-direction lowering operator: conjugate of matrix_lower by rho."""
-    out = matrix_lower(rho_transpose(A), l)
-    return None if out is None else rho_inverse(out)
+    """Row-direction lowering operator at row color l: the conjugate
+    rho_inverse(matrix_lower(rho_transpose(A), l)), acting on the first
+    surviving + of rows l, l+1 read right to left."""
+    i, minus, plus = _cap_signature(A, l)
+    return _cap_move(A, i, plus[0], False) if plus else None
 
 
 def cap_raise(A, l):
-    out = matrix_raise(rho_transpose(A), l)
-    return None if out is None else rho_inverse(out)
+    """Row-direction raising operator: acts on the last surviving -."""
+    i, minus, plus = _cap_signature(A, l)
+    return _cap_move(A, i, minus[-1], True) if minus else None
 
 
 def dual(A):
@@ -391,39 +448,40 @@ def bicrystal_components(mats, col_colors, row_colors):
     raises if a component lacks a unique doubly-source.
     """
     col_colors, row_colors = list(col_colors), list(row_colors)
+    raises = ([(matrix_raise, k) for k in col_colors]
+              + [(cap_raise, l) for l in row_colors])
+    lowers = ([(matrix_lower, k) for k in col_colors]
+              + [(cap_lower, l) for l in row_colors])
     nodes = set(mats)
     seen = set()
     out = Counter()
     for start in nodes:
         if start in seen:
             continue
-        comp = {start}
-        queue = deque([start])
         seen.add(start)
+        queue = deque([start])
+        size = 0
         doubly = []
         while queue:
             A = queue.popleft()
+            size += 1
             top = True
-            moves = [(matrix_raise, k) for k in col_colors] + \
-                    [(matrix_lower, k) for k in col_colors] + \
-                    [(cap_raise, l) for l in row_colors] + \
-                    [(cap_lower, l) for l in row_colors]
-            for op, c in moves:
-                B = op(A, c)
-                if B is None:
-                    continue
-                if op in (matrix_raise, cap_raise):
-                    top = False
-                if B not in nodes:
-                    raise ValueError("set not closed under bicrystal ops")
-                if B not in comp:
-                    comp.add(B)
-                    seen.add(B)
-                    queue.append(B)
+            for moves, raising in ((raises, True), (lowers, False)):
+                for op, c in moves:
+                    B = op(A, c)
+                    if B is None:
+                        continue
+                    if raising:
+                        top = False
+                    if B not in nodes:
+                        raise ValueError("set not closed under bicrystal ops")
+                    if B not in seen:
+                        seen.add(B)
+                        queue.append(B)
             if top:
                 doubly.append(A)
         if len(doubly) != 1:
             raise ValueError("component with %d doubly-highest elements"
                              % len(doubly))
-        out[(doubly[0].col_weight(), len(comp))] += 1
+        out[(doubly[0].col_weight(), size)] += 1
     return out

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from crystal_lr import cli, matrices
 from crystal_lr.crystal import (Tableau, Weight, enumerate_sst,
                                 fundamental_weight, hw_weight, lower_word,
                                 raise_word, tableau_word)
@@ -72,6 +73,84 @@ def test_cap_column_example():
     assert cap_raise(A, 1) is None
     B = M(1, 3, [(0,), (1,)])
     assert cap_raise(B, 1) == A
+
+
+def _rho_conjugate(op, A, l):
+    """The row operator by its definition: the column operator conjugated
+    by the transpose bijection rho."""
+    out = op(rho_transpose(A), l)
+    return None if out is None else rho_inverse(out)
+
+
+def _assert_caps_match_rho(A):
+    for l in range(A.row_lo, A.row_hi):
+        assert cap_lower(A, l) == _rho_conjugate(matrix_lower, A, l)
+        assert cap_raise(A, l) == _rho_conjugate(matrix_raise, A, l)
+
+
+def test_cap_ops_match_rho_conjugation_exhaustive():
+    # every matrix of 2-4 rows, at least one column and at most 12 cells
+    rng = random.Random(1126)
+    for nrows in (2, 3, 4):
+        for ncols in range(1, 12 // nrows + 1):
+            for A in enumerate_matrices(1, nrows, 1, ncols):
+                r0, c0 = rng.randint(-4, 4), rng.randint(-4, 4)
+                _assert_caps_match_rho(M(r0, c0, A.entries))
+
+
+def test_cap_ops_match_rho_conjugation_seeded():
+    rng = random.Random(909)
+    for _ in range(300):
+        A = M(rng.randint(-4, 4), rng.randint(-4, 4),
+              [tuple(rng.randint(0, 1) for _ in range(7)) for _ in range(4)])
+        _assert_caps_match_rho(A)
+
+
+def test_matrix_with_rows_and_no_columns():
+    A = M(1, 1, [(), ()])
+    assert cap_lower(A, 1) is None
+    assert cap_raise(A, 1) is None
+    for rho in (rho_transpose, rho_inverse):
+        with pytest.raises(ValueError, match="no columns"):
+            rho(A)
+    # without rows there is no interval to lose
+    E = M(2, -1, [])
+    assert rho_inverse(rho_transpose(E)) == E
+
+
+def test_cap_row_color_out_of_range():
+    A = M(1, 1, [(1, 0), (0, 1)])
+    for l in (0, 2):
+        for op in (cap_lower, cap_raise):
+            with pytest.raises(ValueError,
+                               match="rows %d,%d outside matrix" % (l, l + 1)):
+                op(A, l)
+    with pytest.raises(ValueError, match="rows 1,2 outside matrix"):
+        cap_lower(M(1, 1, [(1, 0)]), 1)
+    with pytest.raises(ValueError, match="rows 3,4 outside matrix"):
+        cap_raise(M(1, 1, [(), ()]), 3)
+
+
+def _cap_lower_last_plus(A, l):
+    """A mutant of cap_lower: acts on the last surviving + instead of the
+    first."""
+    i, minus, plus = matrices._cap_signature(A, l)
+    return matrices._cap_move(A, i, plus[-1], False) if plus else None
+
+
+def test_verifiers_catch_mutant_row_operator(monkeypatch):
+    monkeypatch.setattr(matrices, "cap_lower", _cap_lower_last_plus)
+    monkeypatch.setattr(cli, "cap_lower", _cap_lower_last_plus)
+    cfg = {"seed": 0, "threads": 1, "quick": True}
+    (check,) = cli._SUITES["bicrystal"](cfg)
+    assert check["status"] == "fail"
+    assert check["counterexample"]["row_op"] in ("lower", "raise")
+    try:
+        checks = cli._SUITES["duality-en"](cfg)
+    except ValueError as exc:
+        assert "doubly-highest" in str(exc) or "not closed" in str(exc)
+    else:
+        assert any(c["status"] == "fail" for c in checks)
 
 
 def test_duality_single_row():

@@ -143,6 +143,34 @@ def test_lr_symmetry():
             shapes.lr_coefficient(lam, nu, mu)
 
 
+_SMALL_PARTS = [mu for n in range(8) for mu in shapes.partitions_of(n)]
+# pairs (mu, nu) with |mu| + |nu| <= 7
+_lr_pairs = st.tuples(st.sampled_from(_SMALL_PARTS),
+                      st.sampled_from(_SMALL_PARTS)).filter(
+    lambda p: sum(p[0]) + sum(p[1]) <= 7)
+
+
+@given(_lr_pairs)
+@example(((2, 1), (2, 1)))
+@example(((3, 1), (2,)))
+def test_lr_conjugation_symmetry(pair):
+    mu, nu = pair
+    conj = shapes.conjugate
+    for lam in shapes.partitions_of(sum(mu) + sum(nu)):
+        assert shapes.lr_coefficient(lam, mu, nu) == \
+            shapes.lr_coefficient(conj(lam), conj(mu), conj(nu))
+
+
+@given(_lr_pairs, st.sampled_from((2, 3)))
+@example(((2, 1), (2, 1)), 3)
+@example(((1, 1), (1,)), 2)
+def test_lr_character_identity(pair, n):
+    mu, nu = pair
+    total = sum(shapes.lr_coefficient(lam, mu, nu) * shapes.num_sst(lam, n)
+                for lam in shapes.partitions_of(sum(mu) + sum(nu)))
+    assert total == shapes.num_sst(mu, n) * shapes.num_sst(nu, n)
+
+
 def test_lr_cauchy_row():
     # character identity in 3 letters: dims of s_mu * s_nu match both sides
     n = 3
