@@ -16,7 +16,6 @@ offending token, 3 a tensor product mixing positive and negative levels.
 import argparse
 import itertools
 import json
-import os
 import random
 import sys
 import time
@@ -82,20 +81,12 @@ def _emit(payload, fmt):
 
 
 def _entry_window(gshapes, margin):
+    if margin < 0:
+        raise ValueError("--margin must be nonnegative, got %d" % margin)
     ents = [0]
     for lam in gshapes:
         ents.extend(lam)
     return (min(ents) - margin, max(ents) + margin)
-
-
-def _resolve_threads(args):
-    env = os.environ.get("CRYSTAL_LR_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError("bad CRYSTAL_LR_THREADS value %r" % env)
-    return max(1, args.threads)
 
 
 # ---------------------------------------------------------------- commands
@@ -166,8 +157,7 @@ def cmd_verify(args):
         todo = list(_SUITES.items())
     else:
         todo = [(args.suite, _SUITES[args.suite])]
-    cfg = {"seed": args.seed, "threads": _resolve_threads(args),
-           "quick": args.quick}
+    cfg = {"seed": args.seed, "quick": args.quick}
     checks = []
     for name, fn in todo:
         t0 = time.perf_counter()
@@ -179,8 +169,7 @@ def cmd_verify(args):
             entry["suite"] = name
         checks.extend(part)
     ok = all(entry["status"] == "pass" for entry in checks)
-    report = {"suite": args.suite, "seed": cfg["seed"],
-              "threads": cfg["threads"], "quick": cfg["quick"],
+    report = {"suite": args.suite, "seed": cfg["seed"], "quick": cfg["quick"],
               "status": "pass" if ok else "fail", "checks": checks}
     return (0 if ok else 1), report
 
@@ -195,11 +184,6 @@ def _check(name, ok, count, extra=None, counterexample=None):
     if not ok and counterexample is not None:
         entry["counterexample"] = counterexample
     return entry
-
-
-def _gen_grid(n, lo, hi):
-    return [tuple(sorted(c, reverse=True)) for c in
-            itertools.combinations_with_replacement(range(lo, hi + 1), n)]
 
 
 def _suite_bicrystal(cfg):
@@ -257,17 +241,15 @@ def _suite_duality_en(cfg):
 def _suite_pieri(cfg):
     span, amax, window = ((1, 2, (-3, 3)) if cfg["quick"]
                           else (2, 3, (-5, 5)))
-    threads = cfg["threads"]
     bad = None
     count = 0
-    for lam in _gen_grid(2, -span, span):
+    for lam in gen_partitions_box(2, -span, span):
         if bad:
             break
         for a, dual in itertools.product(range(1, amax + 1), (False, True)):
             fac = ("Bmn", (), (1,) * a) if dual else ("Bcol", a)
             rep = verify_truncated([("B", lam), fac], window,
-                                   pieri_column(lam, a, dual),
-                                   threads=threads)
+                                   pieri_column(lam, a, dual))
             count += 1
             if rep["status"] != "ok":
                 bad = {"lam": list(lam), "a": a, "dual": dual,
@@ -276,11 +258,9 @@ def _suite_pieri(cfg):
     checks = [_check("column-pieri", bad is None, count,
                      {"window": list(window)}, bad)]
     fam = {ExtremalClass((1,) * a, (1,) * (a + 1)): 1 for a in range(4)}
-    rep1 = verify_truncated([("B", (0,)), ("Bdual", (1,))], (-3, 3), fam,
-                            threads=threads)
+    rep1 = verify_truncated([("B", (0,)), ("Bdual", (1,))], (-3, 3), fam)
     flipped = {ExtremalClass((1,) * (a + 1), (1,) * a): 1 for a in range(4)}
-    rep2 = verify_truncated([("B", (1,)), ("Bdual", (0,))], (-4, 4), flipped,
-                            threads=threads)
+    rep2 = verify_truncated([("B", (1,)), ("Bdual", (0,))], (-4, 4), flipped)
     ok = (rep1["status"] == "ok" and rep1["window"] == [-4, 4]
           and rep2["status"] == "ok")
     checks.append(_check("level-one", ok, 2, {"window": [-4, 4]},
@@ -296,7 +276,7 @@ def _suite_s_action(cfg):
     for n in (1, 2, 3):
         if bad or bad_exp:
             break
-        for lam in _gen_grid(n, -span, span):
+        for lam in gen_partitions_box(n, -span, span):
             zl = ring.z_schur(lam)
             for mu in mus:
                 fits = len(mu) <= n
@@ -338,7 +318,7 @@ def _suite_s_action(cfg):
     for n in range(1, nmax + 1):
         if badh:
             break
-        for lam in _gen_grid(n, -2, 2):
+        for lam in gen_partitions_box(n, -2, 2):
             zl = ring.z_schur(lam)
             up, down = ring.h_operator(+1, n), ring.h_operator(-1, n)
             ok = (up(zl) == ring.z_schur(tuple(x + 1 for x in lam))
@@ -524,7 +504,7 @@ def _identity_block(rho, p, q, degree, szleft, cache):
 
 
 def _abs_shapes(length, budget):
-    return [lam for lam in _gen_grid(length, -budget, budget)
+    return [lam for lam in gen_partitions_box(length, -budget, budget)
             if sum(abs(x) for x in lam) <= budget]
 
 
@@ -610,7 +590,7 @@ def _suite_hl(cfg):
                            "monomial-t1")]
     span = 1 if cfg["quick"] else 2
     monos = [()] + [(k,) for k in range(-span, span + 1)]
-    monos += [m for m in _gen_grid(2, -span, span)]
+    monos += gen_partitions_box(2, -span, span)
     samples = [hl.tr_from_r(ring.r_monomial(m)) for m in monos]
     badr = badb = None
     countr = 0
@@ -642,7 +622,7 @@ def _suite_annihilator(cfg):
         if bad:
             break
         rels = ring.annihilator_relations(n)
-        for lam in _gen_grid(n, -span, span):
+        for lam in gen_partitions_box(n, -span, span):
             zl = ring.z_schur(lam)
             for rel in rels:
                 count += 1
@@ -678,9 +658,6 @@ def _add_flags(p, nested):
                    default=dflt("json"), help="output format")
     p.add_argument("--seed", type=int, default=dflt(0),
                    help="seed for the randomized suites")
-    p.add_argument("--threads", type=int, default=dflt(1),
-                   help="worker count for censuses "
-                        "(CRYSTAL_LR_THREADS overrides)")
     p.add_argument("--margin", type=int, default=dflt(2),
                    help="letters added on each side of the default "
                         "index window")

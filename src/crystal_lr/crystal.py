@@ -17,11 +17,6 @@ from . import shapes
 
 # ---------------------------------------------------------------- letters
 
-def letter_weight(let):
-    i, dual = let
-    return Weight(0, {i: -1 if dual else 1})
-
-
 def _is_plus(let, k):
     i, dual = let
     return i == k + 1 if dual else i == k

@@ -18,10 +18,6 @@ from .shapes import (bump_poly, conjugate, gen_lr_coefficient,
 
 # ---------------------------------------------------------------- TRElem
 
-def tr_zero():
-    return {}
-
-
 def tr_one():
     return {(): {0: 1}}
 
@@ -179,7 +175,7 @@ def bt_lambda(alpha, T):
             words.append((r, w))
 
     def act(f):
-        out = tr_zero()
+        out = {}
         for r, w in words:
             g = f
             for m in reversed(w):
@@ -209,7 +205,7 @@ def bt_lambda_classes(lam, T):
         return lambda f: tr_t_shift(f, 0, T)
 
     def act(f):
-        out = tr_zero()
+        out = {}
         for e, sl in tr_slices(f, T).items():
             deg = max((len(key) for key in sl), default=0)
             for snu in range(T - e + 1):

@@ -84,28 +84,6 @@ class BinaryMatrix:
                      for c in range(self.ncols))
 
 
-def parse_matrix(text):
-    """Parse the fixture literal: header "rows=1..2 cols=-1..3" then 0/1 lines."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    spans = {}
-    for part in head:
-        name, rng = part.split("=")
-        lo, hi = rng.split("..")
-        spans[name] = (int(lo), int(hi))
-    row_lo, row_hi = spans["rows"]
-    col_lo, col_hi = spans["cols"]
-    body = lines[1:]
-    if len(body) != row_hi - row_lo + 1:
-        raise ValueError("expected %d rows" % (row_hi - row_lo + 1))
-    entries = []
-    for ln in body:
-        if len(ln) != col_hi - col_lo + 1 or any(ch not in "01" for ch in ln):
-            raise ValueError("bad matrix row %r" % ln)
-        entries.append(tuple(int(ch) for ch in ln))
-    return BinaryMatrix(row_lo, col_lo, entries)
-
-
 def format_matrix(A):
     out = ["rows=%d..%d cols=%d..%d" % (A.row_lo, A.row_hi, A.col_lo, A.col_hi)]
     for r in A.entries:
@@ -113,30 +91,7 @@ def format_matrix(A):
     return "\n".join(out)
 
 
-# ---------------------------------------------------------------- row ops
-
-def row_lower(v, k, col_lo=0):
-    """Move a 1 from column k to k+1 if the pattern there is (1,0)."""
-    j = k - col_lo
-    if j < 0 or j + 1 >= len(v):
-        raise ValueError("columns %d,%d outside row" % (k, k + 1))
-    if (v[j], v[j + 1]) != (1, 0):
-        return None
-    out = list(v)
-    out[j], out[j + 1] = 0, 1
-    return tuple(out)
-
-
-def row_raise(v, k, col_lo=0):
-    j = k - col_lo
-    if j < 0 or j + 1 >= len(v):
-        raise ValueError("columns %d,%d outside row" % (k, k + 1))
-    if (v[j], v[j + 1]) != (0, 1):
-        return None
-    out = list(v)
-    out[j], out[j + 1] = 1, 0
-    return tuple(out)
-
+# ---------------------------------------------------------------- column ops
 
 def _matrix_signature(A, k):
     """Surviving minus/plus row offsets at color k after cancelling (+,-)

@@ -269,11 +269,6 @@ def omega(a):
             for (z, sp, sm), c in a.items()}
 
 
-def omega_r(f):
-    return {tuple(sorted((-k for k in z), reverse=True)): c
-            for z, c in f.items()}
-
-
 def annihilator_relations(n):
     """Generators of the annihilator of degree-n z-Schur span: single-row
     operators past the degree, and the mixed products reducing to a shorter
@@ -289,10 +284,6 @@ def annihilator_relations(n):
 
 
 # ---------------------------------------------------------------- json
-
-def relem_to_json(f):
-    return [{"z": list(k), "c": c} for k, c in sorted(f.items())]
-
 
 def delem_to_json(a):
     return [{"z": list(z), "splus": list(sp), "sminus": list(sm), "c": c}

@@ -41,10 +41,6 @@ def parse_partition(text):
     return parts
 
 
-def format_partition(mu):
-    return ",".join(str(p) for p in mu) if mu else "0"
-
-
 def parse_gen_partition(text):
     """Parse "2,0,-1" to (2, 0, -1); length is significant, negatives kept."""
     text = text.strip()
@@ -57,19 +53,6 @@ def parse_gen_partition(text):
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("entries not weakly decreasing in %r" % text)
     return parts
-
-
-def parse_skew(text):
-    """Parse "3,1/1" to ((3, 1), (1,)); a bare partition has empty inner shape."""
-    if "/" in text:
-        outer_s, inner_s = text.split("/", 1)
-    else:
-        outer_s, inner_s = text, ""
-    outer = parse_partition(outer_s)
-    inner = parse_partition(inner_s)
-    if not contains(outer, inner):
-        raise ValueError("inner shape not contained in outer in %r" % text)
-    return outer, inner
 
 
 # ---------------------------------------------------------------- shape ops
@@ -382,10 +365,6 @@ def tpoly_mul(a, b):
         for e2, c2 in b.items():
             bump(out, e1 + e2, c1 * c2)
     return out
-
-
-def tpoly_truncate(a, tmax):
-    return {e: c for e, c in a.items() if e <= tmax}
 
 
 def tpoly_eval(a, t):

@@ -21,11 +21,10 @@ def _rows_per_color(words, lo, hi):
             for w in words]
 
 
-def enumerated_census(factors, lo, hi, threads=1):
+def enumerated_census(factors, lo, hi):
     """The census that realizes every factor in full, the leading one
     included, finds the leading factor's sources among all its words with
-    per-color eps/phi, and walks the same tensor product rule.  threads is
-    ignored; it lets this stand in for lr_engine._window_census."""
+    per-color eps/phi, and walks the same tensor product rule."""
     realized = [lr_engine._realize_factor(f, lo, hi) for f in factors]
     tables = [_rows_per_color(words, lo, hi) for words, _ in realized]
     offset = Weight(0)
@@ -88,9 +87,6 @@ FIXED = [
 def test_source_census_matches_enumeration(factors, window):
     new, old = _both(factors, *window)
     assert new == old
-    if isinstance(new, Counter):
-        norm = [lr_engine._factor_norm(f) for f in factors]
-        assert lr_engine._window_census(norm, *window, threads=2) == old
 
 
 def _random_factor(rng):

@@ -8,9 +8,9 @@ from crystal_lr import shapes
 from crystal_lr.crystal import (Tableau, Weight, decompose_components,
                                 dual_word, enumerate_sst, eps, hw_tableau,
                                 hw_weight, fundamental_weight, is_equivalent,
-                                letter_weight, lower_word, lw_tableau, phi,
-                                raise_word, signature_vectors, tableau_word,
-                                weight, weyl_reflect)
+                                lower_word, lw_tableau, phi, raise_word,
+                                signature_vectors, tableau_word, weight,
+                                weyl_reflect)
 
 
 def w(*letters):
@@ -98,7 +98,8 @@ def test_weights():
     assert hw_weight((0, -1)) == Weight(2, {0: -1})
     assert Weight(1).pairing(0) == 1
     assert Weight(1).pairing(1) == 0
-    assert letter_weight((2, True)) == Weight(0, {2: -1})
+    assert weight(((2, True),)) == Weight(0, {2: -1})
+    assert weight(((2, False),)) == Weight(0, {2: 1})
 
 
 def test_weyl_reflect():

@@ -5,11 +5,15 @@ Only stdout is compared; verify suites write their timings to stderr.  The
 files were written by running this module as a script at the commit whose
 output is the reference:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --rewrite
+
+Any other argument list, none included, writes nothing and exits non-zero.
 """
 
 import io
+import os
 import pathlib
+import subprocess
 import sys
 from contextlib import redirect_stdout
 
@@ -18,6 +22,7 @@ import pytest
 from crystal_lr import cli
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+USAGE = "usage: python tests/test_golden.py --rewrite"
 
 CASES = {
     "verify_all_quick_seed0": ["verify", "all", "--quick", "--seed", "0"],
@@ -43,7 +48,27 @@ def test_golden_stdout(name):
     assert out == (GOLDEN / (name + ".out")).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("args", [["--help"], []])
+def test_script_rewrites_only_on_flag(args):
+    files = sorted(GOLDEN.glob("*.out"))
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in files}
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, __file__] + args, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert USAGE in proc.stderr
+    assert sorted(GOLDEN.glob("*.out")) == files
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in files} == before
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--rewrite"]:
+        sys.exit(USAGE + "\n(rewrites every tests/golden/*.out from the "
+                 "current code)")
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in sorted(CASES.items()):
         code, out = _run(argv)

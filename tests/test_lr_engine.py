@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crystal_lr import characters, shapes
+from crystal_lr import characters, cli, shapes
 from crystal_lr.crystal import Weight
 from crystal_lr.lr_engine import (ExtremalClass, MixedLevelError,
                                   class_product, decomposition_to_json,
@@ -395,13 +395,24 @@ def test_expr_decompose():
         expr_decompose([("B", (0,)), ("Bdual", (0,))], (-3, 3))
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "B(1)*B(0)", "--margin", "-5"],
+    ["extremal-lr", "0", "1", "", "0", "", "", "--margin", "-9"],
+])
+def test_cli_rejects_negative_margin(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--margin" in err and argv[-1] in err
+
+
 def test_verify_pieri_and_self():
     rep = verify_truncated([("B", (1,)), ("Bcol", 2)], (-4, 4),
                            pieri_column((1,), 2))
     assert rep["status"] == "ok" and not rep["retried"]
-    rep2 = verify_truncated([("B", (1,)), ("Bcol", 2)], (-4, 4),
-                            pieri_column((1,), 2), threads=2)
-    assert rep2 == rep
+    with pytest.raises(ValueError, match="threads=2"):
+        verify_truncated([("B", (1,)), ("Bcol", 2)], (-4, 4),
+                         pieri_column((1,), 2), threads=2)
     rep = verify_truncated([("Bmn", (1,), (1,))], (-2, 2),
                            {ExtremalClass((1,), (1,)): 1})
     assert rep["status"] == "ok"

@@ -12,9 +12,8 @@ from crystal_lr.matrices import (BinaryMatrix, MayaRow, bicrystal_components,
                                  embed_tau, enumerate_matrices, format_matrix,
                                  matrix_lower, matrix_raise,
                                  maya_lower, maya_raise, maya_weight,
-                                 maya_weight_total, parse_matrix, rho_inverse,
-                                 rho_transpose, row_lower, row_raise,
-                                 row_reverse)
+                                 maya_weight_total, rho_inverse,
+                                 rho_transpose, row_reverse)
 from crystal_lr.shapes import conjugate, num_sst, partitions_of
 
 
@@ -23,15 +22,18 @@ def M(row_lo, col_lo, rows):
 
 
 def test_row_ops():
-    assert row_lower((1, 0), 0) == (0, 1)
-    assert row_lower((0, 1), 0) is None
-    assert row_lower((1, 1), 0) is None
-    assert row_lower((0, 0), 0) is None
-    assert row_raise((0, 1), 0) == (1, 0)
-    assert row_raise((1, 0), 0) is None
-    assert row_lower((0, 1, 0), 2, col_lo=1) == (0, 0, 1)
+    # the column operators on a one-row matrix move its single pair
+    assert matrix_lower(M(1, 0, [(1, 0)]), 0) == M(1, 0, [(0, 1)])
+    assert matrix_lower(M(1, 0, [(0, 1)]), 0) is None
+    assert matrix_lower(M(1, 0, [(1, 1)]), 0) is None
+    assert matrix_lower(M(1, 0, [(0, 0)]), 0) is None
+    assert matrix_raise(M(1, 0, [(0, 1)]), 0) == M(1, 0, [(1, 0)])
+    assert matrix_raise(M(1, 0, [(1, 0)]), 0) is None
+    assert matrix_lower(M(1, 1, [(0, 1, 0)]), 2) == M(1, 1, [(0, 0, 1)])
     with pytest.raises(ValueError):
-        row_lower((1, 0), 5)
+        matrix_lower(M(1, 0, [(1, 0)]), 5)
+    with pytest.raises(ValueError):
+        matrix_raise(M(1, 1, [(0, 1)]), 0)
 
 
 def test_signature_cases():
@@ -141,7 +143,7 @@ def _cap_lower_last_plus(A, l):
 def test_verifiers_catch_mutant_row_operator(monkeypatch):
     monkeypatch.setattr(matrices, "cap_lower", _cap_lower_last_plus)
     monkeypatch.setattr(cli, "cap_lower", _cap_lower_last_plus)
-    cfg = {"seed": 0, "threads": 1, "quick": True}
+    cfg = {"seed": 0, "quick": True}
     (check,) = cli._SUITES["bicrystal"](cfg)
     assert check["status"] == "fail"
     assert check["counterexample"]["row_op"] in ("lower", "raise")
@@ -317,12 +319,9 @@ def test_maya_window_independent():
 
 
 def test_serialization():
-    text = "rows=1..2 cols=-1..3\n10010\n01101"
-    A = parse_matrix(text)
+    A = M(1, -1, [(1, 0, 0, 1, 0), (0, 1, 1, 0, 1)])
     assert (A.row_lo, A.row_hi, A.col_lo, A.col_hi) == (1, 2, -1, 3)
     assert A.entry(1, -1) == 1 and A.entry(2, 0) == 1 and A.entry(1, 3) == 0
-    assert parse_matrix(format_matrix(A)) == A
+    assert format_matrix(A) == "rows=1..2 cols=-1..3\n10010\n01101"
     assert MayaRow("F", charge=2, delta=(3,)).to_json() == \
         {"kind": "F", "charge": 2, "delta": [3]}
-    with pytest.raises(ValueError):
-        parse_matrix("rows=1..2 cols=1..2\n10")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from crystal_lr import shapes
+from crystal_lr import crystal, shapes
 
 
 def test_parse_format_partition():
@@ -13,8 +14,6 @@ def test_parse_format_partition():
     assert shapes.parse_partition("0") == ()
     assert shapes.parse_partition("") == ()
     assert shapes.parse_partition("3,1,0") == (3, 1)
-    assert shapes.format_partition((3, 1)) == "3,1"
-    assert shapes.format_partition(()) == "0"
     with pytest.raises(ValueError):
         shapes.parse_partition("1,2")
     with pytest.raises(ValueError):
@@ -28,11 +27,12 @@ def test_parse_gen_partition():
         shapes.parse_gen_partition("-1,0")
 
 
-def test_parse_skew():
-    assert shapes.parse_skew("3,1/1") == ((3, 1), (1,))
-    assert shapes.parse_skew("2,2") == ((2, 2), ())
-    with pytest.raises(ValueError):
-        shapes.parse_skew("1/2")
+def test_contains():
+    assert shapes.contains((3, 1), (1,))
+    assert shapes.contains((2, 2), ())
+    assert shapes.contains((2, 2), (2, 2, 0))
+    assert not shapes.contains((1,), (2,))
+    assert not shapes.contains((2,), (1, 1))
 
 
 def test_conjugate():
@@ -101,6 +101,28 @@ def test_partitions_of():
     assert sum(1 for _ in shapes.partitions_of(7, max_length=4)) == 11
     for mu in shapes.partitions_of(5, max_length=2):
         assert len(mu) <= 2 and sum(mu) == 5
+
+
+def _gen_grid(n, lo, hi):
+    """The box enumerator gen_partitions_box replaced, kept as its oracle:
+    the sorted multisets of n entries from [lo, hi]."""
+    return [tuple(sorted(c, reverse=True)) for c in
+            itertools.combinations_with_replacement(range(lo, hi + 1), n)]
+
+
+@pytest.mark.parametrize("length", range(4))
+def test_gen_partitions_box_matches_grid(length):
+    for lo, hi in itertools.combinations_with_replacement(range(-3, 4), 2):
+        grid = _gen_grid(length, lo, hi)
+        got = list(shapes.gen_partitions_box(length, lo, hi))
+        assert len(got) == len(set(got)) and set(got) == set(grid)
+        totals = {sum(x) for x in grid}
+        for total in totals:
+            got = list(shapes.gen_partitions_box(length, lo, hi, total))
+            assert len(got) == len(set(got))
+            assert set(got) == {x for x in grid if sum(x) == total}
+        for total in (min(totals) - 1, max(totals) + 1):
+            assert not list(shapes.gen_partitions_box(length, lo, hi, total))
 
 
 def test_mu_star():
@@ -258,6 +280,27 @@ def test_kostka_at_one_counts_sst():
     assert shapes.tpoly_eval(shapes.kostka_foulkes((2, 2), (1, 1, 1, 1)), 1) == 2
 
 
+_kostka_pairs = st.sampled_from([
+    (lam, mu) for n in range(7) for lam in shapes.partitions_of(n)
+    for mu in shapes.partitions_of(n)])
+
+
+@given(_kostka_pairs)
+@example(((6,), (1,) * 6))
+@example(((), ()))
+def test_kostka_foulkes_specializations(pair):
+    """K_{lam mu}(0) is the Kronecker delta, and K_{lam mu}(1) counts the
+    tableaux of shape lam and content mu, here found by filtering the free
+    enumerator crystal.enumerate_sst by content."""
+    lam, mu = pair
+    kp = shapes.kostka_foulkes(lam, mu)
+    assert shapes.tpoly_eval(kp, 0) == (1 if lam == mu else 0)
+    content = {i + 1: m for i, m in enumerate(mu)}
+    count = sum(1 for t in crystal.enumerate_sst(lam, 1, len(mu))
+                if Counter(x for row in t.rows for x in row) == content)
+    assert shapes.tpoly_eval(kp, 1) == count
+
+
 def test_tpoly_ops():
     a = shapes.tpoly([(0, 1), (2, 3)])
     b = shapes.tpoly([(1, 2), (2, -3)])
@@ -265,7 +308,6 @@ def test_tpoly_ops():
     assert shapes.tpoly_mul(a, b) == {1: 2, 2: -3, 3: 6, 4: -9}
     assert shapes.tpoly_pairs(shapes.tpoly_mul(a, b)) == \
         [[1, 2], [2, -3], [3, 6], [4, -9]]
-    assert shapes.tpoly_truncate(shapes.tpoly_mul(a, b), 2) == {1: 2, 2: -3}
     assert shapes.scale(a, 0) == {}
 
 
