@@ -307,6 +307,47 @@ def lw_tableau(lam, lo, hi):
 
 # ---------------------------------------------------------------- components
 
+def components(nodes, raises, lowers):
+    """Traverse a finite set under crystal operators, one component at a time.
+
+    raises and lowers are lists of (op, color) moves, op(node, color)
+    returning the neighbour or None.  Yields (source, size) per component,
+    the source being its one node that no raise move leaves.  Raises
+    ValueError if a move leaves the set or a component has no unique source.
+    """
+    nodes = set(nodes)
+    seen = set()
+    for start in nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue = deque([start])
+        size = 0
+        sources = []
+        while queue:
+            x = queue.popleft()
+            size += 1
+            is_source = True
+            for moves, raising in ((raises, True), (lowers, False)):
+                for op, c in moves:
+                    y = op(x, c)
+                    if y is None:
+                        continue
+                    if raising:
+                        is_source = False
+                    if y not in nodes:
+                        raise ValueError(
+                            "set not closed under color %r at %r" % (c, x))
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+            if is_source:
+                sources.append(x)
+        if len(sources) != 1:
+            raise ValueError("component with %d sources" % len(sources))
+        yield sources[0], size
+
+
 def decompose_components(words, colors):
     """Partition a finite closed union of word crystals into components.
 
@@ -315,39 +356,9 @@ def decompose_components(words, colors):
     source.
     """
     colors = list(colors)
-    nodes = set(words)
-    seen = set()
-    out = Counter()
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        sources = []
-        seen.add(start)
-        while queue:
-            w = queue.popleft()
-            is_source = True
-            for k in colors:
-                for step in (raise_word, lower_word):
-                    nxt = step(w, k)
-                    if nxt is None:
-                        continue
-                    if step is raise_word:
-                        is_source = False
-                    if nxt not in nodes:
-                        raise ValueError(
-                            "set not closed under color %d at %r" % (k, w))
-                    if nxt not in comp:
-                        comp.add(nxt)
-                        seen.add(nxt)
-                        queue.append(nxt)
-            if is_source:
-                sources.append(w)
-        if len(sources) != 1:
-            raise ValueError("component with %d sources" % len(sources))
-        out[(weight(sources[0]), len(comp))] += 1
-    return out
+    return Counter((weight(w), size) for w, size in components(
+        words, [(raise_word, k) for k in colors],
+        [(lower_word, k) for k in colors]))
 
 
 def is_equivalent(b1, b2, colors, max_nodes=200000):

@@ -119,6 +119,12 @@ def bt_bar_apply(k, f, T):
     return tr_omega(bt_apply(k, tr_omega(f), T))
 
 
+def n_stat(mu):
+    """Macdonald's n(mu) = sum_i (i-1) mu_i, the order T from which
+    bt_word_action(mu, T) is complete on partition shapes."""
+    return sum(i * part for i, part in enumerate(mu))
+
+
 def bt_word_action(mu, T):
     """Act with b^t_{mu_1} ... b^t_{mu_n} on 1, rightmost mode first, and
     expand in the z-Schur basis.

@@ -16,9 +16,9 @@ raising moves the 1 of the last surviving - up to row l; this equals
 """
 
 import itertools
-from collections import Counter, deque
+from collections import Counter
 
-from .crystal import Weight
+from .crystal import Weight, components
 
 
 class BinaryMatrix:
@@ -407,36 +407,5 @@ def bicrystal_components(mats, col_colors, row_colors):
               + [(cap_raise, l) for l in row_colors])
     lowers = ([(matrix_lower, k) for k in col_colors]
               + [(cap_lower, l) for l in row_colors])
-    nodes = set(mats)
-    seen = set()
-    out = Counter()
-    for start in nodes:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = deque([start])
-        size = 0
-        doubly = []
-        while queue:
-            A = queue.popleft()
-            size += 1
-            top = True
-            for moves, raising in ((raises, True), (lowers, False)):
-                for op, c in moves:
-                    B = op(A, c)
-                    if B is None:
-                        continue
-                    if raising:
-                        top = False
-                    if B not in nodes:
-                        raise ValueError("set not closed under bicrystal ops")
-                    if B not in seen:
-                        seen.add(B)
-                        queue.append(B)
-            if top:
-                doubly.append(A)
-        if len(doubly) != 1:
-            raise ValueError("component with %d doubly-highest elements"
-                             % len(doubly))
-        out[(doubly[0].col_weight(), size)] += 1
-    return out
+    return Counter((A.col_weight(), size)
+                   for A, size in components(mats, raises, lowers))

@@ -286,5 +286,7 @@ def annihilator_relations(n):
 # ---------------------------------------------------------------- json
 
 def delem_to_json(a):
-    return [{"z": list(z), "splus": list(sp), "sminus": list(sm), "c": c}
+    """A fractional coefficient is written as the string "p/q"."""
+    return [{"z": list(z), "splus": list(sp), "sminus": list(sm),
+             "c": int(c) if c.denominator == 1 else str(c)}
             for (z, sp, sm), c in sorted(a.items())]

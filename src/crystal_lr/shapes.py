@@ -12,7 +12,7 @@ TPolys here, Laurent polynomials in characters, z-ring and Ore elements in
 ring, truncated elements {monomial: TPoly} in hall_littlewood and
 {class: mult} decompositions in lr_engine.  All of them are zero-free: no
 key maps to 0 (or to an empty TPoly), so two combinations are equal exactly
-when their dicts are.  bump, lin_add, scale and bump_poly below are the one
+when their dicts are.  bump, lin_add and bump_poly below are the one
 arithmetic kernel that keeps this invariant.
 """
 
@@ -334,11 +334,6 @@ def lin_add(a, b, c=1):
     return out
 
 
-def scale(a, c):
-    """The combination c*a, as a new dict."""
-    return {key: c * v for key, v in a.items()} if c else {}
-
-
 def bump_poly(d, key, tp, c=1):
     """d[key] += c*tp in place for TPoly-valued dicts, deleting the key when
     its TPoly vanishes.  The stored TPoly is replaced, never mutated."""
@@ -350,14 +345,6 @@ def bump_poly(d, key, tp, c=1):
 
 
 # ---------------------------------------------------------------- TPoly
-
-def tpoly(pairs):
-    """Build a TPoly from (power, coeff) pairs, dropping zeros."""
-    out = {}
-    for e, c in pairs:
-        bump(out, e, c)
-    return out
-
 
 def tpoly_mul(a, b):
     out = {}

@@ -406,6 +406,17 @@ def test_cli_rejects_negative_margin(argv, capsys):
     assert "--margin" in err and argv[-1] in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lr", "3000", "1500", "1500"],
+    ["kostka-foulkes", "1500", "1500"],
+])
+def test_cli_names_oversized_input(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: %s: " % argv[0]) and "too large" in err
+
+
 def test_verify_pieri_and_self():
     rep = verify_truncated([("B", (1,)), ("Bcol", 2)], (-4, 4),
                            pieri_column((1,), 2))

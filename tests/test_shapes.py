@@ -302,13 +302,13 @@ def test_kostka_foulkes_specializations(pair):
 
 
 def test_tpoly_ops():
-    a = shapes.tpoly([(0, 1), (2, 3)])
-    b = shapes.tpoly([(1, 2), (2, -3)])
+    a = {0: 1, 2: 3}
+    b = {1: 2, 2: -3}
     assert shapes.lin_add(a, b) == {0: 1, 1: 2}
     assert shapes.tpoly_mul(a, b) == {1: 2, 2: -3, 3: 6, 4: -9}
     assert shapes.tpoly_pairs(shapes.tpoly_mul(a, b)) == \
         [[1, 2], [2, -3], [3, 6], [4, -9]]
-    assert shapes.scale(a, 0) == {}
+    assert shapes.lin_add({}, a, 0) == {}
 
 
 _coeffs = st.one_of(
@@ -334,7 +334,8 @@ def test_lin_add_matches_counter(a, b, c):
         shapes.bump(bumped, k, c * v)
     assert shapes.lin_add(a, b, c) == want and bumped == want
     assert (a, b) == (a_copy, b_copy)
-    assert shapes.scale(a, c) == {k: c * v for k, v in a.items() if c * v}
+    assert shapes.lin_add({}, a, c) == {k: c * v for k, v in a.items()
+                                        if c * v}
 
 
 @given(st.dictionaries(st.integers(0, 2), _combos.filter(bool)),

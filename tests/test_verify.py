@@ -1,0 +1,86 @@
+"""Each verify suite must be able to fail.
+
+A mutant of one implementation, patched into crystal_lr.verify's namespace,
+makes one named check fail.  The report must say so through the CLI, carry
+the counterexample, and count the cases run up to and including the first
+failing one.
+"""
+
+import json
+
+import pytest
+
+from crystal_lr import cli, verify
+from crystal_lr.shapes import lin_add
+
+
+def _drop_first_class(fn):
+    def mutant(*args):
+        dec = dict(fn(*args))
+        if dec:
+            del dec[next(iter(dec))]
+        return dec
+    return mutant
+
+
+def _drop_last_of_several_terms(fn):
+    def mutant(a, b):
+        out = dict(fn(a, b))
+        if len(out) > 1:
+            del out[list(out)[-1]]
+        return out
+    return mutant
+
+
+def _flip_sign(fn):
+    return lambda sign, mu: fn(-sign, mu)
+
+
+def _off_by_one_off_diagonal(fn):
+    def mutant(lam, mu):
+        kp = fn(lam, mu)
+        return kp if lam == mu else lin_add(kp, {0: 1})
+    return mutant
+
+
+def _nonzero(fn):
+    return lambda rel, f: {((0,),): 1}
+
+
+MUTANTS = [
+    # every prediction loses a class, so the first case fails
+    ("pieri", "pieri_column", _drop_first_class, "column-pieri", 1,
+     {"lam": [-1, -1], "a": 1, "dual": False}),
+    # s^+_() = s^-_() = 1, so the two empty-strip cases of the first lam
+    # pass and mu = (1) with sign +1 is the first to fail
+    ("s-action", "s_operator", _flip_sign, "skew-action", 3,
+     {"n": 1, "lam": [-2], "mu": [1], "sign": 1}),
+    # s^+_1 z_{-5} has two normal-ordered terms; losing one breaks the
+    # first commutator
+    ("ore", "d_multiply", _drop_last_of_several_terms, "commutators", 1,
+     {"n": 1, "k": -5, "sign": 1}),
+    ("extremal", "hw_past_level0", _drop_first_class, "character-identity",
+     1, {"rho": [], "sigma": [], "tau": [], "p": 1, "q": 1}),
+    # mu = (1) and (2) have only the diagonal shape; mu = (1,1), the third
+    # grid entry, is the first with lam != mu
+    ("hl", "kostka_foulkes", _off_by_one_off_diagonal, "kostka-charge", 3,
+     {"mu": [1, 1], "T": 1}),
+    ("annihilator", "apply_delem", _nonzero, "relations-annihilate", 1,
+     {"n": 1, "lam": [-1]}),
+]
+
+
+@pytest.mark.parametrize("suite,name,mutate,check,count,where", MUTANTS,
+                         ids=[m[0] for m in MUTANTS])
+def test_suite_catches_mutant(monkeypatch, capsys, suite, name, mutate,
+                              check, count, where):
+    monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
+    assert cli.main(["verify", suite, "--quick"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    (entry,) = [c for c in report["checks"] if c["name"] == check]
+    assert entry["status"] == "fail"
+    assert entry["count"] == count
+    bad = entry["counterexample"]
+    assert {k: bad[k] for k in where} == where
+
