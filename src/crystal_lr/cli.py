@@ -3,9 +3,13 @@
 One executable covers the multiplicity calculators (lr, genlr,
 kostka-foulkes), the tensor product engine (decompose, pieri, extremal-lr),
 the Hall-Littlewood action on the z-ring (hl-act), and the named
-verification suites (verify).  Results are UTF-8 JSON on stdout, or
-indented key/value text with --format table; timings and other diagnostics
-go to stderr, so stdout is byte for byte reproducible per seed.
+verification suites (verify).  Stdout carries UTF-8 JSON only; timings and
+diagnostics go to stderr, so stdout is byte for byte reproducible per seed.
+
+Each flag belongs to the one command that reads it: --margin to decompose
+and extremal-lr, --dual to pieri, --mu and --T to hl-act, --seed and
+--quick to verify.  A flag given to any other command, or before the
+command name, is an unrecognized argument (exit 2).
 
 Shapes are comma-separated integers; the empty shape may be written "" or
 "0".  Exit codes: 0 success, 1 a verification check failed (its report
@@ -26,51 +30,6 @@ from .lr_engine import (MixedLevelError, decomposition_to_json,
                         pieri_column)
 from .shapes import (gen_lr_coefficient, kostka_foulkes, lr_coefficient,
                      tpoly_pairs)
-
-
-# ---------------------------------------------------------------- output
-
-def _scalar(v):
-    if isinstance(v, bool):
-        return "yes" if v else "no"
-    if v is None:
-        return "-"
-    if isinstance(v, (list, dict)):
-        return json.dumps(v, ensure_ascii=False)
-    return str(v)
-
-
-def _table_lines(payload, indent, lines):
-    pad = "  " * indent
-    if isinstance(payload, dict):
-        for k, v in payload.items():
-            nested = isinstance(v, dict) or (
-                isinstance(v, list)
-                and any(isinstance(x, (dict, list)) for x in v))
-            if nested and v:
-                lines.append("%s%s:" % (pad, k))
-                _table_lines(v, indent + 1, lines)
-            else:
-                lines.append("%s%s: %s" % (pad, k, _scalar(v)))
-    elif isinstance(payload, list):
-        for v in payload:
-            if isinstance(v, (dict, list)):
-                lines.append("%s-" % pad)
-                _table_lines(v, indent + 1, lines)
-            else:
-                lines.append("%s- %s" % (pad, _scalar(v)))
-    else:
-        lines.append("%s%s" % (pad, _scalar(payload)))
-
-
-def _emit(payload, fmt):
-    if fmt == "table":
-        lines = []
-        _table_lines(payload, 0, lines)
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        json.dump(payload, sys.stdout, ensure_ascii=False, indent=2)
-        sys.stdout.write("\n")
 
 
 def _entry_window(gshapes, margin):
@@ -134,7 +93,7 @@ def cmd_hl_act(args):
     mu = shapes.parse_gen_partition(args.mu)
     T = args.T if args.T is not None else max(0, hl.n_stat(mu))
     if T < 0:
-        raise ValueError("truncation order must be nonnegative")
+        raise ValueError("truncation order must be nonnegative, got %d" % T)
     exp = hl.bt_word_action(mu, T)
     terms = [{"lambda": list(lam), "tpoly": tpoly_pairs(exp[lam])}
              for lam in sorted(exp)]
@@ -148,79 +107,69 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------- parser
 
-def _add_flags(p, nested):
-    def dflt(v):
-        return argparse.SUPPRESS if nested else v
-
-    p.add_argument("--format", choices=("json", "table"),
-                   default=dflt("json"), help="output format")
-    p.add_argument("--seed", type=int, default=dflt(0),
-                   help="seed for the randomized suites")
-    p.add_argument("--margin", type=int, default=dflt(2),
-                   help="letters added on each side of the default "
-                        "index window")
-    p.add_argument("--T", type=int, default=dflt(None),
-                   help="truncation order in t")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="crystal-lr",
         description="Exact multiplicities, tensor product decompositions "
                     "and verification suites for extremal weight crystals.")
-    _add_flags(parser, nested=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, helptext):
+    def command(name, func, helptext, *positionals):
         p = sub.add_parser(name, help=helptext)
-        _add_flags(p, nested=True)
         p.set_defaults(func=func)
+        for pos in positionals:
+            p.add_argument(pos)
         return p
 
-    p = command("lr", cmd_lr, "Littlewood-Richardson coefficient")
-    for name in ("lam", "mu", "nu"):
-        p.add_argument(name)
+    def margin(p):
+        p.add_argument("--margin", type=int, default=2,
+                       help="letters added on each side of the default "
+                            "index window")
 
-    p = command("genlr", cmd_genlr,
-                "LR coefficient for generalized partitions")
-    for name in ("lam", "mu", "nu"):
-        p.add_argument(name)
-
-    p = command("kostka-foulkes", cmd_kostka_foulkes,
-                "Kostka-Foulkes polynomial")
-    p.add_argument("lam")
-    p.add_argument("mu")
+    command("lr", cmd_lr, "Littlewood-Richardson coefficient",
+            "lam", "mu", "nu")
+    command("genlr", cmd_genlr, "LR coefficient for generalized partitions",
+            "lam", "mu", "nu")
+    command("kostka-foulkes", cmd_kostka_foulkes,
+            "Kostka-Foulkes polynomial", "lam", "mu")
 
     p = command("decompose", cmd_decompose,
                 "decompose a tensor product expression")
     p.add_argument("expr", help='e.g. "B(0) * Bcol(2)" or '
                                 '"Bmn(1;) * Bmn(;1)"')
+    margin(p)
 
-    p = command("pieri", cmd_pieri, "column Pieri decomposition")
-    p.add_argument("lam")
+    p = command("pieri", cmd_pieri, "column Pieri decomposition", "lam")
     p.add_argument("a", type=int, help="column height")
     p.add_argument("--dual", action="store_true",
                    help="tensor with the dual column")
 
-    p = command("extremal-lr", cmd_extremal_lr,
-                "decompose a product of two general classes")
-    for name in ("lam", "mu", "nu", "rho", "sigma", "tau"):
-        p.add_argument(name)
+    margin(command("extremal-lr", cmd_extremal_lr,
+                   "decompose a product of two general classes",
+                   "lam", "mu", "nu", "rho", "sigma", "tau"))
 
     p = command("hl-act", cmd_hl_act, "Hall-Littlewood word action on 1")
     p.add_argument("--mu", required=True,
                    help="mode word, weakly decreasing")
+    p.add_argument("--T", type=int, default=None,
+                   help="truncation order in t")
 
     p = command("verify", cmd_verify, "run a named verification suite")
     p.add_argument("suite", choices=tuple(verify.SUITES) + ("all",))
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the randomized suites")
     p.add_argument("--quick", action="store_true",
                    help="smaller grids and sample counts")
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
+        if argv and argv[0][:1] == "-" and argv[0] not in ("-h", "--help"):
+            # argparse would take the flag's value for the command name
+            parser.error("unrecognized arguments: %s" % argv[0])
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
@@ -237,7 +186,8 @@ def main(argv=None):
         print("error: %s: input too large for the recursive kernels"
               % args.command, file=sys.stderr)
         return 2
-    _emit(payload, args.format)
+    json.dump(payload, sys.stdout, ensure_ascii=False, indent=2)
+    sys.stdout.write("\n")
     return code
 
 

@@ -164,7 +164,7 @@ def pieri_column(lam, a, dual=False):
     if not shapes.is_gen_partition(lam):
         raise ValueError("lam must be weakly decreasing")
     if a < 0:
-        raise ValueError("column length must be nonnegative")
+        raise ValueError("column length must be nonnegative, got %d" % a)
     out = {}
     for k in range(a + 1):
         col = (1,) * k
@@ -312,31 +312,22 @@ def parse_tensor_expr(text):
         name, _, body = token[:-1].partition("(")
         name = name.strip()
         body = body.strip()
-        if name == "Bcol":
-            try:
-                factors.append(_factor_norm(("Bcol", int(body))))
-            except ValueError:
-                raise ValueError("bad factor %r" % token) from None
-        elif name in ("B", "Bdual"):
-            try:
-                lam = shapes.parse_gen_partition(body)
-            except ValueError:
-                raise ValueError("bad factor %r" % token) from None
-            factors.append(_factor_norm((name, lam)))
-        elif name == "Bmn":
-            mu_s, sep, nu_s = body.partition(";")
-            if not sep:
-                raise ValueError("bad factor %r (Bmn needs mu;nu)" % token)
-            try:
-                mu = shapes.parse_partition(mu_s) if mu_s.strip() else ()
-                nu = shapes.parse_partition(nu_s) if nu_s.strip() else ()
-            except ValueError:
-                raise ValueError("bad factor %r" % token) from None
-            factors.append(_factor_norm(("Bmn", mu, nu)))
-        else:
-            raise ValueError("bad factor %r" % token)
-    if not factors:
-        raise ValueError("empty tensor expression")
+        if name == "Bmn" and ";" not in body:
+            raise ValueError("bad factor %r (Bmn needs mu;nu)" % token)
+        try:
+            if name == "Bcol":
+                fac = ("Bcol", int(body))
+            elif name in ("B", "Bdual"):
+                fac = (name, shapes.parse_gen_partition(body))
+            elif name == "Bmn":
+                mu_s, _, nu_s = body.partition(";")
+                fac = ("Bmn", shapes.parse_partition(mu_s),
+                       shapes.parse_partition(nu_s))
+            else:
+                raise ValueError
+            factors.append(_factor_norm(fac))
+        except ValueError:
+            raise ValueError("bad factor %r" % token) from None
     return factors
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from crystal_lr import characters, cli, shapes
 from crystal_lr.crystal import Weight
@@ -388,6 +389,33 @@ def test_parse_tensor_expr():
             parse_tensor_expr(bad)
 
 
+def _offending_token(parse, text):
+    """The stripped token an error from ``parse(text)`` must name: the whole
+    text for a shape, the first factor that fails on its own for a tensor
+    expression (factors are parsed left to right)."""
+    if parse is not parse_tensor_expr:
+        return text.strip()
+    for piece in text.split("*"):
+        try:
+            parse_tensor_expr(piece)
+        except ValueError:
+            return piece.strip()
+    raise AssertionError("no factor of %r fails alone" % text)
+
+
+@given(st.sampled_from([shapes.parse_partition, shapes.parse_gen_partition,
+                        parse_tensor_expr]),
+       st.text(alphabet="01-,;() *Bmncoldua", max_size=12))
+@example(parse_tensor_expr, "B()")
+@example(parse_tensor_expr, "Bdual()")
+@example(parse_tensor_expr, "B(0) * B( )")
+def test_parsers_name_the_malformed_token(parse, text):
+    try:
+        parse(text)
+    except ValueError as exc:
+        assert repr(_offending_token(parse, text)) in str(exc)
+
+
 def test_expr_decompose():
     dec = expr_decompose([("B", (2,)), ("Bcol", 2)], (-6, 6))
     assert dec == pieri_column((2,), 2)
@@ -404,6 +432,32 @@ def test_cli_rejects_negative_margin(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "--margin" in err and argv[-1] in err
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--seed", ["lr", "3,2,1", "2,1", "2,1", "--seed", "1"]),
+    ("--margin", ["verify", "pieri", "--quick", "--margin", "4"]),
+    ("--seed", ["hl-act", "--mu", "1", "--seed", "0"]),
+    ("--T", ["decompose", "B(0)", "--T", "2"]),
+    ("--seed", ["--seed", "0", "verify", "pieri", "--quick"]),
+    ("--format", ["lr", "1", "1", "0", "--format", "table"]),
+])
+def test_cli_flag_only_on_its_command(flag, argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: %s" % flag in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["pieri", "--", "0", "-1"],
+    ["hl-act", "--mu", "0", "--T", "-1"],
+])
+def test_cli_names_out_of_range_value(argv, capsys):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "got %s" % argv[-1] in err
 
 
 @pytest.mark.parametrize("argv", [
