@@ -34,6 +34,7 @@ CASES = {
     "lr_321_21_21": ["lr", "3,2,1", "2,1", "2,1"],
     "kostka_foulkes_321_2211": ["kostka-foulkes", "3,2,1", "2,2,1,1"],
     "decompose_B0_Bcol2": ["decompose", "B(0) * Bcol(2)"],
+    "decompose_B1-1_Bmn1_1": ["decompose", "B(1,-1) * Bmn(1;1)"],
     "genlr_10-1_10_-1": ["genlr", "--", "1,0,-1", "1,0", "-1"],
     "pieri_dual_10_2": ["pieri", "--dual", "--", "1,0", "2"],
     "extremal_lr_margin1": ["extremal-lr", "--margin", "1", "--",
