@@ -152,8 +152,6 @@ def _hl_p(mu, nvars):
     for k in range(sum(mu) + 1):
         for nu in shapes.horizontal_strips_below(mu, k):
             psi = _psi(mu, nu)
-            if not psi:
-                continue
             for e, tp in _hl_p(nu, nvars - 1).items():
                 shapes.bump_poly(out, e + (k,), shapes.tpoly_mul(tp, psi))
     return out

@@ -82,10 +82,6 @@ class Weight:
             bits.append("%+d*e%d" % (self.eps[i], i))
         return "Weight(%s)" % " ".join(bits) if bits else "Weight(0)"
 
-    def to_json(self):
-        return {"level": self.level,
-                "eps": [[i, self.eps[i]] for i in sorted(self.eps)]}
-
 
 def fundamental_weight(k):
     """Lambda_k = Lambda_0 + eps_1+..+eps_k (k>0) or Lambda_0 - eps_{k+1}-..-eps_0."""
@@ -214,9 +210,6 @@ class Tableau:
         self.rows = tuple(tuple(r) for r in rows)
         self.dual = dual
 
-    def shape(self):
-        return shapes.normalize(tuple(len(r) for r in self.rows))
-
     def __eq__(self, other):
         return (isinstance(other, Tableau) and self.rows == other.rows
                 and self.dual == other.dual)
@@ -292,17 +285,6 @@ def hw_tableau(lam, lo, hi, dual=False):
         v = hi - r if dual else lo + r
         rows.append((v,) * width)
     return Tableau(rows, dual)
-
-
-def lw_tableau(lam, lo, hi):
-    """The unique sink of SST(lam) over [lo, hi]: every column holds the
-    largest letters of the window."""
-    lam = shapes.normalize(lam)
-    if len(lam) > hi - lo + 1:
-        raise ValueError("shape %r too tall for [%d,%d]" % (lam, lo, hi))
-    heights = shapes.conjugate(lam)
-    return Tableau([tuple(hi - heights[c] + 1 + r for c in range(width))
-                    for r, width in enumerate(lam)])
 
 
 # ---------------------------------------------------------------- components

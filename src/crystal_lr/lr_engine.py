@@ -177,43 +177,46 @@ def pieri_column(lam, a, dual=False):
     return out
 
 
+def _past_mu(lam, mu):
+    """{(sigma, eta): mult} with B(Lambda_lam) (x) B_{mu,()} the sum of
+    mult B_{sigma,()} (x) B(Lambda_eta): mult sums c^{mu'}_{sigma' alpha}
+    c^lam_{eta alpha*} over alpha, and a nonzero c^lam_{eta alpha*} forces
+    lam_n <= eta_i <= lam_1 + alpha_1."""
+    m = len(lam)
+    lo, hi = (lam[-1], lam[0]) if lam else (0, 0)
+    out = {}
+    for sigma in _subpartitions(mu):
+        # strips longer than the hw cannot embed; the width bound
+        # l(alpha) <= mu_1 is already forced by the skew coefficient
+        for alpha, c1 in _skew_multiplicities(conjugate(mu), conjugate(sigma),
+                                              m).items():
+            star = shapes.mu_star(alpha, m)
+            top = hi + (alpha[0] if alpha else 0)
+            for eta in gen_partitions_box(m, lo, top,
+                                          total=sum(lam) + sum(alpha)):
+                c3 = gen_lr_coefficient(lam, eta, star)
+                if c3:
+                    bump(out, (sigma, eta), c1 * c3)
+    return out
+
+
 def hw_past_level0(lam, mu, nu):
     """B(Lambda_lam) (x) B_{mu,nu} = sum of B_{sigma,tau} (x) B(Lambda_rho)
-    with the quadruple-LR multiplicity; always finite."""
+    with the quadruple-LR multiplicity; always finite.
+
+    B_{mu,nu} is the one class B_{mu,()} (x) B_{(),nu}.  The mu leg gives
+    B_{sigma,()} (x) B(Lambda_eta).  The nu leg is its mirror under the star
+    duality (mu <-> nu, hw -> -w0 hw): the mu leg on (eta*, nu), starred.
+    """
     lam = tuple(lam)
     if not shapes.is_gen_partition(lam):
         raise ValueError("lam must be weakly decreasing")
     mu, nu = normalize(mu), normalize(nu)
     m = len(lam)
-    mu_c, nu_c = conjugate(mu), conjugate(nu)
     out = {}
-    for sigma in _subpartitions(mu):
-        for tau in _subpartitions(nu):
-            # strips longer than the hw cannot embed; the width bound
-            # l(alpha) <= mu_1 is already forced by the skew coefficient
-            for alpha, c1 in _skew_multiplicities(mu_c, conjugate(sigma),
-                                                  m).items():
-                star = shapes.mu_star(alpha, m)
-                for beta, c2 in _skew_multiplicities(nu_c, conjugate(tau),
-                                                     m).items():
-                    beta_p = beta + (0,) * (m - len(beta))
-                    asz, bsz = sum(alpha), sum(beta)
-                    lob = (lam[-1] if lam else 0) - m * (alpha[0] if alpha
-                                                         else 0) - asz
-                    upb = (lam[0] if lam else 0) + (alpha[0] if alpha else 0)
-                    for eta in gen_partitions_box(m, lob, upb,
-                                                  total=sum(lam) + asz):
-                        c3 = gen_lr_coefficient(lam, eta, star)
-                        if not c3:
-                            continue
-                        for rho in gen_partitions_box(
-                                m, (eta[-1] if eta else 0) - bsz,
-                                eta[0] if eta else 0,
-                                total=sum(eta) - bsz):
-                            c4 = gen_lr_coefficient(eta, rho, beta_p)
-                            if c4:
-                                bump(out, (sigma, tau, rho),
-                                     c1 * c2 * c3 * c4)
+    for (sigma, eta), a in _past_mu(lam, mu).items():
+        for (tau, zeta), b in _past_mu(shapes.mu_star(eta, m), nu).items():
+            bump(out, (sigma, tau, shapes.mu_star(zeta, m)), a * b)
     return {ExtremalClass(s, t, r or None): c
             for (s, t, r), c in out.items()}
 
@@ -373,15 +376,6 @@ def _hw_shape(lam, lo, hi):
     return conjugate(tuple(x - p for x in lam))
 
 
-def _windowed_words(shape, lo, hi):
-    words = []
-    for t in crystal.enumerate_sst(shape, lo, hi):
-        words.append(crystal.tableau_word(t))
-        if len(words) > _WORD_CAP:
-            raise _TooLarge(shape, lo, hi)
-    return words
-
-
 def _factor_shape(fac, lo, hi):
     """Tableau shape, constant weight offset and dualization of one tensor
     factor restricted to the letters [lo, hi]."""
@@ -402,9 +396,11 @@ def _realize_factor(fac, lo, hi):
     """Word list and constant weight offset for one tensor factor restricted
     to the letters [lo, hi]."""
     shape, off, dual = _factor_shape(fac, lo, hi)
-    words = _windowed_words(shape, lo, hi)
-    if dual:
-        words = [crystal.dual_word(w) for w in words]
+    words = []
+    for t in crystal.enumerate_sst(shape, lo, hi, dual):
+        words.append(crystal.tableau_word(t))
+        if len(words) > _WORD_CAP:
+            raise _TooLarge(shape, lo, hi)
     return words, off
 
 
@@ -412,21 +408,18 @@ def _realize_source(fac, lo, hi):
     """Source word and constant weight offset of one tensor factor restricted
     to the letters [lo, hi], without enumerating the factor.
 
-    The source of SST(shape) is its highest tableau; the dual of a word
-    crystal reverses its arrows, so a Bdual factor's source is the dual of
-    the lowest tableau.  The size refusal counts the tableaux instead, so it
-    trips exactly where enumerating them would.  The source is checked
-    against the per-color signature rule, independently of
-    crystal.signature_vectors.
+    The source of SST(shape) is its highest tableau; a Bdual factor lives on
+    dual letters, so its source is the dual-letter highest tableau.  Only
+    the source's (eps, phi, weight) row enters the census, and both
+    realizations of B(lam)^vee give the same row.  The size refusal counts
+    the tableaux instead, so it trips exactly where enumerating them would.
+    The source is checked against the per-color signature rule,
+    independently of crystal.signature_vectors.
     """
     shape, off, dual = _factor_shape(fac, lo, hi)
     if shapes.num_sst(shape, hi - lo + 1) > _WORD_CAP:
         raise _TooLarge(shape, lo, hi)
-    if dual:
-        word = crystal.dual_word(crystal.tableau_word(
-            crystal.lw_tableau(shape, lo, hi)))
-    else:
-        word = crystal.tableau_word(crystal.hw_tableau(shape, lo, hi))
+    word = crystal.tableau_word(crystal.hw_tableau(shape, lo, hi, dual))
     if any(crystal.eps(word, k) for k in range(lo, hi)):
         raise AssertionError("computed source %r is not highest weight"
                              % (word,))
@@ -613,7 +606,7 @@ def verify_truncated(factors, window, predicted, threads=1):
             first = last
     if last is None:
         return {"status": "window-too-small", "window": [lo0, hi0],
-                "retried": margin > 0, "detail": detail}
+                "retried": d > 0, "detail": detail}
     # truncation artifacts shrink as the window grows; a census gap that
     # persists at the widest window is a genuine error in the prediction
     m, lo, hi, lhs, rhs, diff = last

@@ -74,10 +74,6 @@ class BinaryMatrix:
         return "BinaryMatrix(rows=%d..%d cols=%d..%d)" % (
             self.row_lo, self.row_hi, self.col_lo, self.col_hi)
 
-    def row_weight(self):
-        """gl weight over the row interval: row sums."""
-        return tuple(sum(r) for r in self.entries)
-
     def col_weight(self):
         """gl weight over the column interval: column sums."""
         return tuple(sum(r[c] for r in self.entries)

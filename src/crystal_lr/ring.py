@@ -250,16 +250,15 @@ def h_operator(sign, n):
 
 def h_delem(sign, n):
     """The single-row operator as a DElem: sum over cycle types with
-    rational coefficients, in the opposite symbol family."""
+    rational coefficients, in the opposite symbol family.  omega swaps the
+    two families, so sign -1 is the omega image of sign +1."""
+    if sign < 0:
+        return omega(h_delem(+1, n))
     if n == 0:
         return d_one()
     out = {}
     for rho in partitions_of(n):
-        key = tuple(sorted(rho))
-        if sign > 0:
-            bump(out, ((), (), key), Fraction(1, _z_rho(rho)))
-        else:
-            bump(out, ((), key, ()), Fraction(1, _z_rho(rho)))
+        bump(out, ((), (), tuple(sorted(rho))), Fraction(1, _z_rho(rho)))
     return out
 
 

@@ -134,23 +134,10 @@ def strips_above(lam, size):
 
 def strips_below(lam, size):
     """nu in Z^n weakly decreasing such that lam/nu is a horizontal strip of
-    the given size after subtracting the common baseline nu_n."""
+    the given size after subtracting the common baseline nu_n: the stars of
+    the strips above lam*, as the star -w0 reverses containment."""
     n = len(lam)
-    if n == 0:
-        return [()] if size == 0 else []
-    out = []
-
-    def rec(i, prefix, left):
-        if i == n:
-            if left == 0:
-                out.append(tuple(prefix))
-            return
-        floor = lam[i + 1] if i + 1 < n else lam[i] - left
-        for v in range(max(floor, lam[i] - left), lam[i] + 1):
-            rec(i + 1, prefix + [v], left - (lam[i] - v))
-
-    rec(0, [], size)
-    return out
+    return [mu_star(x, n) for x in strips_above(mu_star(lam, n), size)]
 
 
 def horizontal_strips_above(mu, k):

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from crystal_lr import crystal, lr_engine
+from crystal_lr import crystal, lr_engine, shapes
 from crystal_lr.crystal import Weight
 from crystal_lr.lr_engine import pieri_column, verify_truncated
 
@@ -144,6 +144,30 @@ def test_factor_source_is_unique_and_computed(fac):
     assert checked
 
 
+@pytest.mark.parametrize("nletters", range(1, 6))
+def test_dual_letter_tableaux_realize_the_dual_crystal(nletters):
+    # a Bdual factor is enumerated on dual letters; the census reads only
+    # each word's (eps, phi, weight) row, and those rows must be the ones of
+    # dual_word over the plain tableaux
+    lo, hi = -1, nletters - 2
+
+    def rows(words):
+        return Counter((crystal.signature_vectors(w, lo, hi),
+                        crystal.weight(w).key()) for w in words)
+
+    checked = 0
+    for size in range(7):
+        for shape in shapes.partitions_of(size, max_length=nletters):
+            plain = [crystal.tableau_word(t)
+                     for t in crystal.enumerate_sst(shape, lo, hi)]
+            dual = [crystal.tableau_word(t)
+                    for t in crystal.enumerate_sst(shape, lo, hi, dual=True)]
+            assert rows(dual) == rows(crystal.dual_word(w) for w in plain), (
+                shape, lo, hi)
+            checked += 1
+    assert checked > 5
+
+
 # ---------------------------------------------------------------- size cap
 
 @pytest.mark.parametrize("cap", [5, 10, 12, 40])
@@ -175,6 +199,19 @@ def test_word_cap_refusal_trips_on_leading_factor(monkeypatch):
                            dict(list(pieri_column((0,), 2).items())[1:]))
     # (1^3) over 5 letters has 10 tableaux, (1^4) over 7 has 35
     assert rep["status"] == "mismatch" and rep["window"] == [-2, 2]
+
+
+def test_retried_means_a_wider_window_was_attempted(monkeypatch):
+    # the size cap stops the first window, so nothing wider was tried
+    with monkeypatch.context() as m:
+        m.setattr(lr_engine, "_WORD_CAP", 2)
+        rep = verify_truncated([("B", (0,)), ("Bcol", 2)], (-3, 3),
+                               pieri_column((0,), 2))
+    assert rep["status"] == "window-too-small" and rep["retried"] is False
+    # B(Lambda_20) fits no window around [-1, 1]; every wider one was tried
+    rep = verify_truncated([("B", (20,)), ("Bcol", 1)], (-1, 1),
+                           pieri_column((20,), 1))
+    assert rep["status"] == "window-too-small" and rep["retried"] is True
 
 
 # ---------------------------------------------------------------- mutants

@@ -8,7 +8,7 @@ from crystal_lr import shapes
 from crystal_lr.crystal import (Tableau, Weight, decompose_components,
                                 dual_word, enumerate_sst, eps, hw_tableau,
                                 hw_weight, fundamental_weight, is_equivalent,
-                                lower_word, lw_tableau, phi, raise_word,
+                                lower_word, phi, raise_word,
                                 signature_vectors, tableau_word, weight,
                                 weyl_reflect)
 
@@ -204,12 +204,3 @@ def test_signature_vectors_match_per_color(case):
     assert signature_vectors(word, lo, hi) == (
         tuple(eps(word, k) for k in colors),
         tuple(phi(word, k) for k in colors))
-
-
-def test_lw_tableau_is_unique_sink():
-    for lam in [(1,), (2, 1), (1, 1, 1), (3, 1, 1), (2, 2)]:
-        for lo, hi in [(-1, 1), (0, 3), (-2, 2)]:
-            words = [tableau_word(t) for t in enumerate_sst(lam, lo, hi)]
-            sinks = [u for u in words
-                     if not any(phi(u, k) for k in range(lo, hi))]
-            assert sinks == [tableau_word(lw_tableau(lam, lo, hi))]

@@ -6,7 +6,10 @@ from hypothesis import example, given, strategies as st
 
 from crystal_lr import characters, cli, shapes
 from crystal_lr.crystal import Weight
+from crystal_lr.shapes import (bump, conjugate, gen_lr_coefficient,
+                               gen_partitions_box, normalize)
 from crystal_lr.lr_engine import (ExtremalClass, MixedLevelError,
+                                  _skew_multiplicities, _subpartitions,
                                   class_product, decomposition_to_json,
                                   expr_decompose, extremal_lr,
                                   hw_past_level0, hw_product,
@@ -186,6 +189,62 @@ def test_hw_past_level0_duality():
         m1 = {(c.nu, c.mu, star(c.hw or ())): v for c, v in d1.items()}
         m2 = {(c.mu, c.nu, tuple(c.hw or ())): v for c, v in d2.items()}
         assert m1 == m2
+
+
+def two_leg_hw_past_level0(lam, mu, nu):
+    """The hw_past_level0 that wrote the nu leg out by hand, kept verbatim as
+    the oracle for the one-sided pass and its star mirror."""
+    lam = tuple(lam)
+    if not shapes.is_gen_partition(lam):
+        raise ValueError("lam must be weakly decreasing")
+    mu, nu = normalize(mu), normalize(nu)
+    m = len(lam)
+    mu_c, nu_c = conjugate(mu), conjugate(nu)
+    out = {}
+    for sigma in _subpartitions(mu):
+        for tau in _subpartitions(nu):
+            # strips longer than the hw cannot embed; the width bound
+            # l(alpha) <= mu_1 is already forced by the skew coefficient
+            for alpha, c1 in _skew_multiplicities(mu_c, conjugate(sigma),
+                                                  m).items():
+                star = shapes.mu_star(alpha, m)
+                for beta, c2 in _skew_multiplicities(nu_c, conjugate(tau),
+                                                     m).items():
+                    beta_p = beta + (0,) * (m - len(beta))
+                    asz, bsz = sum(alpha), sum(beta)
+                    lob = (lam[-1] if lam else 0) - m * (alpha[0] if alpha
+                                                         else 0) - asz
+                    upb = (lam[0] if lam else 0) + (alpha[0] if alpha else 0)
+                    for eta in gen_partitions_box(m, lob, upb,
+                                                  total=sum(lam) + asz):
+                        c3 = gen_lr_coefficient(lam, eta, star)
+                        if not c3:
+                            continue
+                        for rho in gen_partitions_box(
+                                m, (eta[-1] if eta else 0) - bsz,
+                                eta[0] if eta else 0,
+                                total=sum(eta) - bsz):
+                            c4 = gen_lr_coefficient(eta, rho, beta_p)
+                            if c4:
+                                bump(out, (sigma, tau, rho),
+                                     c1 * c2 * c3 * c4)
+    return {ExtremalClass(s, t, r or None): c
+            for (s, t, r), c in out.items()}
+
+
+def test_hw_past_level0_matches_two_leg_oracle():
+    lams = [lam for m in range(3)
+            for lam in gen_partitions_box(m, -2, 2)]
+    parts = [mu for n in range(5) for mu in shapes.partitions_of(n)]
+    pairs = [(mu, nu) for mu in parts for nu in parts
+             if sum(mu) + sum(nu) <= 4]
+    both_legs = 0
+    for lam in lams:
+        for mu, nu in pairs:
+            got = hw_past_level0(lam, mu, nu)
+            assert got == two_leg_hw_past_level0(lam, mu, nu), (lam, mu, nu)
+            both_legs += bool(lam and mu and nu and len(got) > 1)
+    assert both_legs > 100
 
 
 def gen_box(length, lo, hi, total):

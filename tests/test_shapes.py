@@ -95,6 +95,40 @@ def test_strip_enumeration_is_complete():
                         enumerate_strips.__name__, mu, k)
 
 
+def direct_strips_below(lam, size):
+    """The strips_below that recursed on its own, kept verbatim as the oracle
+    for the star of strips_above."""
+    n = len(lam)
+    if n == 0:
+        return [()] if size == 0 else []
+    out = []
+
+    def rec(i, prefix, left):
+        if i == n:
+            if left == 0:
+                out.append(tuple(prefix))
+            return
+        floor = lam[i + 1] if i + 1 < n else lam[i] - left
+        for v in range(max(floor, lam[i] - left), lam[i] + 1):
+            rec(i + 1, prefix + [v], left - (lam[i] - v))
+
+    rec(0, [], size)
+    return out
+
+
+def test_strips_below_matches_direct_oracle():
+    cases = 0
+    for n in range(5):
+        for lam in shapes.gen_partitions_box(n, -4, 4):
+            for size in range(7):
+                got = shapes.strips_below(lam, size)
+                assert len(set(got)) == len(got), (lam, size)
+                assert set(got) == set(direct_strips_below(lam, size)), (
+                    lam, size)
+                cases += 1
+    assert cases == 5005
+
+
 def test_partitions_of():
     assert sum(1 for _ in shapes.partitions_of(6)) == 11
     assert list(shapes.partitions_of(0)) == [()]
@@ -234,6 +268,60 @@ def test_gen_lr_equal_length():
         assert shapes.gen_lr_coefficient(lam, mu, nu) == \
             shapes.lr_coefficient(shapes.normalize(lam), shapes.normalize(mu),
                                   shapes.normalize(nu))
+
+
+def _star(v):
+    return tuple(-x for x in reversed(v))
+
+
+def _shift(v, c):
+    return tuple(x + c for x in v)
+
+
+def _gen_part(n):
+    return st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(
+        lambda v: tuple(sorted(v, reverse=True)))
+
+
+def _lr_triples(lengths, lam_length):
+    """(lam, mu, nu) with (len(mu), len(nu)) drawn from lengths, lam of
+    length lam_length(len(mu), len(nu)) and sum(lam) = sum(mu) + sum(nu),
+    so the coefficient is often nonzero."""
+    def with_lam(pair):
+        mu, nu = pair
+        lams = list(shapes.gen_partitions_box(
+            lam_length(len(mu), len(nu)), -4, 4, total=sum(mu) + sum(nu)))
+        return st.tuples(st.sampled_from(lams), st.just(mu), st.just(nu))
+
+    return lengths.flatmap(
+        lambda mn: st.tuples(_gen_part(mn[0]), _gen_part(mn[1]))).flatmap(
+        with_lam)
+
+
+@given(_lr_triples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                   lambda m, n: m + n),
+       st.integers(-3, 3))
+@example(((1, 0, -1), (1, 0), (-1,)), 2)
+@example(((2, 1, 0), (2, 1), (0,)), -1)
+def test_gen_lr_additive_star_and_shift(triple, c):
+    lam, mu, nu = triple
+    base = shapes.gen_lr_coefficient(lam, mu, nu)
+    assert shapes.gen_lr_coefficient(_star(lam), _star(mu), _star(nu)) == base
+    assert shapes.gen_lr_coefficient(
+        _shift(lam, c), _shift(mu, c), _shift(nu, c)) == base
+
+
+@given(_lr_triples(st.integers(1, 3).map(lambda n: (n, n)),
+                   lambda m, n: m),
+       st.integers(-3, 3), st.integers(-3, 3))
+@example(((1, -1), (1, 0), (0, -1)), 1, -2)
+@example(((2, 0), (1, 0), (1, 0)), -1, 3)
+def test_gen_lr_equal_length_star_and_shift(triple, a, b):
+    lam, mu, nu = triple
+    base = shapes.gen_lr_coefficient(lam, mu, nu)
+    assert shapes.gen_lr_coefficient(_star(lam), _star(mu), _star(nu)) == base
+    assert shapes.gen_lr_coefficient(
+        _shift(lam, a + b), _shift(mu, a), _shift(nu, b)) == base
 
 
 def test_gen_lr_length_error():
