@@ -55,10 +55,8 @@ def _alternant(avec):
     n = len(avec)
     out = {}
     for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if perm[i] > perm[j])
         exps = tuple(avec[perm[i]] for i in range(n))
-        shapes.bump(out, exps, -1 if inv % 2 else 1)
+        shapes.bump(out, exps, shapes.inversion_sign(perm))
     return out
 
 

@@ -3,7 +3,8 @@
 A letter is a pair (i, dual): (i, False) is the letter i of the standard
 crystal, (i, True) is i-dual.  Words are tuples of letters, acted on color by
 color through the signature rule; a tensor product of word crystals is just
-word concatenation.
+word concatenation.  A tableau is stored as its columns, the form that its
+reading word and the binary-matrix embeddings read.
 
 Operator conventions (checked against the letter tables):
   (i, False): plus at color i, minus at color i-1; lowering sends i to i+1.
@@ -202,89 +203,87 @@ def dual_word(word):
 # ---------------------------------------------------------------- tableaux
 
 class Tableau:
-    """Rows of letter indices over one alphabet family; columns strict."""
+    """Columns of letter indices over one alphabet family, left to right.
 
-    __slots__ = ("rows", "dual")
+    Each column is listed top to bottom and is strictly increasing in its
+    alphabet's order, so the indices of a dual-letter column decrease.
+    Rows weakly increase, so each column is entrywise at most the column to
+    its right in that order.
+    """
 
-    def __init__(self, rows, dual=False):
-        self.rows = tuple(tuple(r) for r in rows)
+    __slots__ = ("cols", "dual")
+
+    def __init__(self, cols, dual=False):
+        self.cols = tuple(tuple(c) for c in cols)
         self.dual = dual
 
     def __eq__(self, other):
-        return (isinstance(other, Tableau) and self.rows == other.rows
+        return (isinstance(other, Tableau) and self.cols == other.cols
                 and self.dual == other.dual)
 
     def __hash__(self):
-        return hash((self.rows, self.dual))
+        return hash((self.cols, self.dual))
 
     def __repr__(self):
-        return "Tableau(%r%s)" % (list(self.rows), ", dual" if self.dual else "")
+        return "Tableau(%r%s)" % (list(self.cols), ", dual" if self.dual else "")
 
 
 def tableau_word(tab):
     """Column reading word: columns right to left, top to bottom in each."""
-    rows = tab.rows
-    if not rows:
-        return ()
-    width = max(len(r) for r in rows)
-    out = []
-    for c in range(width - 1, -1, -1):
-        for r in range(len(rows)):
-            if c < len(rows[r]):
-                out.append((rows[r][c], tab.dual))
-    return tuple(out)
+    return tuple((v, tab.dual) for col in reversed(tab.cols) for v in col)
 
 
 def enumerate_sst(lam, lo, hi, dual=False):
     """All semistandard tableaux of shape lam over the alphabet interval
     [lo, hi] (dualized letters if dual; their order is reversed, so rank r
-    maps to hi-r instead of lo+r)."""
+    maps to hi-r instead of lo+r).
+
+    Columns are chosen right to left as strictly increasing rank tuples,
+    each entrywise at most the column to its right; every partial choice
+    extends, so nothing is generated and then rejected.
+    """
     lam = shapes.normalize(lam)
-    nletters = hi - lo + 1
-    if len(lam) > nletters:
+    n = hi - lo + 1
+    if len(lam) > n:
         return
-    if not lam:
-        yield Tableau((), dual)
-        return
+    heights = shapes.conjugate(lam)
+    letter = [hi - r if dual else lo + r for r in range(n)]
 
-    def rank_to_value(r):
-        return hi - r if dual else lo + r
-
-    def rows(r, above):
-        if r == len(lam):
-            yield ()
+    def columns(h, bound, col=(), r=0):
+        """Columns of h ranks extending col, entrywise at most the column of
+        ranks bound (which may be shorter; below it only the alphabet
+        bounds them)."""
+        i = len(col)
+        if i == h:
+            yield col
             return
-        width = lam[r]
+        top = n - h + i
+        if i < len(bound):
+            top = min(top, bound[i])
+        for x in range(r, top + 1):
+            yield from columns(h, bound, col + (x,), x + 1)
 
-        def build(c, row):
-            if c == width:
-                yield row
-                return
-            start = row[-1] if row else 0
-            if above is not None and c < len(above):
-                start = max(start, above[c] + 1)
-            for v in range(start, nletters):
-                yield from build(c + 1, row + (v,))
+    def fill(j, right, done):
+        if j < 0:
+            yield Tableau(done, dual)
+            return
+        for ranks in columns(heights[j], right):
+            col = tuple(letter[x] for x in ranks)
+            yield from fill(j - 1, ranks, (col,) + done)
 
-        for row in build(0, ()):
-            for rest in rows(r + 1, row):
-                yield (row,) + rest
-
-    for filling in rows(0, None):
-        yield Tableau(tuple(tuple(rank_to_value(v) for v in row)
-                            for row in filling), dual)
+    yield from fill(len(heights) - 1, (), ())
 
 
 def hw_tableau(lam, lo, hi, dual=False):
-    """The unique source of SST(lam) over [lo, hi] (as a crystal of words)."""
+    """The unique source of SST(lam) over [lo, hi] (as a crystal of words):
+    every column reads lo, lo+1, ... (hi, hi-1, ... for dual letters)."""
     lam = shapes.normalize(lam)
     if len(lam) > hi - lo + 1:
         raise ValueError("shape %r too tall for [%d,%d]" % (lam, lo, hi))
-    rows = []
-    for r, width in enumerate(lam):
-        v = hi - r if dual else lo + r
-        rows.append((v,) * width)
-    return Tableau(rows, dual)
+    step = -1 if dual else 1
+    start = hi if dual else lo
+    return Tableau([range(start, start + step * h, step)
+                    for h in shapes.conjugate(lam)], dual)
 
 
 # ---------------------------------------------------------------- components

@@ -12,8 +12,8 @@ import itertools
 
 from . import ring
 from .shapes import (bump_poly, conjugate, gen_lr_coefficient,
-                     gen_partitions_box, is_gen_partition, lr_coefficient,
-                     mu_star, partitions_of)
+                     gen_partitions_box, inversion_sign, is_gen_partition,
+                     lr_coefficient, mu_star, partitions_of)
 
 
 # ---------------------------------------------------------------- TRElem
@@ -154,11 +154,9 @@ def bt_straighten(alpha):
     beta = [alpha[i] + n - 1 - i for i in range(n)]
     if len(set(beta)) < n:
         return 0, None
-    inv = sum(1 for i in range(n) for j in range(i + 1, n)
-              if beta[i] < beta[j])
     srt = sorted(beta, reverse=True)
     lam = tuple(srt[i] - (n - 1 - i) for i in range(n))
-    return (-1 if inv % 2 else 1), lam
+    return inversion_sign([-b for b in beta]), lam
 
 
 def bt_lambda(alpha, T):

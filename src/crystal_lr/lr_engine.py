@@ -235,11 +235,10 @@ def extremal_lr(lam, mu, nu, rho, sigma, tau, window):
         zetas = hw_product(cls.hw or (), rho, window)
         if not zetas:
             continue
-        for eta, c2 in _lr_expand(cls.mu, mu).items():
-            for theta, c3 in _lr_expand(cls.nu, nu).items():
-                for zeta, c1 in zetas.items():
-                    bump(out, ExtremalClass(eta, theta, zeta or None),
-                         d * c1 * c2 * c3)
+        for lz, c23 in level0_product(cls.mu, cls.nu, mu, nu).items():
+            for zeta, c1 in zetas.items():
+                bump(out, ExtremalClass(lz.mu, lz.nu, zeta or None),
+                     d * c1 * c23)
     return out
 
 

@@ -230,14 +230,13 @@ def embed_sigma(tab, window, nrows=None):
     lo, hi = window
     if tab.dual:
         raise ValueError("sigma embeds plain tableaux")
-    cols = _columns(tab)
-    m = len(cols)
+    m = len(tab.cols)
     if nrows is None:
         nrows = m
     if nrows < m:
         raise ValueError("shape has %d columns, only %d rows" % (m, nrows))
     rows = [(0,) * (hi - lo + 1)] * (nrows - m)
-    for col in reversed(cols):
+    for col in reversed(tab.cols):
         rows.append(_indicator(col, lo, hi))
     return BinaryMatrix(1, lo, rows)
 
@@ -249,26 +248,17 @@ def embed_tau(tab, window, nrows=None):
     lo, hi = window
     if not tab.dual:
         raise ValueError("tau embeds dual tableaux")
-    cols = _columns(tab)
-    m = len(cols)
+    m = len(tab.cols)
     if nrows is None:
         nrows = m
     if nrows < m:
         raise ValueError("shape has %d columns, only %d rows" % (m, nrows))
     rows = []
-    for col in reversed(cols):
+    for col in reversed(tab.cols):
         ind = _indicator(col, lo, hi)
         rows.append(tuple(1 - x for x in ind))
     rows.extend([(1,) * (hi - lo + 1)] * (nrows - m))
     return BinaryMatrix(1, lo, rows)
-
-
-def _columns(tab):
-    if not tab.rows:
-        return []
-    width = max(len(r) for r in tab.rows)
-    return [tuple(r[c] for r in tab.rows if c < len(r))
-            for c in range(width)]
 
 
 def _indicator(values, lo, hi):
@@ -335,45 +325,24 @@ def maya_weight(v):
     return Weight(1, eps)
 
 
-def maya_window(rows, extra=(), margin=2):
-    """A column interval containing every flip, charge edge and extra index."""
-    pts = list(extra)
-    for v in rows:
-        pts.extend(v.delta)
-        if v.kind == "F":
-            pts.append(v.charge)
-    if not pts:
-        pts = [0]
-    return min(pts) - margin, max(pts) + margin
+def _maya_step(rows, k, op):
+    """op (matrix_lower or matrix_raise) on the pairs (v(k), v(k+1)) down
+    the rows; the acting row flips at k and k+1."""
+    pairs = tuple((v.entry(k), v.entry(k + 1)) for v in rows)
+    A = op(BinaryMatrix(1, k, pairs), k)
+    if A is None:
+        return None
+    return tuple(v if new == old else MayaRow(v.kind, v.charge,
+                                                v.delta ^ {k, k + 1})
+                 for v, old, new in zip(rows, pairs, A.entries))
 
 
-def maya_snapshot(rows, lo, hi):
-    return BinaryMatrix(1, lo, [tuple(v.entry(j) for j in range(lo, hi + 1))
-                                for v in rows])
+def maya_lower(rows, k):
+    return _maya_step(rows, k, matrix_lower)
 
 
-def _maya_readback(rows, A):
-    out = []
-    for idx, v in enumerate(rows):
-        delta = set()
-        for j in range(A.col_lo, A.col_hi + 1):
-            vac = 1 if (v.kind == "F" and j <= v.charge) else 0
-            if A.entry(1 + idx, j) != vac:
-                delta.add(j)
-        out.append(MayaRow(v.kind, v.charge, delta))
-    return tuple(out)
-
-
-def maya_lower(rows, k, margin=2):
-    lo, hi = maya_window(rows, extra=(k, k + 1), margin=margin)
-    A = matrix_lower(maya_snapshot(rows, lo, hi), k)
-    return None if A is None else _maya_readback(rows, A)
-
-
-def maya_raise(rows, k, margin=2):
-    lo, hi = maya_window(rows, extra=(k, k + 1), margin=margin)
-    A = matrix_raise(maya_snapshot(rows, lo, hi), k)
-    return None if A is None else _maya_readback(rows, A)
+def maya_raise(rows, k):
+    return _maya_step(rows, k, matrix_raise)
 
 
 def maya_weight_total(rows):

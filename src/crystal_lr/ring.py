@@ -19,8 +19,8 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .shapes import (_sst_fillings, bump, conjugate, lin_add, normalize,
-                     partitions_of)
+from .shapes import (_sst_fillings, bump, conjugate, inversion_sign, lin_add,
+                     normalize, partitions_of)
 
 
 # ---------------------------------------------------------------- RElem
@@ -46,15 +46,6 @@ def r_degree(f, n):
 
 # ---------------------------------------------------------------- z-Schur
 
-def _perm_sign(p):
-    s = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                s = -s
-    return s
-
-
 def z_schur(lam):
     """det(z_{lam_i - i + j}): the skew determinant with empty inner shape."""
     return z_skew_schur(lam, (0,) * len(lam))
@@ -68,7 +59,7 @@ def z_skew_schur(lam, mu):
     out = {}
     for p in itertools.permutations(range(n)):
         ks = tuple(lam[i] - mu[p[i]] - i + p[i] for i in range(n))
-        bump(out, tuple(sorted(ks, reverse=True)), _perm_sign(p))
+        bump(out, tuple(sorted(ks, reverse=True)), inversion_sign(p))
     return out
 
 

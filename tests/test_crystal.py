@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -116,9 +117,9 @@ def test_weyl_reflect():
 
 
 def test_tableau_word():
-    t = Tableau(((1, 1), (2,)))
+    t = Tableau(((1, 2), (1,)))
     assert tableau_word(t) == w(1, 1, 2)
-    t2 = Tableau(((1, 3),), dual=False)
+    t2 = Tableau(((1,), (3,)), dual=False)
     assert tableau_word(t2) == w(3, 1)
     assert tableau_word(Tableau(())) == ()
 
@@ -131,6 +132,80 @@ def test_enumerate_sst_counts():
         dual = list(enumerate_sst(lam, 1, n, dual=True))
         assert len(dual) == shapes.num_sst(lam, n)
     assert list(enumerate_sst((), 1, 3)) == [Tableau(())]
+
+
+# The row-based enumerator, reading word and source tableau that column
+# storage replaced, kept as the oracle for enumerate_sst and hw_tableau.
+# A tableau here is its tuple of rows of letter indices.
+
+def _row_sst(lam, lo, hi, dual=False):
+    lam = shapes.normalize(lam)
+    nletters = hi - lo + 1
+    if len(lam) > nletters:
+        return
+    if not lam:
+        yield ()
+        return
+
+    def rank_to_value(r):
+        return hi - r if dual else lo + r
+
+    def rows(r, above):
+        if r == len(lam):
+            yield ()
+            return
+        width = lam[r]
+
+        def build(c, row):
+            if c == width:
+                yield row
+                return
+            start = row[-1] if row else 0
+            if above is not None and c < len(above):
+                start = max(start, above[c] + 1)
+            for v in range(start, nletters):
+                yield from build(c + 1, row + (v,))
+
+        for row in build(0, ()):
+            for rest in rows(r + 1, row):
+                yield (row,) + rest
+
+    for filling in rows(0, None):
+        yield tuple(tuple(rank_to_value(v) for v in row) for row in filling)
+
+
+def _row_word(rows, dual):
+    if not rows:
+        return ()
+    width = max(len(r) for r in rows)
+    out = []
+    for c in range(width - 1, -1, -1):
+        for r in range(len(rows)):
+            if c < len(rows[r]):
+                out.append((rows[r][c], dual))
+    return tuple(out)
+
+
+def _row_hw(lam, lo, hi, dual):
+    return tuple((hi - r if dual else lo + r,) * width
+                 for r, width in enumerate(shapes.normalize(lam)))
+
+
+def test_columns_match_retired_row_enumerator():
+    for size in range(7):
+        for lam in shapes.partitions_of(size):
+            for lo in (-3, 1):
+                for hi in range(lo - 1, lo + 6):
+                    for dual in (False, True):
+                        got = Counter(tableau_word(t)
+                                      for t in enumerate_sst(lam, lo, hi, dual))
+                        want = Counter(_row_word(rows, dual)
+                                       for rows in _row_sst(lam, lo, hi, dual))
+                        assert got == want, (lam, lo, hi, dual)
+                        if len(lam) <= hi - lo + 1:
+                            assert tableau_word(hw_tableau(
+                                lam, lo, hi, dual)) == _row_word(
+                                    _row_hw(lam, lo, hi, dual), dual)
 
 
 def test_sst_is_single_component():

@@ -205,7 +205,7 @@ def test_commutation_seeded():
 
 
 def test_embed_sigma_column():
-    T = Tableau([(1,), (3,)])
+    T = Tableau([(1, 3)])
     A = embed_sigma(T, (0, 4))
     assert A == M(1, 0, [(0, 1, 0, 1, 0)])
     B = embed_sigma(T, (0, 4), nrows=3)
@@ -215,7 +215,7 @@ def test_embed_sigma_column():
 
 
 def test_embed_tau_column():
-    T = Tableau([(3,), (1,)], dual=True)
+    T = Tableau([(3, 1)], dual=True)
     A = embed_tau(T, (0, 4))
     assert A == M(1, 0, [(1, 0, 1, 0, 1)])
     B = embed_tau(T, (0, 4), nrows=2)
@@ -298,20 +298,55 @@ def test_maya_sources():
         assert maya_weight_total(down) == hw_weight(lam) - alpha
 
 
-def test_maya_window_independent():
+# The retired snapshot route, kept as the oracle for maya_lower/maya_raise:
+# copy every row onto a column window holding all flips, charges and the
+# color's two columns plus a margin, act with the column operator, and read
+# each row's flips back off the window.
+
+def _snapshot_window(rows, k, margin):
+    pts = [k, k + 1]
+    for v in rows:
+        pts.extend(v.delta)
+        if v.kind == "F":
+            pts.append(v.charge)
+    return min(pts) - margin, max(pts) + margin
+
+
+def _snapshot_step(rows, k, op, margin):
+    lo, hi = _snapshot_window(rows, k, margin)
+    A = op(BinaryMatrix(1, lo, [tuple(v.entry(j) for j in range(lo, hi + 1))
+                                for v in rows]), k)
+    if A is None:
+        return None
+    out = []
+    for idx, v in enumerate(rows):
+        delta = set()
+        for j in range(A.col_lo, A.col_hi + 1):
+            vac = 1 if (v.kind == "F" and j <= v.charge) else 0
+            if A.entry(1 + idx, j) != vac:
+                delta.add(j)
+        out.append(MayaRow(v.kind, v.charge, delta))
+    return tuple(out)
+
+
+def test_maya_ops_match_snapshot_route():
     rng = random.Random(7)
-    for _ in range(50):
-        rows = tuple(MayaRow("F", charge=rng.randint(-2, 2),
-                             delta={rng.randint(-3, 3)} if rng.random() < 0.7
-                             else ())
-                     for _ in range(rng.randint(1, 3)))
-        k = rng.randint(-3, 3)
-        a = maya_lower(rows, k, margin=2)
-        b = maya_lower(rows, k, margin=5)
-        assert a == b
-        a = maya_raise(rows, k, margin=2)
-        b = maya_raise(rows, k, margin=5)
-        assert a == b
+    for _ in range(400):
+        rows = []
+        for _ in range(rng.randint(1, 4)):
+            delta = {rng.randint(-3, 3) for _ in range(rng.randint(0, 3))}
+            if rng.random() < 0.5:
+                rows.append(MayaRow("E", delta=delta))
+            else:
+                rows.append(MayaRow("F", charge=rng.randint(-2, 2),
+                                    delta=delta))
+        rows = tuple(rows)
+        k = rng.randint(-4, 4)
+        for margin in (2, 5):
+            assert maya_lower(rows, k) == _snapshot_step(
+                rows, k, matrix_lower, margin)
+            assert maya_raise(rows, k) == _snapshot_step(
+                rows, k, matrix_raise, margin)
 
 
 def test_serialization():

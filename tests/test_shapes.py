@@ -385,7 +385,7 @@ def test_kostka_foulkes_specializations(pair):
     assert shapes.tpoly_eval(kp, 0) == (1 if lam == mu else 0)
     content = {i + 1: m for i, m in enumerate(mu)}
     count = sum(1 for t in crystal.enumerate_sst(lam, 1, len(mu))
-                if Counter(x for row in t.rows for x in row) == content)
+                if Counter(x for col in t.cols for x in col) == content)
     assert shapes.tpoly_eval(kp, 1) == count
 
 
