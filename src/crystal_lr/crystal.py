@@ -182,19 +182,6 @@ def weight(word):
     return Weight(0, eps_map)
 
 
-def weyl_reflect(word, k):
-    """Simple reflection on a word: apply lowering or raising |<wt,h_k>| times."""
-    m = weight(word).pairing(k)
-    out = word
-    for _ in range(m):
-        out = lower_word(out, k)
-        assert out is not None
-    for _ in range(-m):
-        out = raise_word(out, k)
-        assert out is not None
-    return out
-
-
 def dual_word(word):
     """Dual crystal element: reverse the word and dualize each letter."""
     return tuple((i, not d) for i, d in reversed(word))
@@ -233,14 +220,24 @@ def tableau_word(tab):
     return tuple((v, tab.dual) for col in reversed(tab.cols) for v in col)
 
 
-def enumerate_sst(lam, lo, hi, dual=False):
+def enumerate_sst(lam, lo, hi, dual=False, phi=None):
     """All semistandard tableaux of shape lam over the alphabet interval
     [lo, hi] (dualized letters if dual; their order is reversed, so rank r
     maps to hi-r instead of lo+r).
 
     Columns are chosen right to left as strictly increasing rank tuples,
-    each entrywise at most the column to its right; every partial choice
-    extends, so nothing is generated and then rejected.
+    each entrywise at most the column to its right; without phi every
+    partial choice extends, so nothing is generated and then rejected.
+
+    With phi, a vector over the colors lo..hi-1, only the tableaux t with
+    eps_k(t) <= phi[k] for every color k are yielded.  The reading word is
+    the columns right to left, each top to bottom, which is the order the
+    letters are chosen in, so every partial choice is a prefix u of the
+    word uv of each of its extensions.  Since eps_k(uv) = eps_k(u) +
+    max(0, eps_k(v) - phi_k(u)) >= eps_k(u), a prefix over the bound has
+    no admissible extension, and the letter that puts it over ends its
+    branch.  The per-color unmatched plus and minus counts of
+    signature_vectors are carried letter by letter for that test.
     """
     lam = shapes.normalize(lam)
     n = hi - lo + 1
@@ -263,11 +260,51 @@ def enumerate_sst(lam, lo, hi, dual=False):
         for x in range(r, top + 1):
             yield from columns(h, bound, col + (x,), x + 1)
 
+    choose = columns
+    if phi is not None:
+        # slot c + 1 - lo holds color c, as in signature_vectors; colors
+        # lo-1 and hi (slots 0 and n) are not bounded
+        free = sum(lam) + 1
+        cap = (free,) + tuple(phi) + (free,)
+        slots = [(i - lo, i - lo + 1) if dual else (i - lo + 1, i - lo)
+                 for i in letter]
+        plus = [0] * (n + 1)
+        minus = [0] * (n + 1)
+
+        def admissible(h, bound, col=(), r=0):
+            """The columns of columns(h, bound, col, r) whose letters keep
+            every unmatched minus count within its cap.  plus and minus
+            hold the counts of the word read so far, this column's letters
+            included; each letter's update is undone once its extensions
+            are exhausted."""
+            i = len(col)
+            if i == h:
+                yield col
+                return
+            top = n - h + i
+            if i < len(bound):
+                top = min(top, bound[i])
+            for x in range(r, top + 1):
+                p, m = slots[x]
+                plus[p] += 1
+                if plus[m]:
+                    plus[m] -= 1
+                    yield from admissible(h, bound, col + (x,), x + 1)
+                    plus[m] += 1
+                else:
+                    minus[m] += 1
+                    if minus[m] <= cap[m]:
+                        yield from admissible(h, bound, col + (x,), x + 1)
+                    minus[m] -= 1
+                plus[p] -= 1
+
+        choose = admissible
+
     def fill(j, right, done):
         if j < 0:
             yield Tableau(done, dual)
             return
-        for ranks in columns(heights[j], right):
+        for ranks in choose(heights[j], right):
             col = tuple(letter[x] for x in ranks)
             yield from fill(j - 1, ranks, (col,) + done)
 
@@ -340,33 +377,3 @@ def decompose_components(words, colors):
     return Counter((weight(w), size) for w, size in components(
         words, [(raise_word, k) for k in colors],
         [(lower_word, k) for k in colors]))
-
-
-def is_equivalent(b1, b2, colors, max_nodes=200000):
-    """Parallel traversal isomorphism test for the components of two words."""
-    colors = list(colors)
-    if weight(b1) != weight(b2):
-        return False
-    fwd = {b1: b2}
-    queue = deque([b1])
-    while queue:
-        if len(fwd) > max_nodes:
-            raise RuntimeError("component too large")
-        u = queue.popleft()
-        v = fwd[u]
-        for k in colors:
-            if eps(u, k) != eps(v, k) or phi(u, k) != phi(v, k):
-                return False
-            for step in (raise_word, lower_word):
-                nu, nv = step(u, k), step(v, k)
-                if (nu is None) != (nv is None):
-                    return False
-                if nu is None:
-                    continue
-                if nu in fwd:
-                    if fwd[nu] != nv:
-                        return False
-                else:
-                    fwd[nu] = nv
-                    queue.append(nu)
-    return True

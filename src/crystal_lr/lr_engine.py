@@ -391,18 +391,6 @@ def _factor_shape(fac, lo, hi):
     return shape, off, False
 
 
-def _realize_factor(fac, lo, hi):
-    """Word list and constant weight offset for one tensor factor restricted
-    to the letters [lo, hi]."""
-    shape, off, dual = _factor_shape(fac, lo, hi)
-    words = []
-    for t in crystal.enumerate_sst(shape, lo, hi, dual):
-        words.append(crystal.tableau_word(t))
-        if len(words) > _WORD_CAP:
-            raise _TooLarge(shape, lo, hi)
-    return words, off
-
-
 def _realize_source(fac, lo, hi):
     """Source word and constant weight offset of one tensor factor restricted
     to the letters [lo, hi], without enumerating the factor.
@@ -425,52 +413,47 @@ def _realize_source(fac, lo, hi):
     return word, off
 
 
-def _word_rows(words, lo, hi):
-    """Per-word (eps vector, phi vector, weight) over the colors lo..hi-1."""
-    rows = []
-    for w in words:
-        evec, pvec = crystal.signature_vectors(w, lo, hi)
-        rows.append((evec, pvec, crystal.weight(w)))
-    return rows
-
-
-def _source_census(tables, offset):
-    """Counter of total weights of the sources of the tensor product whose
-    factors are given as _word_rows tables; offset is added to every key.
+def _window_census(factors, lo, hi):
+    """Source census of the product of normalized factors restricted to the
+    letters [lo, hi]: a Counter over the Weight keys of its sources.
+    Raises _WindowTooSmall or _TooLarge.
 
     By Kashiwara's tensor product rule the sources of B1 (x) B2 are exactly
     the b1 (x) b2 with b1 a source of B1 and eps_k(b2) <= phi_k(b1) for
     every color k, and then phi(b1 (x) b2) = phi(b1) - eps(b2) + phi(b2).
-    Each factor is irreducible, so the first table is the single row of
-    its source; every later table lists the whole factor.
+    Each factor is irreducible, so only the leading factor's source is
+    realized.  Each later factor is enumerated already pruned by the running
+    phi: a partial tableau is a prefix of its reading word, and eps_k is
+    monotone on prefixes, so enumerate_sst cuts a branch as soon as its
+    prefix breaks the bound and yields exactly the admissible tableaux.
+
+    Every later factor is refused before the walk when it has more than
+    _WORD_CAP tableaux, as _realize_source refuses the leading one.
     """
-    (_, phi0, wt0), = tables[0]
+    source, offset = _realize_source(factors[0], lo, hi)
+    later = []
+    for fac in factors[1:]:
+        shape, off, dual = _factor_shape(fac, lo, hi)
+        if shapes.num_sst(shape, hi - lo + 1) > _WORD_CAP:
+            raise _TooLarge(shape, lo, hi)
+        later.append((shape, dual))
+        offset = offset + off
     out = Counter()
 
     def walk(i, phis, wt):
-        if i == len(tables):
+        if i == len(later):
             out[(wt + offset).key()] += 1
             return
-        for evec, pvec, w in tables[i]:
-            if all(e <= p for e, p in zip(evec, phis)):
-                nxt = tuple(p - e + q for e, p, q in zip(evec, phis, pvec))
-                walk(i + 1, nxt, wt + w)
+        shape, dual = later[i]
+        for t in crystal.enumerate_sst(shape, lo, hi, dual, phi=phis):
+            word = crystal.tableau_word(t)
+            evec, pvec = crystal.signature_vectors(word, lo, hi)
+            walk(i + 1, tuple(p - e + q for e, p, q in zip(evec, phis, pvec)),
+                 wt + crystal.weight(word))
 
-    walk(1, phi0, wt0)
+    walk(0, crystal.signature_vectors(source, lo, hi)[1],
+         crystal.weight(source))
     return out
-
-
-def _window_census(factors, lo, hi):
-    """Source census of the product of normalized factors restricted to the
-    letters [lo, hi]: only the leading factor's source is realized, every
-    later factor in full.  Raises _WindowTooSmall or _TooLarge."""
-    source, offset = _realize_source(factors[0], lo, hi)
-    realized = [_realize_factor(f, lo, hi) for f in factors[1:]]
-    tables = [_word_rows([source], lo, hi)]
-    for words, off in realized:
-        tables.append(_word_rows(words, lo, hi))
-        offset = offset + off
-    return _source_census(tables, offset)
 
 
 def _class_census(cls, lo, hi):
@@ -529,7 +512,10 @@ def verify_truncated(factors, window, predicted, threads=1):
     The census realizes only the source of the leading factor, which is
     exact by Kashiwara's tensor product rule: the sources of B1 (x) B2 are
     the b1 (x) b2 with b1 the source of B1 and eps_k(b2) <= phi_k(b1) for
-    every color k, so no other element of B1 can start a source.
+    every color k, so no other element of B1 can start a source.  Each later
+    factor is enumerated pruned by that bound, which is exact too: a partial
+    tableau is a prefix of its reading word, and eps_k(uv) >= eps_k(u), so
+    a prefix over the bound has no admissible extension.
     """
     if threads != 1:
         raise ValueError("threads=%r: the census runs in one thread"

@@ -16,7 +16,6 @@ when their dicts are.  bump, lin_add and bump_poly below are the one
 arithmetic kernel that keeps this invariant.
 """
 
-from fractions import Fraction
 from functools import cache
 import itertools
 
@@ -460,14 +459,16 @@ def num_sst(lam, n):
     lam = normalize(lam)
     if len(lam) > n:
         return 0
-    out = Fraction(1)
+    num = den = 1
     conj = conjugate(lam)
     for i, row in enumerate(lam):
         for j in range(row):
             hook = (row - j) + (conj[j] - i) - 1
-            out *= Fraction(n + j - i, hook)
-    assert out.denominator == 1
-    return int(out)
+            num *= n + j - i
+            den *= hook
+    out, rem = divmod(num, den)
+    assert rem == 0
+    return out
 
 
 def inversion_sign(seq):
