@@ -237,7 +237,8 @@ def enumerate_sst(lam, lo, hi, dual=False, phi=None):
     max(0, eps_k(v) - phi_k(u)) >= eps_k(u), a prefix over the bound has
     no admissible extension, and the letter that puts it over ends its
     branch.  The per-color unmatched plus and minus counts of
-    signature_vectors are carried letter by letter for that test.
+    signature_vectors are carried letter by letter for that test; without
+    phi every bound is one no word of the shape reaches.
     """
     lam = shapes.normalize(lam)
     n = hi - lo + 1
@@ -246,10 +247,23 @@ def enumerate_sst(lam, lo, hi, dual=False, phi=None):
     heights = shapes.conjugate(lam)
     letter = [hi - r if dual else lo + r for r in range(n)]
 
+    # slot c + 1 - lo holds color c, as in signature_vectors; colors lo-1
+    # and hi (slots 0 and n), and every color when phi is None, get a cap
+    # no word of sum(lam) letters reaches
+    free = sum(lam) + 1
+    cap = (free,) * (n + 1) if phi is None else (free,) + tuple(phi) + (free,)
+    slots = [(i - lo, i - lo + 1) if dual else (i - lo + 1, i - lo)
+             for i in letter]
+    plus = [0] * (n + 1)
+    minus = [0] * (n + 1)
+
     def columns(h, bound, col=(), r=0):
         """Columns of h ranks extending col, entrywise at most the column of
         ranks bound (which may be shorter; below it only the alphabet
-        bounds them)."""
+        bounds them), whose letters keep every unmatched minus count within
+        its cap.  plus and minus hold the counts of the word read so far,
+        this column's letters included; each letter's update is undone once
+        its extensions are exhausted."""
         i = len(col)
         if i == h:
             yield col
@@ -258,53 +272,24 @@ def enumerate_sst(lam, lo, hi, dual=False, phi=None):
         if i < len(bound):
             top = min(top, bound[i])
         for x in range(r, top + 1):
-            yield from columns(h, bound, col + (x,), x + 1)
-
-    choose = columns
-    if phi is not None:
-        # slot c + 1 - lo holds color c, as in signature_vectors; colors
-        # lo-1 and hi (slots 0 and n) are not bounded
-        free = sum(lam) + 1
-        cap = (free,) + tuple(phi) + (free,)
-        slots = [(i - lo, i - lo + 1) if dual else (i - lo + 1, i - lo)
-                 for i in letter]
-        plus = [0] * (n + 1)
-        minus = [0] * (n + 1)
-
-        def admissible(h, bound, col=(), r=0):
-            """The columns of columns(h, bound, col, r) whose letters keep
-            every unmatched minus count within its cap.  plus and minus
-            hold the counts of the word read so far, this column's letters
-            included; each letter's update is undone once its extensions
-            are exhausted."""
-            i = len(col)
-            if i == h:
-                yield col
-                return
-            top = n - h + i
-            if i < len(bound):
-                top = min(top, bound[i])
-            for x in range(r, top + 1):
-                p, m = slots[x]
-                plus[p] += 1
-                if plus[m]:
-                    plus[m] -= 1
-                    yield from admissible(h, bound, col + (x,), x + 1)
-                    plus[m] += 1
-                else:
-                    minus[m] += 1
-                    if minus[m] <= cap[m]:
-                        yield from admissible(h, bound, col + (x,), x + 1)
-                    minus[m] -= 1
-                plus[p] -= 1
-
-        choose = admissible
+            p, m = slots[x]
+            plus[p] += 1
+            if plus[m]:
+                plus[m] -= 1
+                yield from columns(h, bound, col + (x,), x + 1)
+                plus[m] += 1
+            else:
+                minus[m] += 1
+                if minus[m] <= cap[m]:
+                    yield from columns(h, bound, col + (x,), x + 1)
+                minus[m] -= 1
+            plus[p] -= 1
 
     def fill(j, right, done):
         if j < 0:
             yield Tableau(done, dual)
             return
-        for ranks in choose(heights[j], right):
+        for ranks in columns(heights[j], right):
             col = tuple(letter[x] for x in ranks)
             yield from fill(j - 1, ranks, (col,) + done)
 

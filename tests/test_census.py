@@ -7,7 +7,6 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from crystal_lr import crystal, lr_engine, shapes
 from crystal_lr.crystal import Weight
@@ -127,31 +126,14 @@ def _random_factor(rng):
 def test_source_census_matches_enumeration_random():
     rng = random.Random(7)
     censuses = 0
-    for _ in range(120):
+    for _ in range(200):
         factors = [_random_factor(rng) for _ in range(rng.randrange(1, 4))]
-        lo = rng.randrange(-3, 0)
-        hi = lo + rng.randrange(2, 5)
+        lo = rng.randrange(-3, 1)
+        hi = lo + rng.randrange(0, 7)
         new, old = _both(factors, lo, hi)
         assert new == old, (factors, lo, hi)
         censuses += isinstance(new, Counter)
     assert censuses > 60
-
-
-FACTORS = st.one_of(
-    st.tuples(st.just("Bcol"), st.integers(0, 2)),
-    st.tuples(st.just("Bmn"), st.sampled_from([(), (1,), (2,), (1, 1)]),
-              st.sampled_from([(), (1,), (1, 1)])),
-    st.tuples(st.sampled_from(["B", "Bdual"]),
-              st.lists(st.integers(-1, 1), min_size=1, max_size=2).map(
-                  lambda xs: tuple(sorted(xs, reverse=True)))))
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.lists(FACTORS, min_size=1, max_size=3), st.integers(-3, 0),
-       st.integers(1, 7))
-def test_pruned_census_matches_enumeration(factors, lo, nletters):
-    new, old = _both(factors, lo, lo + nletters - 1)
-    assert new == old
 
 
 # ---------------------------------------------------------------- pruning
