@@ -1,5 +1,6 @@
 """Golden stdout gate: fixed CLI commands must print exactly the bytes
-recorded in ``tests/golden/``.
+recorded in ``tests/golden/``, and so must the JSON of fixed
+``verify_truncated`` reports that no command prints.
 
 Only stdout is compared; verify suites write their timings to stderr.  The
 files were written by running this module as a script at the commit whose
@@ -11,6 +12,7 @@ Any other argument list, none included, writes nothing and exits non-zero.
 """
 
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -19,7 +21,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from crystal_lr import cli
+from crystal_lr import cli, lr_engine
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 USAGE = "usage: python tests/test_golden.py --rewrite"
@@ -41,6 +43,19 @@ CASES = {
                             "1,0", "1", "", "0", "", "1"],
 }
 
+# verify_truncated reports, full discrepancy lists and their order included;
+# the first is perfbench's census case that stays a mismatch at [-10, 10]
+REPORTS = {
+    "verify_truncated_bmn1_b-1_b0_mismatch": lambda: (
+        lr_engine.verify_truncated(
+            [("Bmn", (1,), ()), ("B", (-1,)), ("B", (0,))], (-3, 3),
+            lr_engine.extremal_lr((-1,), (1,), (), (0,), (), (), (-3, 3)))),
+}
+
+
+def _report_text(name):
+    return json.dumps(REPORTS[name](), ensure_ascii=False, indent=2) + "\n"
+
 
 def _run(argv):
     buf = io.StringIO()
@@ -54,6 +69,12 @@ def test_golden_stdout(name):
     code, out = _run(CASES[name])
     assert code == 0
     assert out == (GOLDEN / (name + ".out")).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_golden_report(name):
+    assert _report_text(name) == (GOLDEN / (name + ".out")).read_text(
+        encoding="utf-8")
 
 
 @pytest.mark.parametrize("args", [["--help"], []])
@@ -83,3 +104,6 @@ if __name__ == "__main__":
         if code != 0:
             sys.exit("%s exited with %s" % (name, code))
         (GOLDEN / (name + ".out")).write_text(out, encoding="utf-8")
+    for name in sorted(REPORTS):
+        (GOLDEN / (name + ".out")).write_text(_report_text(name),
+                                             encoding="utf-8")
