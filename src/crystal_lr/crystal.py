@@ -129,34 +129,6 @@ def phi(word, k):
     return len(_signature(word, k)[1])
 
 
-def signature_vectors(word, lo, hi):
-    """(eps vector, phi vector) of word over the colors lo..hi-1 in one
-    left-to-right pass.
-
-    A letter is plus or minus only at colors i-1 and i, so per-color counts
-    of unmatched pluses and minuses replace one _signature scan per color.
-    Letters outside [lo, hi] touch no color in range.
-    """
-    n = hi - lo
-    # slot c + 1 - lo holds color c, so colors lo-1 and hi get slots 0, n+1
-    plus = [0] * (n + 2)
-    minus = [0] * (n + 2)
-    for i, dual in word:
-        j = i - lo
-        if j < 0 or j > n:
-            continue
-        if dual:
-            p, m = j, j + 1
-        else:
-            p, m = j + 1, j
-        plus[p] += 1
-        if plus[m]:
-            plus[m] -= 1
-        else:
-            minus[m] += 1
-    return tuple(minus[1:n + 1]), tuple(plus[1:n + 1])
-
-
 def lower_word(word, k):
     """Apply the lowering operator at color k, or None."""
     minus, plus = _signature(word, k)
@@ -236,9 +208,11 @@ def enumerate_sst(lam, lo, hi, dual=False, phi=None):
     word uv of each of its extensions.  Since eps_k(uv) = eps_k(u) +
     max(0, eps_k(v) - phi_k(u)) >= eps_k(u), a prefix over the bound has
     no admissible extension, and the letter that puts it over ends its
-    branch.  The per-color unmatched plus and minus counts of
-    signature_vectors are carried letter by letter for that test; without
-    phi every bound is one no word of the shape reaches.
+    branch.  For that test the per-color counts of unmatched pluses and
+    minuses are carried letter by letter: a letter is plus or minus only at
+    colors i-1 and i, its minus cancels the latest unmatched plus of its
+    color or else stays unmatched, and eps_k is the unmatched minus count of
+    color k.  Without phi every bound is one no word of the shape reaches.
     """
     lam = shapes.normalize(lam)
     n = hi - lo + 1
@@ -247,8 +221,8 @@ def enumerate_sst(lam, lo, hi, dual=False, phi=None):
     heights = shapes.conjugate(lam)
     letter = [hi - r if dual else lo + r for r in range(n)]
 
-    # slot c + 1 - lo holds color c, as in signature_vectors; colors lo-1
-    # and hi (slots 0 and n), and every color when phi is None, get a cap
+    # slot c + 1 - lo holds color c, so the letters' colors lo-1 and hi get
+    # slots 0 and n; those two, and every color when phi is None, get a cap
     # no word of sum(lam) letters reaches
     free = sum(lam) + 1
     cap = (free,) * (n + 1) if phi is None else (free,) + tuple(phi) + (free,)

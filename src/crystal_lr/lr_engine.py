@@ -391,28 +391,6 @@ def _factor_shape(fac, lo, hi):
     return shape, off, False
 
 
-def _realize_source(fac, lo, hi):
-    """Source word and constant weight offset of one tensor factor restricted
-    to the letters [lo, hi], without enumerating the factor.
-
-    The source of SST(shape) is its highest tableau; a Bdual factor lives on
-    dual letters, so its source is the dual-letter highest tableau.  Only
-    the source's (eps, phi, weight) row enters the census, and both
-    realizations of B(lam)^vee give the same row.  The size refusal counts
-    the tableaux instead, so it trips exactly where enumerating them would.
-    The source is checked against the per-color signature rule,
-    independently of crystal.signature_vectors.
-    """
-    shape, off, dual = _factor_shape(fac, lo, hi)
-    if shapes.num_sst(shape, hi - lo + 1) > _WORD_CAP:
-        raise _TooLarge(shape, lo, hi)
-    word = crystal.tableau_word(crystal.hw_tableau(shape, lo, hi, dual))
-    if any(crystal.eps(word, k) for k in range(lo, hi)):
-        raise AssertionError("computed source %r is not highest weight"
-                             % (word,))
-    return word, off
-
-
 def _window_census(factors, lo, hi):
     """Source census of the product of normalized factors restricted to the
     letters [lo, hi]: a Counter over the Weight keys of its sources.
@@ -420,53 +398,66 @@ def _window_census(factors, lo, hi):
 
     By Kashiwara's tensor product rule the sources of B1 (x) B2 are exactly
     the b1 (x) b2 with b1 a source of B1 and eps_k(b2) <= phi_k(b1) for
-    every color k, and then phi(b1 (x) b2) = phi(b1) - eps(b2) + phi(b2).
-    Each factor is irreducible, so only the leading factor's source is
-    realized.  Each later factor is enumerated already pruned by the running
-    phi: a partial tableau is a prefix of its reading word, and eps_k is
-    monotone on prefixes, so enumerate_sst cuts a branch as soon as its
-    prefix breaks the bound and yields exactly the admissible tableaux.
+    every color k.  The walk starts from the trivial crystal, whose one
+    element has phi = 0, so every factor, the leading one included, is
+    enumerated pruned by the running bound: a partial tableau is a prefix
+    of its reading word, and eps_k is monotone on prefixes, so
+    enumerate_sst cuts a branch as soon as its prefix breaks the bound and
+    yields exactly the admissible tableaux.  Every prefix the walk reaches
+    is then a source, and a source has phi_k = <wt, h_k> = c_k - c_{k+1},
+    where c is its signed letter content (a dual letter counts -1); so the
+    walk carries only c.
 
-    Every later factor is refused before the walk when it has more than
-    _WORD_CAP tableaux, as _realize_source refuses the leading one.
+    Each factor, in order, is refused before the walk when it has more than
+    _WORD_CAP tableaux.  What the leading factor yields is checked against
+    the per-color signature rule, independently of the pruning.
     """
-    source, offset = _realize_source(factors[0], lo, hi)
-    later = []
-    for fac in factors[1:]:
+    n = hi - lo + 1
+    parts = []
+    offset = Weight(0)
+    for fac in factors:
         shape, off, dual = _factor_shape(fac, lo, hi)
-        if shapes.num_sst(shape, hi - lo + 1) > _WORD_CAP:
+        if shapes.num_sst(shape, n) > _WORD_CAP:
             raise _TooLarge(shape, lo, hi)
-        later.append((shape, dual))
+        parts.append((shape, dual))
         offset = offset + off
     out = Counter()
 
-    def walk(i, phis, wt):
-        if i == len(later):
+    def walk(i, content):
+        if i == len(parts):
+            wt = Weight(0, dict(zip(range(lo, hi + 1), content)))
             out[(wt + offset).key()] += 1
             return
-        shape, dual = later[i]
+        shape, dual = parts[i]
+        step = -1 if dual else 1
+        phis = tuple(content[j] - content[j + 1] for j in range(n - 1))
         for t in crystal.enumerate_sst(shape, lo, hi, dual, phi=phis):
-            word = crystal.tableau_word(t)
-            evec, pvec = crystal.signature_vectors(word, lo, hi)
-            walk(i + 1, tuple(p - e + q for e, p, q in zip(evec, phis, pvec)),
-                 wt + crystal.weight(word))
+            if i == 0:
+                word = crystal.tableau_word(t)
+                if any(crystal.eps(word, k) for k in range(lo, hi)):
+                    raise AssertionError("leading factor yielded %r, which "
+                                         "is not highest weight" % (word,))
+            c = list(content)
+            for col in t.cols:
+                for v in col:
+                    c[v - lo] += step
+            walk(i + 1, c)
 
-    walk(0, crystal.signature_vectors(source, lo, hi)[1],
-         crystal.weight(source))
+    walk(0, [0] * n)
     return out
 
 
 def _class_census(cls, lo, hi):
-    """Window image of one class, as a Counter over Weight keys.
+    """Window image of one class: the Weight key of its one source, or None
+    when the class does not fit the window.
 
     Truncation carries each class to a single irreducible (the component of
     the combined highest weight vector), so the census is the canonical
-    highest weight once, and empty when the class does not fit the window:
-    mu anchors at lo, nu at hi, and the hw shape must lie between them.
+    highest weight once: mu anchors at lo, nu at hi, and the hw shape must
+    lie between them.
     """
-    out = Counter()
     if len(cls.mu) + len(cls.nu) > hi - lo + 1:
-        return out
+        return None
     eps = {}
     for i, x in enumerate(cls.mu):
         eps[lo + i] = x
@@ -475,10 +466,9 @@ def _class_census(cls, lo, hi):
     total = Weight(0, eps)
     if cls.hw is not None:
         if cls.hw[-1] < lo - 1 or cls.hw[0] > hi:
-            return out
+            return None
         total = total + crystal.hw_weight(cls.hw)
-    out[total.key()] += 1
-    return out
+    return total.key()
 
 
 def _default_margin(factors, predicted):
@@ -509,13 +499,14 @@ def verify_truncated(factors, window, predicted, threads=1):
     listed) or "window-too-small"; widens the window step by step and retries
     before giving up.
 
-    The census realizes only the source of the leading factor, which is
-    exact by Kashiwara's tensor product rule: the sources of B1 (x) B2 are
-    the b1 (x) b2 with b1 the source of B1 and eps_k(b2) <= phi_k(b1) for
-    every color k, so no other element of B1 can start a source.  Each later
-    factor is enumerated pruned by that bound, which is exact too: a partial
-    tableau is a prefix of its reading word, and eps_k(uv) >= eps_k(u), so
-    a prefix over the bound has no admissible extension.
+    The census is exact by Kashiwara's tensor product rule: the sources of
+    B1 (x) B2 are the b1 (x) b2 with b1 a source of B1 and eps_k(b2) <=
+    phi_k(b1) for every color k.  It starts from the trivial crystal, whose
+    one element has phi = 0, and enumerates each factor in turn pruned by
+    that bound, which is exact too: a partial tableau is a prefix of its
+    reading word, and eps_k(uv) >= eps_k(u), so a prefix over the bound has
+    no admissible extension.  Every prefix reached is a source, so its phi
+    is read off its signed letter content c as phi_k = c_k - c_{k+1}.
     """
     if threads != 1:
         raise ValueError("threads=%r: the census runs in one thread"
@@ -549,9 +540,9 @@ def verify_truncated(factors, window, predicted, threads=1):
             return None, exc
         rhs = Counter()
         for cls, mult in expanded.items():
-            part = _class_census(cls, lo, hi)
-            for k, c in part.items():
-                rhs[k] += c * mult
+            key = _class_census(cls, lo, hi)
+            if key is not None:
+                rhs[key] += mult
         return (lhs, rhs), None
 
     def diffs(lhs, rhs):

@@ -188,12 +188,13 @@ def gen_partitions_box(length, lo, hi, total=None):
                 yield tuple(prefix)
             return
         cap = hi if not prefix else min(hi, prefix[-1])
-        for v in range(lo, cap + 1):
-            if total is not None:
-                rest_hi = acc + v + (length - i - 1) * min(v, hi)
-                rest_lo = acc + v + (length - i - 1) * lo
-                if not (rest_lo <= total <= rest_hi):
-                    continue
+        first = lo
+        if total is not None:
+            # v and the r entries after it, each in [lo, v], must reach total
+            r = length - i - 1
+            first = max(lo, -((acc - total) // (r + 1)))
+            cap = min(cap, total - acc - r * lo)
+        for v in range(first, cap + 1):
             yield from rec(i + 1, prefix + [v], acc + v)
 
     yield from rec(0, [], 0)

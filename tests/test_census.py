@@ -10,7 +10,8 @@ import pytest
 
 from crystal_lr import crystal, lr_engine, shapes
 from crystal_lr.crystal import Weight
-from crystal_lr.lr_engine import pieri_column, verify_truncated
+from crystal_lr.lr_engine import (ExtremalClass, pieri_column,
+                                  verify_truncated)
 
 
 # ---------------------------------------------------------------- oracle
@@ -27,16 +28,8 @@ def _realize_factor(fac, lo, hi):
     return words, off
 
 
-def _word_rows(words, lo, hi):
-    """Per-word (eps vector, phi vector, weight) over the colors lo..hi-1."""
-    rows = []
-    for w in words:
-        evec, pvec = crystal.signature_vectors(w, lo, hi)
-        rows.append((evec, pvec, crystal.weight(w)))
-    return rows
-
-
 def _rows_per_color(words, lo, hi):
+    """Per-word (eps vector, phi vector, weight) over the colors lo..hi-1."""
     colors = range(lo, hi)
     return [(tuple(crystal.eps(w, k) for k in colors),
              tuple(crystal.phi(w, k) for k in colors), crystal.weight(w))
@@ -177,6 +170,8 @@ GRID = ([("B", lam) for lam in [(0,), (1,), (-1,), (1, 0), (0, 0), (1, -1),
 
 @pytest.mark.parametrize("fac", GRID, ids=repr)
 def test_factor_source_is_unique_and_computed(fac):
+    # the census enumerates each factor from phi = 0, which must yield
+    # exactly the zero-eps rows of the factor's full table, one of them
     fac = lr_engine._factor_norm(fac)
     checked = 0
     for nletters in range(3, 7):
@@ -186,13 +181,23 @@ def test_factor_source_is_unique_and_computed(fac):
                 words, off = _realize_factor(fac, lo, hi)
             except lr_engine._WindowTooSmall:
                 continue
-            table = _word_rows(words, lo, hi)
-            sources = [r for r in table if not any(r[0])]
-            source, source_off = lr_engine._realize_source(fac, lo, hi)
-            assert sources == _word_rows([source], lo, hi)
-            assert source_off == off
+            sources = [r for r in _rows_per_color(words, lo, hi)
+                       if not any(r[0])]
+            assert len(sources) == 1
+            shape, _, dual = lr_engine._factor_shape(fac, lo, hi)
+            yielded = [crystal.tableau_word(t) for t in crystal.enumerate_sst(
+                shape, lo, hi, dual, phi=(0,) * (hi - lo))]
+            assert _rows_per_color(yielded, lo, hi) == sources
+            assert lr_engine._window_census([fac], lo, hi) == Counter(
+                {(sources[0][2] + off).key(): 1})
             checked += 1
     assert checked
+
+
+def test_census_starts_from_the_trivial_crystal():
+    assert lr_engine._window_census([], -2, 2) == Counter({(0, ()): 1})
+    rep = verify_truncated([], (-2, 2), {ExtremalClass(): 1})
+    assert rep["status"] == "ok" and not rep["retried"]
 
 
 @pytest.mark.parametrize("nletters", range(1, 6))
@@ -203,8 +208,8 @@ def test_dual_letter_tableaux_realize_the_dual_crystal(nletters):
     lo, hi = -1, nletters - 2
 
     def rows(words):
-        return Counter((crystal.signature_vectors(w, lo, hi),
-                        crystal.weight(w).key()) for w in words)
+        return Counter((e, p, wt.key())
+                       for e, p, wt in _rows_per_color(words, lo, hi))
 
     checked = 0
     for size in range(7):
@@ -296,8 +301,9 @@ def test_mutated_pieri_prediction_is_a_mismatch(factors, lam, a, dual,
 def _predicted_census(factors, lo, hi):
     out = Counter()
     for cls, mult in lr_engine.expr_decompose(factors, (-9, 9)).items():
-        for k, c in lr_engine._class_census(cls, lo, hi).items():
-            out[k] += c * mult
+        key = lr_engine._class_census(cls, lo, hi)
+        if key is not None:
+            out[key] += mult
     return out
 
 

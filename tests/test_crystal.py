@@ -2,15 +2,12 @@ import random
 from collections import Counter, deque
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from crystal_lr import shapes
 from crystal_lr.crystal import (Tableau, Weight, decompose_components,
                                 dual_word, enumerate_sst, eps, hw_tableau,
                                 hw_weight, fundamental_weight, lower_word,
-                                phi, raise_word, signature_vectors,
-                                tableau_word, weight)
+                                phi, raise_word, tableau_word, weight)
 
 
 def w(*letters):
@@ -302,22 +299,3 @@ def test_is_equivalent():
     assert not is_equivalent(
         tableau_word(hw_tableau((2,), lo, hi)),
         tableau_word(hw_tableau((1, 1), lo, hi)), range(lo, hi))
-
-
-@st.composite
-def windowed_words(draw):
-    """A window [lo, hi] and a word mixing plain and dual letters, some of
-    them just outside the window."""
-    lo = draw(st.integers(-4, 3))
-    hi = lo + draw(st.integers(0, 6))
-    letter = st.tuples(st.integers(lo - 2, hi + 2), st.booleans())
-    return lo, hi, tuple(draw(st.lists(letter, max_size=14)))
-
-
-@given(windowed_words())
-def test_signature_vectors_match_per_color(case):
-    lo, hi, word = case
-    colors = range(lo, hi)
-    assert signature_vectors(word, lo, hi) == (
-        tuple(eps(word, k) for k in colors),
-        tuple(phi(word, k) for k in colors))

@@ -522,6 +522,9 @@ def test_cli_names_out_of_range_value(argv, capsys):
 @pytest.mark.parametrize("argv", [
     ["lr", "3000", "1500", "1500"],
     ["kostka-foulkes", "1500", "1500"],
+    # the window's box was once scanned value by value at every position
+    ["decompose", "B(0) * B(0)", "--margin", "100000"],
+    ["decompose", "B(0) * B(0)", "--margin", "1000000000"],
 ])
 def test_cli_names_oversized_input(argv, capsys):
     assert cli.main(argv) == 2
