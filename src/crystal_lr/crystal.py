@@ -11,7 +11,7 @@ Operator conventions (checked against the letter tables):
   (i, True):  plus at color i-1, minus at color i; lowering sends i to i-1.
 """
 
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 
 from . import shapes
 
@@ -40,48 +40,42 @@ def _raised(let):
 
 # ---------------------------------------------------------------- weights
 
-class Weight:
-    """An integral weight: level * Lambda_0 plus a finite sum of eps_i."""
+class Weight(namedtuple("Weight", "level eps")):
+    """An integral weight: level * Lambda_0 plus a finite sum of eps_i,
+    built from a {i: coefficient} map and stored as its sorted nonzero
+    (i, coefficient) pairs."""
 
-    __slots__ = ("level", "eps")
+    __slots__ = ()
 
-    def __init__(self, level=0, eps=None):
-        self.level = level
-        self.eps = {i: c for i, c in (eps or {}).items() if c != 0}
+    def __new__(cls, level=0, eps=None):
+        pairs = sorted((i, c) for i, c in (eps or {}).items() if c)
+        return super().__new__(cls, level, tuple(pairs))
 
     def key(self):
-        return (self.level, tuple(sorted(self.eps.items())))
-
-    def __eq__(self, other):
-        return isinstance(other, Weight) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        return tuple(self)
 
     def __add__(self, other):
         eps = dict(self.eps)
-        for i, c in other.eps.items():
+        for i, c in other.eps:
             eps[i] = eps.get(i, 0) + c
         return Weight(self.level + other.level, eps)
 
     def __neg__(self):
-        return Weight(-self.level, {i: -c for i, c in self.eps.items()})
+        return Weight(-self.level, {i: -c for i, c in self.eps})
 
     def __sub__(self, other):
         return self + (-other)
 
     def pairing(self, k):
         """Evaluation against the coroot h_k."""
-        base = self.eps.get(k, 0) - self.eps.get(k + 1, 0)
+        eps = dict(self.eps)
+        base = eps.get(k, 0) - eps.get(k + 1, 0)
         return base + (self.level if k == 0 else 0)
 
     def __repr__(self):
-        bits = []
-        if self.level:
-            bits.append("%d*L0" % self.level)
-        for i in sorted(self.eps):
-            bits.append("%+d*e%d" % (self.eps[i], i))
-        return "Weight(%s)" % " ".join(bits) if bits else "Weight(0)"
+        bits = ["%d*L0" % self.level] if self.level else []
+        bits += ["%+d*e%d" % (c, i) for i, c in self.eps]
+        return "Weight(%s)" % (" ".join(bits) or "0")
 
 
 def fundamental_weight(k):
@@ -161,7 +155,7 @@ def dual_word(word):
 
 # ---------------------------------------------------------------- tableaux
 
-class Tableau:
+class Tableau(namedtuple("Tableau", "cols dual")):
     """Columns of letter indices over one alphabet family, left to right.
 
     Each column is listed top to bottom and is strictly increasing in its
@@ -170,21 +164,10 @@ class Tableau:
     its right in that order.
     """
 
-    __slots__ = ("cols", "dual")
+    __slots__ = ()
 
-    def __init__(self, cols, dual=False):
-        self.cols = tuple(tuple(c) for c in cols)
-        self.dual = dual
-
-    def __eq__(self, other):
-        return (isinstance(other, Tableau) and self.cols == other.cols
-                and self.dual == other.dual)
-
-    def __hash__(self):
-        return hash((self.cols, self.dual))
-
-    def __repr__(self):
-        return "Tableau(%r%s)" % (list(self.cols), ", dual" if self.dual else "")
+    def __new__(cls, cols, dual=False):
+        return super().__new__(cls, tuple(tuple(c) for c in cols), dual)
 
 
 def tableau_word(tab):

@@ -8,12 +8,8 @@ with Kostka-Foulkes coefficients, interpolating between a single z-Schur
 class at t=0 and the plain monomial product at t=1.
 """
 
-import itertools
-
 from . import ring
-from .shapes import (bump_poly, conjugate, gen_lr_coefficient,
-                     gen_partitions_box, inversion_sign, is_gen_partition,
-                     lr_coefficient, mu_star, partitions_of)
+from .shapes import bump_poly, is_gen_partition
 
 
 # ---------------------------------------------------------------- TRElem
@@ -141,112 +137,6 @@ def bt_word_action(mu, T):
     for m in reversed(mu):
         f = bt_apply(m, f, T)
     return tr_expand_schur(f, len(mu), T)
-
-
-def bt_straighten(alpha):
-    """Dominant rewriting of a mode word.
-
-    Returns (sign, word) with the staircase-shifted entries sorted back
-    into a weakly decreasing word, or (0, None) when the shift has a
-    repeated entry and the word labels zero.
-    """
-    n = len(alpha)
-    beta = [alpha[i] + n - 1 - i for i in range(n)]
-    if len(set(beta)) < n:
-        return 0, None
-    srt = sorted(beta, reverse=True)
-    lam = tuple(srt[i] - (n - 1 - i) for i in range(n))
-    return inversion_sign([-b for b in beta]), lam
-
-
-def bt_lambda(alpha, T):
-    """Operator for the raising-product form of the alpha-labeled element.
-
-    Expands prod_{i<j} (1 - t*R_ij) against the mode word alpha; R_ij bumps
-    alpha_i up and alpha_j down, the pairs commute and each enters at most
-    once, so every subset of pairs contributes one shifted word carrying
-    sign and t-power its size.  Subsets larger than T fall out.
-    """
-    alpha = tuple(alpha)
-    pairs = list(itertools.combinations(range(len(alpha)), 2))
-    words = []
-    for r in range(min(T, len(pairs)) + 1):
-        for chosen in itertools.combinations(pairs, r):
-            w = list(alpha)
-            for i, j in chosen:
-                w[i] += 1
-                w[j] -= 1
-            words.append((r, w))
-
-    def act(f):
-        out = {}
-        for r, w in words:
-            g = f
-            for m in reversed(w):
-                g = bt_apply(m, g, T)
-            for key, tp in tr_t_shift(g, r, T, -1 if r % 2 else 1).items():
-                bump_poly(out, key, tp)
-        return out
-
-    return act
-
-
-def bt_lambda_classes(lam, T):
-    """The same operator through its class expansion: sum over
-    (eta, sigma, mu, nu) of (-1)^{|mu|} t^{|nu|} c^{lam}_{eta sigma*}
-    c^{sigma}_{mu nu} [multiply by the eta z-Schur] o [lower by mu] o
-    [lower by nu'], left factor outermost.
-
-    mu is cut by its width against the operand degree and nu by the
-    truncation order; eta then runs over the finitely many length-n shapes
-    the outer coefficient allows.
-    """
-    lam = tuple(lam)
-    if not is_gen_partition(lam):
-        raise ValueError("label must be weakly decreasing")
-    n = len(lam)
-    if n == 0:
-        return lambda f: tr_t_shift(f, 0, T)
-
-    def act(f):
-        out = {}
-        for e, sl in tr_slices(f, T).items():
-            deg = max((len(key) for key in sl), default=0)
-            for snu in range(T - e + 1):
-                for nu in partitions_of(snu, max_length=n):
-                    if len(nu) > deg:
-                        continue
-                    gnu = ring.s_operator(-1, conjugate(nu))(sl)
-                    if not gnu:
-                        continue
-                    for smu in range(n * deg + 1):
-                        for mu in partitions_of(smu, max_length=n,
-                                                max_part=deg):
-                            g = ring.s_operator(-1, mu)(gnu)
-                            if not g:
-                                continue
-                            msign = -1 if smu % 2 else 1
-                            for sigma in partitions_of(smu + snu,
-                                                       max_length=n):
-                                c2 = lr_coefficient(sigma, mu, nu)
-                                if not c2:
-                                    continue
-                                star = mu_star(sigma, n)
-                                wide = sigma[0] if sigma else 0
-                                for eta in gen_partitions_box(
-                                        n, lam[-1] - smu - snu,
-                                        lam[0] + wide,
-                                        sum(lam) + smu + snu):
-                                    c1 = gen_lr_coefficient(lam, eta, star)
-                                    if not c1:
-                                        continue
-                                    term = ring.r_mul(ring.z_schur(eta), g)
-                                    for key, c in term.items():
-                                        bump_poly(out, key, {e + snu: c},
-                                                  msign * c1 * c2)
-        return out
-
-    return act
 
 
 def bt_commutator_check(m, n, T, sample):

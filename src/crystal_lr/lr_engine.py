@@ -7,7 +7,7 @@ any predicted decomposition against a brute-force source census of the
 tensor product restricted to a finite letter window.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 
 from . import crystal, shapes
 from .crystal import Weight
@@ -20,20 +20,18 @@ class MixedLevelError(ValueError):
     decompose into the classes handled here."""
 
 
-class ExtremalClass:
+class ExtremalClass(namedtuple("ExtremalClass", "mu nu hw")):
     """Isomorphism class of B_{mu,nu} (x) B(Lambda_hw).
 
     hw None (or empty) means level 0, i.e. the bare B_{mu,nu}.  Distinct
     (mu, nu, hw) triples are distinct classes.
     """
 
-    __slots__ = ("mu", "nu", "hw")
+    __slots__ = ()
 
-    def __init__(self, mu=(), nu=(), hw=None):
-        self.mu = normalize(mu)
-        self.nu = normalize(nu)
-        if not shapes.is_partition(self.mu) or not shapes.is_partition(
-                self.nu):
+    def __new__(cls, mu=(), nu=(), hw=None):
+        pmu, pnu = normalize(mu), normalize(nu)
+        if not shapes.is_partition(pmu) or not shapes.is_partition(pnu):
             raise ValueError("mu and nu must be partitions: %r, %r"
                              % (mu, nu))
         if hw is not None:
@@ -42,7 +40,7 @@ class ExtremalClass:
                 raise ValueError("hw must be weakly decreasing: %r" % (hw,))
             if not hw:
                 hw = None
-        self.hw = hw
+        return super().__new__(cls, pmu, pnu, hw)
 
     @property
     def level(self):
@@ -50,16 +48,6 @@ class ExtremalClass:
 
     def key(self):
         return (self.level, self.hw or (), self.mu, self.nu)
-
-    def __eq__(self, other):
-        return isinstance(other, ExtremalClass) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "ExtremalClass(mu=%r, nu=%r, hw=%r)" % (self.mu, self.nu,
-                                                       self.hw)
 
     def to_json(self):
         return {"mu": list(self.mu), "nu": list(self.nu),
@@ -263,8 +251,8 @@ def level0_canonical(w):
     positive eps coefficients sorted decreasingly, then negated negatives."""
     if w.level != 0:
         raise ValueError("weight has nonzero level %d" % w.level)
-    pos = sorted((c for c in w.eps.values() if c > 0), reverse=True)
-    neg = sorted((-c for c in w.eps.values() if c < 0), reverse=True)
+    pos = sorted((c for _, c in w.eps if c > 0), reverse=True)
+    neg = sorted((-c for _, c in w.eps if c < 0), reverse=True)
     return tuple(pos), tuple(neg)
 
 
@@ -376,25 +364,27 @@ def _hw_shape(lam, lo, hi):
 
 
 def _factor_shape(fac, lo, hi):
-    """Tableau shape, constant weight offset and dualization of one tensor
-    factor restricted to the letters [lo, hi]."""
+    """Tableau shape, level, dualization and per-letter shift of one tensor
+    factor restricted to the letters [lo, hi]: a tableau of content c has
+    the weight level*Lambda_{lo-1} + c - shift*(eps_lo + ... + eps_hi),
+    with dual letters counting -1 in c."""
     if fac[0] == "Bmn":
         shape, s = _level0_shape(fac[1], fac[2], hi - lo + 1)
-        off = Weight(0, {j: -s for j in range(lo, hi + 1)} if s else None)
-        return shape, off, False
+        return shape, 0, False, s
     lam = fac[1]
-    n = len(lam)
     shape = _hw_shape(lam, lo, hi)
-    off = Weight(n, {j: -n for j in range(lo, min(hi, 0) + 1)})
     if fac[0] == "Bdual":
-        return shape, -off, True
-    return shape, off, False
+        return shape, -len(lam), True, 0
+    return shape, len(lam), False, 0
 
 
 def _window_census(factors, lo, hi):
     """Source census of the product of normalized factors restricted to the
-    letters [lo, hi]: a Counter over the Weight keys of its sources.
-    Raises _WindowTooSmall or _TooLarge.
+    letters [lo, hi]: a Counter over the keys (level, content) of its
+    sources, content their signed letter content over lo..hi (a dual letter
+    counts -1) less the summed Bmn shifts.  Every factor sits on the vacuum
+    level*Lambda_{lo-1}, so a source's weight is that plus its content,
+    wherever the window lies.  Raises _WindowTooSmall or _TooLarge.
 
     By Kashiwara's tensor product rule the sources of B1 (x) B2 are exactly
     the b1 (x) b2 with b1 a source of B1 and eps_k(b2) <= phi_k(b1) for
@@ -404,9 +394,9 @@ def _window_census(factors, lo, hi):
     of its reading word, and eps_k is monotone on prefixes, so
     enumerate_sst cuts a branch as soon as its prefix breaks the bound and
     yields exactly the admissible tableaux.  Every prefix the walk reaches
-    is then a source, and a source has phi_k = <wt, h_k> = c_k - c_{k+1},
-    where c is its signed letter content (a dual letter counts -1); so the
-    walk carries only c.
+    is then a source, and a source has phi_k = <wt, h_k> = c_k - c_{k+1}
+    for the colors k of the window, where the vacuum and the shifts add
+    nothing; so the walk carries only c, from minus the summed shift.
 
     Each factor, in order, is refused before the walk when it has more than
     _WORD_CAP tableaux.  What the leading factor yields is checked against
@@ -414,19 +404,19 @@ def _window_census(factors, lo, hi):
     """
     n = hi - lo + 1
     parts = []
-    offset = Weight(0)
+    level = shift = 0
     for fac in factors:
-        shape, off, dual = _factor_shape(fac, lo, hi)
+        shape, lev, dual, s = _factor_shape(fac, lo, hi)
         if shapes.num_sst(shape, n) > _WORD_CAP:
             raise _TooLarge(shape, lo, hi)
         parts.append((shape, dual))
-        offset = offset + off
+        level += lev
+        shift += s
     out = Counter()
 
     def walk(i, content):
         if i == len(parts):
-            wt = Weight(0, dict(zip(range(lo, hi + 1), content)))
-            out[(wt + offset).key()] += 1
+            out[level, tuple(content)] += 1
             return
         shape, dual = parts[i]
         step = -1 if dual else 1
@@ -443,32 +433,47 @@ def _window_census(factors, lo, hi):
                     c[v - lo] += step
             walk(i + 1, c)
 
-    walk(0, [0] * n)
+    walk(0, [-shift] * n)
     return out
 
 
 def _class_census(cls, lo, hi):
-    """Window image of one class: the Weight key of its one source, or None
-    when the class does not fit the window.
+    """Window image of one class: the census key (level, content) of its one
+    source, or None when the class does not fit the window.
 
     Truncation carries each class to a single irreducible (the component of
     the combined highest weight vector), so the census is the canonical
     highest weight once: mu anchors at lo, nu at hi, and the hw shape must
-    lie between them.
+    lie between them.  Over the vacuum level*Lambda_{lo-1}, Lambda_a adds
+    eps_lo + ... + eps_a, so each hw entry a adds 1 on the letters lo..a.
+    _window_census keys its sources over the same vacuum, so the two keys
+    agree exactly whether or not the window holds the origin.
     """
-    if len(cls.mu) + len(cls.nu) > hi - lo + 1:
+    n = hi - lo + 1
+    if len(cls.mu) + len(cls.nu) > n:
         return None
-    eps = {}
+    content = [0] * n
     for i, x in enumerate(cls.mu):
-        eps[lo + i] = x
+        content[i] += x
     for i, x in enumerate(cls.nu):
-        eps[hi - i] = eps.get(hi - i, 0) - x
-    total = Weight(0, eps)
+        content[n - 1 - i] -= x
     if cls.hw is not None:
         if cls.hw[-1] < lo - 1 or cls.hw[0] > hi:
             return None
-        total = total + crystal.hw_weight(cls.hw)
-    return total.key()
+        for a in cls.hw:
+            for j in range(a - lo + 1):
+                content[j] += 1
+    return cls.level, tuple(content)
+
+
+def _weight_key(key, lo):
+    """The Weight key of the census key (level, content) on a window from
+    lo: content plus level*Lambda_{lo-1}, the vacuum."""
+    level, content = key
+    eps = {i: level * c for i, c in crystal.fundamental_weight(lo - 1).eps}
+    for i, c in enumerate(content, lo):
+        eps[i] = eps.get(i, 0) + c
+    return Weight(level, eps).key()
 
 
 def _default_margin(factors, predicted):
@@ -499,14 +504,13 @@ def verify_truncated(factors, window, predicted, threads=1):
     listed) or "window-too-small"; widens the window step by step and retries
     before giving up.
 
-    The census is exact by Kashiwara's tensor product rule: the sources of
-    B1 (x) B2 are the b1 (x) b2 with b1 a source of B1 and eps_k(b2) <=
-    phi_k(b1) for every color k.  It starts from the trivial crystal, whose
-    one element has phi = 0, and enumerates each factor in turn pruned by
-    that bound, which is exact too: a partial tableau is a prefix of its
-    reading word, and eps_k(uv) >= eps_k(u), so a prefix over the bound has
-    no admissible extension.  Every prefix reached is a source, so its phi
-    is read off its signed letter content c as phi_k = c_k - c_{k+1}.
+    The census (_window_census) is exact by Kashiwara's tensor product
+    rule.  Both sides are keyed by (level, content) over the attempted
+    window [lo, hi], content the weight less level*Lambda_{lo-1}: every
+    highest weight factor and every predicted class sits on that one
+    vacuum, so the keys compare exactly on any window, the origin inside it
+    or not.  A key becomes its Weight key only to sort and print the
+    discrepancies.
     """
     if threads != 1:
         raise ValueError("threads=%r: the census runs in one thread"
@@ -546,7 +550,7 @@ def verify_truncated(factors, window, predicted, threads=1):
         return (lhs, rhs), None
 
     def diffs(lhs, rhs):
-        return [k for k in sorted(set(lhs) | set(rhs))
+        return [k for k in set(lhs) | set(rhs)
                 if lhs.get(k, 0) != rhs.get(k, 0)]
 
     def mass(lhs, rhs, diff):
@@ -557,10 +561,12 @@ def verify_truncated(factors, window, predicted, threads=1):
                "lhs_components": sum(lhs.values()),
                "predicted_components": sum(rhs.values())}
         if diff:
+            rows = sorted((_weight_key(k, lo), lhs.get(k, 0), rhs.get(k, 0))
+                          for k in diff)
             out["discrepancies"] = [
-                {"weight": {"level": k[0], "eps": [list(p) for p in k[1]]},
-                 "lhs": lhs.get(k, 0), "predicted": rhs.get(k, 0)}
-                for k in diff[:10]]
+                {"weight": {"level": level, "eps": [list(p) for p in eps]},
+                 "lhs": a, "predicted": b}
+                for (level, eps), a, b in rows[:10]]
         return out
 
     first = last = None

@@ -16,31 +16,27 @@ raising moves the 1 of the last surviving - up to row l; this equals
 """
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 
 from .crystal import Weight, components
 
 
-class BinaryMatrix:
+class BinaryMatrix(namedtuple("BinaryMatrix", "row_lo col_lo entries")):
     """An I x J zero-one matrix over explicit inclusive index intervals."""
 
-    __slots__ = ("row_lo", "col_lo", "entries")
+    __slots__ = ()
 
-    def __init__(self, row_lo, col_lo, entries):
-        self.row_lo = row_lo
-        self.col_lo = col_lo
-        self.entries = tuple(tuple(r) for r in entries)
-        w = {len(r) for r in self.entries}
-        if len(w) > 1:
+    def __new__(cls, row_lo, col_lo, entries):
+        entries = tuple(tuple(r) for r in entries)
+        if len({len(r) for r in entries}) > 1:
             raise ValueError("ragged rows")
+        return super().__new__(cls, row_lo, col_lo, entries)
 
     @classmethod
     def _of_rows(cls, row_lo, col_lo, rows):
         """The operators' constructor: `rows` is already a tuple of
         equal-length tuples, so it is shared, not copied or checked."""
-        A = object.__new__(cls)
-        A.row_lo, A.col_lo, A.entries = row_lo, col_lo, rows
-        return A
+        return tuple.__new__(cls, (row_lo, col_lo, rows))
 
     @property
     def nrows(self):
@@ -62,13 +58,7 @@ class BinaryMatrix:
         return self.entries[i - self.row_lo][j - self.col_lo]
 
     def key(self):
-        return (self.row_lo, self.col_lo, self.entries)
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryMatrix) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        return tuple(self)
 
     def __repr__(self):
         return "BinaryMatrix(rows=%d..%d cols=%d..%d)" % (
@@ -272,37 +262,22 @@ def _indicator(values, lo, hi):
 
 # ---------------------------------------------------------------- maya rows
 
-class MayaRow:
+class MayaRow(namedtuple("MayaRow", "kind charge delta")):
     """One row of the infinite models: kind "E" has finite support, kind "F"
     is all ones up to `charge` with a finite set of flips."""
 
-    __slots__ = ("kind", "charge", "delta")
+    __slots__ = ()
 
-    def __init__(self, kind, charge=0, delta=()):
+    def __new__(cls, kind, charge=0, delta=()):
         if kind not in ("E", "F"):
             raise ValueError("kind must be E or F")
         if kind == "E" and charge != 0:
             raise ValueError("E rows carry no charge")
-        self.kind = kind
-        self.charge = charge
-        self.delta = frozenset(delta)
+        return super().__new__(cls, kind, charge, frozenset(delta))
 
     def entry(self, i):
         vac = 1 if (self.kind == "F" and i <= self.charge) else 0
         return vac ^ (1 if i in self.delta else 0)
-
-    def key(self):
-        return (self.kind, self.charge, tuple(sorted(self.delta)))
-
-    def __eq__(self, other):
-        return isinstance(other, MayaRow) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        return "MayaRow(%r, charge=%d, delta=%r)" % (
-            self.kind, self.charge, sorted(self.delta))
 
     def to_json(self):
         return {"kind": self.kind, "charge": self.charge,

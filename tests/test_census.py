@@ -1,7 +1,8 @@
 """The windowed source census of verify_truncated against an oracle that
 enumerates every factor in full, the eps-bounded enumeration it walks, its
-irreducibility and size-refusal invariants, mutated predictions it must
-reject, and the window-edge over-count that is still open."""
+irreducibility and size-refusal invariants, windows away from the origin,
+mutated predictions it must reject, and the window-edge over-count that is
+still open."""
 
 import random
 from collections import Counter
@@ -9,7 +10,6 @@ from collections import Counter
 import pytest
 
 from crystal_lr import crystal, lr_engine, shapes
-from crystal_lr.crystal import Weight
 from crystal_lr.lr_engine import (ExtremalClass, pieri_column,
                                   verify_truncated)
 
@@ -17,15 +17,22 @@ from crystal_lr.lr_engine import (ExtremalClass, pieri_column,
 # ---------------------------------------------------------------- oracle
 
 def _realize_factor(fac, lo, hi):
-    """Word list and constant weight offset for one tensor factor restricted
+    """Word list, level and per-letter shift for one tensor factor restricted
     to the letters [lo, hi]."""
-    shape, off, dual = lr_engine._factor_shape(fac, lo, hi)
+    shape, level, dual, shift = lr_engine._factor_shape(fac, lo, hi)
     words = []
     for t in crystal.enumerate_sst(shape, lo, hi, dual):
         words.append(crystal.tableau_word(t))
         if len(words) > lr_engine._WORD_CAP:
             raise lr_engine._TooLarge(shape, lo, hi)
-    return words, off
+    return words, level, shift
+
+
+def _census_key(wt, level, shift, lo, hi):
+    """Census key (level, content over lo..hi less the shift) of a source
+    whose word has the weight wt."""
+    eps = dict(wt.eps)
+    return level, tuple(eps.get(j, 0) - shift for j in range(lo, hi + 1))
 
 
 def _rows_per_color(words, lo, hi):
@@ -41,17 +48,16 @@ def enumerated_census(factors, lo, hi):
     included, finds the leading factor's sources among all its words with
     per-color eps/phi, and walks the same tensor product rule."""
     realized = [_realize_factor(f, lo, hi) for f in factors]
-    tables = [_rows_per_color(words, lo, hi) for words, _ in realized]
-    offset = Weight(0)
-    for _, off in realized:
-        offset = offset + off
+    tables = [_rows_per_color(words, lo, hi) for words, _, _ in realized]
+    level = sum(lev for _, lev, _ in realized)
+    shift = sum(s for _, _, s in realized)
     sources = [r for r in tables[0] if not any(r[0])]
     assert len(sources) == 1, "factor is not irreducible"
     out = Counter()
 
     def walk(i, phis, wt):
         if i == len(tables):
-            out[(wt + offset).key()] += 1
+            out[_census_key(wt, level, shift, lo, hi)] += 1
             return
         for evec, pvec, w in tables[i]:
             if all(e <= p for e, p in zip(evec, phis)):
@@ -121,7 +127,7 @@ def test_source_census_matches_enumeration_random():
     censuses = 0
     for _ in range(200):
         factors = [_random_factor(rng) for _ in range(rng.randrange(1, 4))]
-        lo = rng.randrange(-3, 1)
+        lo = rng.randrange(-8, 5)
         hi = lo + rng.randrange(0, 7)
         new, old = _both(factors, lo, hi)
         assert new == old, (factors, lo, hi)
@@ -178,24 +184,24 @@ def test_factor_source_is_unique_and_computed(fac):
         for lo in (-3, -2, -1):
             hi = lo + nletters - 1
             try:
-                words, off = _realize_factor(fac, lo, hi)
+                words, level, shift = _realize_factor(fac, lo, hi)
             except lr_engine._WindowTooSmall:
                 continue
             sources = [r for r in _rows_per_color(words, lo, hi)
                        if not any(r[0])]
             assert len(sources) == 1
-            shape, _, dual = lr_engine._factor_shape(fac, lo, hi)
+            shape, _, dual, _ = lr_engine._factor_shape(fac, lo, hi)
             yielded = [crystal.tableau_word(t) for t in crystal.enumerate_sst(
                 shape, lo, hi, dual, phi=(0,) * (hi - lo))]
             assert _rows_per_color(yielded, lo, hi) == sources
             assert lr_engine._window_census([fac], lo, hi) == Counter(
-                {(sources[0][2] + off).key(): 1})
+                {_census_key(sources[0][2], level, shift, lo, hi): 1})
             checked += 1
     assert checked
 
 
 def test_census_starts_from_the_trivial_crystal():
-    assert lr_engine._window_census([], -2, 2) == Counter({(0, ()): 1})
+    assert lr_engine._window_census([], -2, 2) == Counter({(0, (0,) * 5): 1})
     rep = verify_truncated([], (-2, 2), {ExtremalClass(): 1})
     assert rep["status"] == "ok" and not rep["retried"]
 
@@ -268,6 +274,38 @@ def test_retried_means_a_wider_window_was_attempted(monkeypatch):
     rep = verify_truncated([("B", (20,)), ("Bcol", 1)], (-1, 1),
                            pieri_column((20,), 1))
     assert rep["status"] == "window-too-small" and rep["retried"] is True
+
+
+# ---------------------------------------------------------------- off origin
+
+_LEVEL_ONE = {ExtremalClass((1,) * (a + 1), (1,) * a): 1 for a in range(4)}
+
+
+@pytest.mark.parametrize("factors, window, predicted", [
+    ([("B", (20,))], (19, 21), {ExtremalClass(hw=(20,)): 1}),
+    ([("B", (-20,))], (-21, -19), {ExtremalClass(hw=(-20,)): 1}),
+    ([("B", (9,)), ("Bcol", 1)], (8, 10), pieri_column((9,), 1)),
+    # a Bmn after the highest weight factor (its nu gives a shift), and one
+    # before it
+    ([("B", (9,)), ("Bmn", (), (1,))], (8, 10), pieri_column((9,), 1, True)),
+    ([("Bmn", (1,), ()), ("B", (9,))], (8, 10),
+     {ExtremalClass((1,), (), (9,)): 1}),
+    # the level-one family of the pieri suite, translated off the origin
+    ([("B", (10,)), ("Bdual", (9,))], (5, 13), _LEVEL_ONE),
+    ([("B", (-8,)), ("Bdual", (-9,))], (-13, -5), _LEVEL_ONE),
+])
+def test_windows_away_from_the_origin_are_exact(factors, window, predicted):
+    # every factor and class sits on the vacuum of the window's own lower
+    # edge, so a window that fits is exact wherever it lies
+    rep = verify_truncated(factors, window, predicted)
+    assert rep["status"] == "ok" and rep["retried"] is False, rep
+
+
+def test_dropped_class_away_from_the_origin_is_a_mismatch():
+    # B(Lambda_2) (x) B_{(1)} = B_{(1)} (x) B(Lambda_2) + B(Lambda_3)
+    rep = verify_truncated([("B", (2,)), ("Bcol", 1)], (2, 4),
+                           {ExtremalClass((1,), (), (2,)): 1})
+    assert rep["status"] == "mismatch", rep
 
 
 # ---------------------------------------------------------------- mutants

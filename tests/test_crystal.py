@@ -2,6 +2,7 @@ import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from crystal_lr import shapes
 from crystal_lr.crystal import (Tableau, Weight, decompose_components,
@@ -99,6 +100,36 @@ def test_weights():
     assert weight(((2, False),)) == Weight(0, {2: 1})
 
 
+def _oracle_key(level, counter):
+    return level, tuple(sorted((i, c) for i, c in counter.items() if c))
+
+
+_levels = st.integers(-2, 2)
+_maps = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=5)
+
+
+@given(_levels, _maps, _levels, _maps)
+@example(0, {1: 0, 2: 1}, 0, {2: 1})
+@example(1, {0: 0}, 1, {})
+def test_weight_is_its_nonzero_part(la, a, lb, b):
+    # Counter.update and Counter.subtract keep zero and negative entries
+    wa, wb = Weight(la, a), Weight(lb, b)
+    assert wa.key() == _oracle_key(la, a)
+    same = _oracle_key(la, a) == _oracle_key(lb, b)
+    assert (wa == wb) == same
+    if same:
+        assert hash(wa) == hash(wb)
+    total = Counter(a)
+    total.update(b)
+    assert (wa + wb).key() == _oracle_key(la + lb, total)
+    neg = Counter()
+    neg.subtract(a)
+    assert (-wa).key() == _oracle_key(-la, neg)
+    diff = Counter(a)
+    diff.subtract(b)
+    assert (wa - wb).key() == _oracle_key(la - lb, diff)
+
+
 def weyl_reflect(word, k):
     """Simple reflection on a word: apply lowering or raising |<wt,h_k>| times."""
     m = weight(word).pairing(k)
@@ -131,6 +162,7 @@ def test_tableau_word():
     t2 = Tableau(((1,), (3,)), dual=False)
     assert tableau_word(t2) == w(3, 1)
     assert tableau_word(Tableau(())) == ()
+    assert Tableau([[1, 2], range(1, 2)]) == Tableau(((1, 2), (1,)), False)
 
 
 def test_enumerate_sst_counts():

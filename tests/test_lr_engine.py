@@ -42,10 +42,13 @@ def test_extremal_class_normalization():
     assert ExtremalClass(hw=(1,)).level == 1
     assert ExtremalClass(hw=(1, 0)) != ExtremalClass(hw=(1,))
     assert ExtremalClass(hw=()).hw is None
+    assert ExtremalClass((1,), (2,), (0, -1)).key() == (2, (0, -1), (1,), (2,))
     with pytest.raises(ValueError):
         ExtremalClass((0, 1), ())
     with pytest.raises(ValueError):
         ExtremalClass((), (), (1, 2))
+    with pytest.raises(ValueError, match="mu and nu must be partitions"):
+        ExtremalClass((), (1, -1))
 
 
 def test_extremal_class_uniqueness():

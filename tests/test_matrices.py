@@ -36,6 +36,21 @@ def test_row_ops():
         matrix_raise(M(1, 1, [(0, 1)]), 0)
 
 
+def test_records_keep_their_checks():
+    rows = ((1, 0, 1), (0, 1, 1))
+    A = BinaryMatrix._of_rows(2, -1, rows)
+    assert A == M(2, -1, [list(r) for r in rows])
+    assert hash(A) == hash(M(2, -1, rows))
+    assert A.key() == (2, -1, rows)
+    with pytest.raises(ValueError, match="ragged rows"):
+        M(1, 0, [(1, 0), (1,)])
+    assert MayaRow("E", delta=[3, 1]) == MayaRow("E", 0, (1, 3, 3))
+    with pytest.raises(ValueError, match="kind must be E or F"):
+        MayaRow("G")
+    with pytest.raises(ValueError, match="E rows carry no charge"):
+        MayaRow("E", charge=1)
+
+
 def test_signature_cases():
     A = M(1, 1, [(1, 0), (1, 0)])
     assert matrix_lower(A, 1) == M(1, 1, [(0, 1), (1, 0)])
