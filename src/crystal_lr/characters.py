@@ -1,16 +1,19 @@
-"""Exact symmetric Laurent-polynomial arithmetic in finitely many variables.
+"""The character-side oracle: exact Laurent polynomials in finitely many
+variables, as zero-free dicts from integer exponent tuples to integer
+coefficients, summed with the kernel of shapes.
 
-A LaurentPoly is a zero-free dict mapping fixed-length integer exponent
-tuples to integer coefficients, summed with the kernel of shapes.
-Everything here is the character-side oracle: Laurent Schur polynomials via
-the bialternant ratio, the two-alphabet branching expansion, and
-Hall-Littlewood P polynomials with TPoly coefficients.
+laurent_schur reads the contents of the tableaux of crystal.enumerate_sst,
+and branch_split the contents of its sources for GL_m x GL_n (eps_k = 0 at
+every color k but m; one per component).  schur_to_hl peels laurent_schur
+by Hall-Littlewood P polynomials built with the horizontal-strip rule.
+None of the routes these check reaches enumerate_sst: gen_lr_coefficient
+counts lattice fillings, hw_past_level0 sums LR coefficients, and the
+Kostka-Foulkes polynomials come from charge and from ring.s_operator.
 """
 
-import itertools
 from functools import cache
 
-from . import shapes
+from . import crystal, shapes
 
 
 # ---------------------------------------------------------------- basics
@@ -21,23 +24,6 @@ def lp_mul(a, b):
         for e2, c2 in b.items():
             shapes.bump(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
     return out
-
-
-def lp_swap(a, i, j):
-    """Swap variables i and j."""
-    out = {}
-    for e, c in a.items():
-        f = list(e)
-        f[i], f[j] = f[j], f[i]
-        out[tuple(f)] = c
-    return out
-
-
-def is_symmetric(a):
-    if not a:
-        return True
-    n = len(next(iter(a)))
-    return all(lp_swap(a, i, i + 1) == a for i in range(n - 1))
 
 
 def lp_lift(a, total, offset):
@@ -51,32 +37,29 @@ def lp_lift(a, total, offset):
 
 # ---------------------------------------------------------------- schur
 
-def _alternant(avec):
-    n = len(avec)
+def _tableau_content(lam, split=None):
+    """{content - (p^n): count} over the tableaux of shape lam + (p^n) with
+    entries in 1..n, n = len(lam) and p = max(0, -lam_n) the shift to a
+    partition.  With split = m, only the tableaux with eps_k = 0 at every
+    color k but m; color m gets the cap |lam + (p^n)|, which no word of the
+    shape reaches."""
+    lam = tuple(lam)
+    if not shapes.is_gen_partition(lam):
+        raise ValueError("not weakly decreasing: %r" % (lam,))
+    n = len(lam)
+    p = max(0, -lam[-1]) if lam else 0
+    shape = [x + p for x in lam]
+    phi = None
+    if split is not None:
+        phi = [0] * (n - 1)
+        phi[split - 1] = sum(shape)
     out = {}
-    for perm in itertools.permutations(range(n)):
-        exps = tuple(avec[perm[i]] for i in range(n))
-        shapes.bump(out, exps, shapes.inversion_sign(perm))
-    return out
-
-
-def _divide_linear(f, i, j):
-    """Exact division by (x_i - x_j); exponents must stay nonnegative."""
-    f = dict(f)
-    out = {}
-    while f:
-        e = max(f, key=lambda t: (t[i], t))
-        c = f[e]
-        if e[i] == 0:
-            raise ArithmeticError("division by x_%d - x_%d not exact" % (i, j))
-        q = list(e)
-        q[i] -= 1
-        q = tuple(q)
-        shapes.bump(out, q, c)
-        del f[e]
-        r = list(q)
-        r[j] += 1
-        shapes.bump(f, tuple(r), c)
+    for tab in crystal.enumerate_sst(shape, 1, n, phi=phi):
+        e = [-p] * n
+        for col in tab.cols:
+            for v in col:
+                e[v - 1] += 1
+        shapes.bump(out, tuple(e), 1)
     return out
 
 
@@ -84,46 +67,23 @@ def laurent_schur(lam):
     """Laurent Schur polynomial of a generalized partition, one variable per
     entry: (x_1...x_n)^{-p} s_{lam+(p^n)} for any p making the shift a
     partition."""
-    lam = tuple(lam)
-    n = len(lam)
-    if n == 0:
-        return {(): 1}
-    if not shapes.is_gen_partition(lam):
-        raise ValueError("not weakly decreasing: %r" % (lam,))
-    p = max(0, -lam[-1])
-    avec = tuple(lam[i] + p + (n - 1 - i) for i in range(n))
-    f = _alternant(avec)
-    for i in range(n):
-        for j in range(i + 1, n):
-            f = _divide_linear(f, i, j)
-    if p:
-        f = {tuple(x - p for x in e): c for e, c in f.items()}
-    return f
+    return _tableau_content(lam)
 
 
 def branch_split(lam, m, n):
     """Expand s_lam(x_1..x_{m+n}) into s_mu(x_1..x_m) * s_nu(x_{m+1}..x_{m+n}).
 
     Returns {(mu, nu): coeff} with mu, nu generalized partitions of lengths
-    m and n.  Peels the lexicographically maximal term; its exponent blocks
-    are always dominant, so elimination is triangular.
+    m and n.  Restricted to GL_m x GL_n, each component of B(lam) has one
+    source: the tableau with eps_k = 0 at every color k but m, of content
+    (mu, nu).
     """
     if m < 1 or n < 1:
         raise ValueError("both alphabets must be nonempty")
     if len(lam) != m + n:
         raise ValueError("lam must have length m+n")
-    f = dict(laurent_schur(lam))
-    out = {}
-    while f:
-        e = max(f)
-        mu, nu = e[:m], e[m:]
-        assert shapes.is_gen_partition(mu) and shapes.is_gen_partition(nu)
-        c = f[e]
-        out[(mu, nu)] = c
-        prod = lp_mul(lp_lift(laurent_schur(mu), m + n, 0),
-                      lp_lift(laurent_schur(nu), m + n, m))
-        f = shapes.lin_add(f, prod, -c)
-    return out
+    return {(e[:m], e[m:]): c
+            for e, c in _tableau_content(lam, split=m).items()}
 
 
 # ---------------------------------------------------------------- HL P
@@ -152,26 +112,6 @@ def _hl_p(mu, nvars):
             psi = _psi(mu, nu)
             for e, tp in _hl_p(nu, nvars - 1).items():
                 shapes.bump_poly(out, e + (k,), shapes.tpoly_mul(tp, psi))
-    return out
-
-
-def hall_littlewood_P(mu, nvars, t=None):
-    """Hall-Littlewood P polynomial in nvars variables.
-
-    With t=None the coefficients are TPoly dicts; an integer t specializes
-    them (t=0 gives the Schur polynomial, t=1 the monomial one).
-    """
-    mu = shapes.normalize(mu)
-    if len(mu) > nvars:
-        raise ValueError("shape needs more than %d variables" % nvars)
-    raw = _hl_p(mu, nvars)
-    if t is None:
-        return {e: dict(tp) for e, tp in raw.items()}
-    out = {}
-    for e, tp in raw.items():
-        v = shapes.tpoly_eval(tp, t)
-        if v:
-            out[e] = v
     return out
 
 

@@ -246,16 +246,6 @@ def product_decomposition(d1, d2, window):
     return out
 
 
-def level0_canonical(w):
-    """Dominant (mu, nu) with B(w) isomorphic to B_{mu,nu}, for w of level 0:
-    positive eps coefficients sorted decreasingly, then negated negatives."""
-    if w.level != 0:
-        raise ValueError("weight has nonzero level %d" % w.level)
-    pos = sorted((c for _, c in w.eps if c > 0), reverse=True)
-    neg = sorted((-c for _, c in w.eps if c < 0), reverse=True)
-    return tuple(pos), tuple(neg)
-
-
 # ---------------------------------------------------------------- verifier
 
 class _WindowTooSmall(Exception):

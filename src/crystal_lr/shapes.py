@@ -91,24 +91,6 @@ def _pad(mu, n):
     return tuple(mu) + (0,) * (n - len(mu))
 
 
-def is_horizontal_strip(outer, inner):
-    """At most one cell per column: outer[i+1] <= inner[i]."""
-    outer, inner = normalize(outer), normalize(inner)
-    if not contains(outer, inner):
-        return False
-    inner = _pad(inner, len(outer))
-    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
-
-
-def is_vertical_strip(outer, inner):
-    """At most one cell per row."""
-    outer, inner = normalize(outer), normalize(inner)
-    if not contains(outer, inner):
-        return False
-    inner = _pad(inner, len(outer))
-    return all(outer[i] - inner[i] <= 1 for i in range(len(outer)))
-
-
 def strips_above(lam, size):
     """mu in Z^n weakly decreasing such that mu/lam is a horizontal strip of
     the given size after subtracting the common baseline lam_n."""
@@ -139,23 +121,10 @@ def strips_below(lam, size):
     return [mu_star(x, n) for x in strips_above(mu_star(lam, n), size)]
 
 
-def horizontal_strips_above(mu, k):
-    """Partitions lam >= mu with lam/mu a horizontal strip of size k."""
-    return [normalize(lam) for lam in strips_above(normalize(mu) + (0,), k)]
-
-
 def horizontal_strips_below(mu, k):
     """Partitions nu <= mu with mu/nu a horizontal strip of size k."""
     return [normalize(nu) for nu in strips_below(normalize(mu), k)
             if not nu or nu[-1] >= 0]
-
-
-def vertical_strips_above(mu, k):
-    return [conjugate(lam) for lam in horizontal_strips_above(conjugate(mu), k)]
-
-
-def vertical_strips_below(mu, k):
-    return [conjugate(nu) for nu in horizontal_strips_below(conjugate(mu), k)]
 
 
 def partitions_of(n, max_length=None, max_part=None):
@@ -339,10 +308,6 @@ def tpoly_mul(a, b):
         for e2, c2 in b.items():
             bump(out, e1 + e2, c1 * c2)
     return out
-
-
-def tpoly_eval(a, t):
-    return sum(c * t ** e for e, c in a.items())
 
 
 def tpoly_pairs(a):

@@ -4,6 +4,125 @@ import random
 import pytest
 
 from crystal_lr import characters, shapes
+from crystal_lr.characters import _hl_p, lp_lift, lp_mul
+
+
+# Retired from src/ (the characters module now reads both from the tableau
+# crystal), kept as oracles: the bialternant ratio with exact division by
+# each x_i - x_j, and the branching expansion that peels lex-maximal terms.
+
+def _alternant(avec):
+    n = len(avec)
+    out = {}
+    for perm in itertools.permutations(range(n)):
+        exps = tuple(avec[perm[i]] for i in range(n))
+        shapes.bump(out, exps, shapes.inversion_sign(perm))
+    return out
+
+
+def _divide_linear(f, i, j):
+    """Exact division by (x_i - x_j); exponents must stay nonnegative."""
+    f = dict(f)
+    out = {}
+    while f:
+        e = max(f, key=lambda t: (t[i], t))
+        c = f[e]
+        if e[i] == 0:
+            raise ArithmeticError("division by x_%d - x_%d not exact" % (i, j))
+        q = list(e)
+        q[i] -= 1
+        q = tuple(q)
+        shapes.bump(out, q, c)
+        del f[e]
+        r = list(q)
+        r[j] += 1
+        shapes.bump(f, tuple(r), c)
+    return out
+
+
+def bialternant_schur(lam):
+    """Laurent Schur polynomial of a generalized partition, one variable per
+    entry: (x_1...x_n)^{-p} s_{lam+(p^n)} for any p making the shift a
+    partition."""
+    lam = tuple(lam)
+    n = len(lam)
+    if n == 0:
+        return {(): 1}
+    if not shapes.is_gen_partition(lam):
+        raise ValueError("not weakly decreasing: %r" % (lam,))
+    p = max(0, -lam[-1])
+    avec = tuple(lam[i] + p + (n - 1 - i) for i in range(n))
+    f = _alternant(avec)
+    for i in range(n):
+        for j in range(i + 1, n):
+            f = _divide_linear(f, i, j)
+    if p:
+        f = {tuple(x - p for x in e): c for e, c in f.items()}
+    return f
+
+
+def peel_split(lam, m, n):
+    """Expand s_lam(x_1..x_{m+n}) into s_mu(x_1..x_m) * s_nu(x_{m+1}..x_{m+n}).
+
+    Returns {(mu, nu): coeff} with mu, nu generalized partitions of lengths
+    m and n.  Peels the lexicographically maximal term; its exponent blocks
+    are always dominant, so elimination is triangular.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("both alphabets must be nonempty")
+    if len(lam) != m + n:
+        raise ValueError("lam must have length m+n")
+    f = dict(bialternant_schur(lam))
+    out = {}
+    while f:
+        e = max(f)
+        mu, nu = e[:m], e[m:]
+        assert shapes.is_gen_partition(mu) and shapes.is_gen_partition(nu)
+        c = f[e]
+        out[(mu, nu)] = c
+        prod = lp_mul(lp_lift(bialternant_schur(mu), m + n, 0),
+                      lp_lift(bialternant_schur(nu), m + n, m))
+        f = shapes.lin_add(f, prod, -c)
+    return out
+
+
+# Moved from src/, where only these tests used them.
+
+def lp_swap(a, i, j):
+    """Swap variables i and j."""
+    out = {}
+    for e, c in a.items():
+        f = list(e)
+        f[i], f[j] = f[j], f[i]
+        out[tuple(f)] = c
+    return out
+
+
+def is_symmetric(a):
+    if not a:
+        return True
+    n = len(next(iter(a)))
+    return all(lp_swap(a, i, i + 1) == a for i in range(n - 1))
+
+
+def hall_littlewood_P(mu, nvars, t=None):
+    """Hall-Littlewood P polynomial in nvars variables.
+
+    With t=None the coefficients are TPoly dicts; an integer t specializes
+    them (t=0 gives the Schur polynomial, t=1 the monomial one).
+    """
+    mu = shapes.normalize(mu)
+    if len(mu) > nvars:
+        raise ValueError("shape needs more than %d variables" % nvars)
+    raw = _hl_p(mu, nvars)
+    if t is None:
+        return {e: dict(tp) for e, tp in raw.items()}
+    out = {}
+    for e, tp in raw.items():
+        v = sum(c * t ** k for k, c in tp.items())
+        if v:
+            out[e] = v
+    return out
 
 
 def test_laurent_schur_basics():
@@ -32,7 +151,7 @@ def test_laurent_schur_symmetric():
         n = rng.randrange(2, 5)
         lam = tuple(sorted((rng.randrange(-2, 3) for _ in range(n)),
                            reverse=True))
-        assert characters.is_symmetric(characters.laurent_schur(lam))
+        assert is_symmetric(characters.laurent_schur(lam))
 
 
 def test_schur_product_matches_lr():
@@ -48,6 +167,12 @@ def test_schur_product_matches_lr():
             expect = shapes.lin_add(
                 expect, characters.laurent_schur(shapes._pad(lam, n)), c)
     assert prod == expect
+
+
+def test_laurent_schur_matches_bialternant():
+    for length in range(4):
+        for lam in shapes.gen_partitions_box(length, -2, 3):
+            assert characters.laurent_schur(lam) == bialternant_schur(lam), lam
 
 
 def test_branch_split_frozen():
@@ -73,18 +198,52 @@ def test_branch_split_matches_gen_lr():
                 assert sum(c for c in split.values()) >= 1
 
 
+def test_branch_split_matches_peel():
+    for total in (2, 3, 4):
+        for m in range(1, total):
+            for lam in shapes.gen_partitions_box(total, -2, 2):
+                assert characters.branch_split(lam, m, total - m) == \
+                    peel_split(lam, m, total - m), (lam, m)
+
+
+def test_branch_split_is_complete():
+    # dimension identity: the split accounts for every tableau of lam
+    def dim(gen, nvars):
+        q = max(0, -gen[-1])
+        return shapes.num_sst(tuple(x + q for x in gen), nvars)
+
+    for total in (2, 3, 4):
+        for m in range(1, total):
+            n = total - m
+            for lam in shapes.gen_partitions_box(total, -2, 2):
+                split = characters.branch_split(lam, m, n)
+                assert sum(c * dim(mu, m) * dim(nu, n)
+                           for (mu, nu), c in split.items()) == \
+                    dim(lam, total), (lam, m)
+
+
+def test_bad_input_is_a_value_error():
+    for lam in [(0, 1), (2, -1, 0)]:
+        with pytest.raises(ValueError):
+            characters.laurent_schur(lam)
+    for lam, m, n in [((1, 0), 0, 2), ((1, 0), 2, 0), ((1, 0, 0), 1, 1),
+                      ((0, 1), 1, 1)]:
+        with pytest.raises(ValueError):
+            characters.branch_split(lam, m, n)
+
+
 def test_hl_p_frozen():
-    assert characters.hall_littlewood_P((1, 1), 2) == {(1, 1): {0: 1}}
-    p2 = characters.hall_littlewood_P((2,), 2)
+    assert hall_littlewood_P((1, 1), 2) == {(1, 1): {0: 1}}
+    p2 = hall_littlewood_P((2,), 2)
     assert p2 == {(2, 0): {0: 1}, (0, 2): {0: 1}, (1, 1): {0: 1, 1: -1}}
 
 
 def test_hl_p_specializations():
     for mu in [(2,), (1, 1), (2, 1), (3, 1)]:
         nv = sum(mu)
-        assert characters.hall_littlewood_P(mu, nv, t=0) == \
+        assert hall_littlewood_P(mu, nv, t=0) == \
             characters.laurent_schur(shapes._pad(mu, nv))
-        mono = characters.hall_littlewood_P(mu, nv, t=1)
+        mono = hall_littlewood_P(mu, nv, t=1)
         expect = {}
         for perm in set(itertools.permutations(shapes._pad(mu, nv))):
             expect[perm] = 1
@@ -93,7 +252,7 @@ def test_hl_p_specializations():
 
 def test_hl_p_length_overflow():
     with pytest.raises(ValueError):
-        characters.hall_littlewood_P((1, 1, 1), 2)
+        hall_littlewood_P((1, 1, 1), 2)
 
 
 def test_schur_to_hl_matches_charge():

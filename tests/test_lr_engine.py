@@ -13,7 +13,7 @@ from crystal_lr.lr_engine import (ExtremalClass, MixedLevelError,
                                   class_product, decomposition_to_json,
                                   expr_decompose, extremal_lr,
                                   hw_past_level0, hw_product,
-                                  level0_canonical, level0_product,
+                                  level0_product,
                                   parse_tensor_expr, pieri_column,
                                   product_decomposition, verify_truncated)
 
@@ -420,6 +420,18 @@ def test_class_product_noncommutative():
     assert class_product(vac, dualcol, (-4, 4)) == {
         ExtremalClass((), (1,), (0,)): 1,
         ExtremalClass((), (), (-1,)): 1}
+
+
+# Moved from src/, where only this test used it.
+
+def level0_canonical(w):
+    """Dominant (mu, nu) with B(w) isomorphic to B_{mu,nu}, for w of level 0:
+    positive eps coefficients sorted decreasingly, then negated negatives."""
+    if w.level != 0:
+        raise ValueError("weight has nonzero level %d" % w.level)
+    pos = sorted((c for _, c in w.eps if c > 0), reverse=True)
+    neg = sorted((-c for _, c in w.eps if c < 0), reverse=True)
+    return tuple(pos), tuple(neg)
 
 
 def test_level0_canonical():

@@ -7,6 +7,46 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from crystal_lr import crystal, shapes
+from crystal_lr.shapes import (_pad, conjugate, contains,
+                               horizontal_strips_below, normalize,
+                               strips_above)
+
+
+# Moved from src/, where only these tests used them.
+
+def is_horizontal_strip(outer, inner):
+    """At most one cell per column: outer[i+1] <= inner[i]."""
+    outer, inner = normalize(outer), normalize(inner)
+    if not contains(outer, inner):
+        return False
+    inner = _pad(inner, len(outer))
+    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
+
+
+def is_vertical_strip(outer, inner):
+    """At most one cell per row."""
+    outer, inner = normalize(outer), normalize(inner)
+    if not contains(outer, inner):
+        return False
+    inner = _pad(inner, len(outer))
+    return all(outer[i] - inner[i] <= 1 for i in range(len(outer)))
+
+
+def horizontal_strips_above(mu, k):
+    """Partitions lam >= mu with lam/mu a horizontal strip of size k."""
+    return [normalize(lam) for lam in strips_above(normalize(mu) + (0,), k)]
+
+
+def vertical_strips_above(mu, k):
+    return [conjugate(lam) for lam in horizontal_strips_above(conjugate(mu), k)]
+
+
+def vertical_strips_below(mu, k):
+    return [conjugate(nu) for nu in horizontal_strips_below(conjugate(mu), k)]
+
+
+def tpoly_eval(a, t):
+    return sum(c * t ** e for e, c in a.items())
 
 
 def test_parse_format_partition():
@@ -47,24 +87,24 @@ def test_conjugate():
 
 
 def test_strips():
-    assert shapes.is_horizontal_strip((2,), (1,))
-    assert shapes.is_vertical_strip((2,), (1,))
-    assert not shapes.is_horizontal_strip((2, 2), (1,))
-    assert shapes.is_vertical_strip((2, 1), (1,))
-    assert shapes.is_horizontal_strip((2, 1), (1,))
-    assert not shapes.is_vertical_strip((3, 1), (1,))
-    assert shapes.is_horizontal_strip((3, 1), (1, 1))
+    assert is_horizontal_strip((2,), (1,))
+    assert is_vertical_strip((2,), (1,))
+    assert not is_horizontal_strip((2, 2), (1,))
+    assert is_vertical_strip((2, 1), (1,))
+    assert is_horizontal_strip((2, 1), (1,))
+    assert not is_vertical_strip((3, 1), (1,))
+    assert is_horizontal_strip((3, 1), (1, 1))
 
 
 def test_strip_enumeration():
-    assert set(shapes.horizontal_strips_above((2, 1), 2)) == {
+    assert set(horizontal_strips_above((2, 1), 2)) == {
         (4, 1), (3, 2), (3, 1, 1), (2, 2, 1)}
     assert set(shapes.horizontal_strips_below((2, 1), 1)) == {(1, 1), (2,)}
-    assert shapes.horizontal_strips_above((), 0) == [()]
-    for lam in shapes.horizontal_strips_above((3, 2), 3):
-        assert shapes.is_horizontal_strip(lam, (3, 2))
-    for nu in shapes.vertical_strips_below((2, 2, 1), 2):
-        assert shapes.is_vertical_strip((2, 2, 1), nu)
+    assert horizontal_strips_above((), 0) == [()]
+    for lam in horizontal_strips_above((3, 2), 3):
+        assert is_horizontal_strip(lam, (3, 2))
+    for nu in vertical_strips_below((2, 2, 1), 2):
+        assert is_vertical_strip((2, 2, 1), nu)
 
 
 def test_strip_enumeration_is_complete():
@@ -76,18 +116,18 @@ def test_strip_enumeration_is_complete():
                 above = list(shapes.partitions_of(n + k))
                 below = list(shapes.partitions_of(n - k)) if k <= n else []
                 cases = [
-                    (shapes.horizontal_strips_above,
+                    (horizontal_strips_above,
                      [lam for lam in above
-                      if shapes.is_horizontal_strip(lam, mu)]),
-                    (shapes.vertical_strips_above,
+                      if is_horizontal_strip(lam, mu)]),
+                    (vertical_strips_above,
                      [lam for lam in above
-                      if shapes.is_vertical_strip(lam, mu)]),
+                      if is_vertical_strip(lam, mu)]),
                     (shapes.horizontal_strips_below,
                      [nu for nu in below
-                      if shapes.is_horizontal_strip(mu, nu)]),
-                    (shapes.vertical_strips_below,
+                      if is_horizontal_strip(mu, nu)]),
+                    (vertical_strips_below,
                      [nu for nu in below
-                      if shapes.is_vertical_strip(mu, nu)]),
+                      if is_vertical_strip(mu, nu)]),
                 ]
                 for enumerate_strips, want in cases:
                     got = enumerate_strips(mu, k)
@@ -182,9 +222,9 @@ def test_lr_pieri_case():
         mu = shapes.normalize(tuple(sorted(
             (rng.randrange(4) for _ in range(3)), reverse=True)))
         k = rng.randrange(4)
-        for lam in shapes.horizontal_strips_above(mu, k):
+        for lam in horizontal_strips_above(mu, k):
             assert shapes.lr_coefficient(lam, mu, (k,) if k else ()) == 1
-        for lam in shapes.vertical_strips_above(mu, k):
+        for lam in vertical_strips_above(mu, k):
             col = (1,) * k
             assert shapes.lr_coefficient(lam, mu, col) == 1
 
@@ -364,8 +404,8 @@ def test_kostka_foulkes_gen_shift():
 
 def test_kostka_at_one_counts_sst():
     # K_{lam mu}(1) is the Kostka number
-    assert shapes.tpoly_eval(shapes.kostka_foulkes((3, 1), (2, 1, 1)), 1) == 2
-    assert shapes.tpoly_eval(shapes.kostka_foulkes((2, 2), (1, 1, 1, 1)), 1) == 2
+    assert tpoly_eval(shapes.kostka_foulkes((3, 1), (2, 1, 1)), 1) == 2
+    assert tpoly_eval(shapes.kostka_foulkes((2, 2), (1, 1, 1, 1)), 1) == 2
 
 
 _kostka_pairs = st.sampled_from([
@@ -382,11 +422,11 @@ def test_kostka_foulkes_specializations(pair):
     enumerator crystal.enumerate_sst by content."""
     lam, mu = pair
     kp = shapes.kostka_foulkes(lam, mu)
-    assert shapes.tpoly_eval(kp, 0) == (1 if lam == mu else 0)
+    assert tpoly_eval(kp, 0) == (1 if lam == mu else 0)
     content = {i + 1: m for i, m in enumerate(mu)}
     count = sum(1 for t in crystal.enumerate_sst(lam, 1, len(mu))
                 if Counter(x for col in t.cols for x in col) == content)
-    assert shapes.tpoly_eval(kp, 1) == count
+    assert tpoly_eval(kp, 1) == count
 
 
 def test_tpoly_ops():
