@@ -121,7 +121,8 @@ def schur_to_hl(lam, nvars):
     Returns {mu: TPoly}; the independent route to Kostka-Foulkes polynomials.
     """
     lam = shapes.normalize(lam)
-    f = {e: {0: c} for e, c in laurent_schur(shapes._pad(lam, nvars)).items()}
+    lam += (0,) * (nvars - len(lam))
+    f = {e: {0: c} for e, c in laurent_schur(lam).items()}
     out = {}
     while f:
         e = max(f)

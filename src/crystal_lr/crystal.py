@@ -6,7 +6,8 @@ color through the signature rule; a tensor product of word crystals is just
 word concatenation.  A tableau is stored as its columns, the form that its
 reading word and the binary-matrix embeddings read.
 
-Operator conventions (checked against the letter tables):
+Operator conventions (checked against the letter tables; _colors is the
+one place the code states them):
   (i, False): plus at color i, minus at color i-1; lowering sends i to i+1.
   (i, True):  plus at color i-1, minus at color i; lowering sends i to i-1.
 """
@@ -18,24 +19,12 @@ from . import shapes
 
 # ---------------------------------------------------------------- letters
 
-def _is_plus(let, k):
+def _colors(let):
+    """(plus color, minus color) of a letter.  Lowering at its plus color
+    sends it to the letter of its family that is minus there, moving its
+    index by plus - minus; raising moves it back."""
     i, dual = let
-    return i == k + 1 if dual else i == k
-
-
-def _is_minus(let, k):
-    i, dual = let
-    return i == k if dual else i == k + 1
-
-
-def _lowered(let):
-    i, dual = let
-    return (i - 1, True) if dual else (i + 1, False)
-
-
-def _raised(let):
-    i, dual = let
-    return (i + 1, True) if dual else (i - 1, False)
+    return (i - 1, i) if dual else (i, i - 1)
 
 
 # ---------------------------------------------------------------- weights
@@ -105,9 +94,10 @@ def _signature(word, k):
     plus = []
     minus = []
     for idx, let in enumerate(word):
-        if _is_plus(let, k):
+        p, m = _colors(let)
+        if p == k:
             plus.append(idx)
-        elif _is_minus(let, k):
+        elif m == k:
             if plus:
                 plus.pop()
             else:
@@ -123,22 +113,22 @@ def phi(word, k):
     return len(_signature(word, k)[1])
 
 
+def _move(word, idx, step):
+    """The word with its letter at idx moved by step times plus - minus."""
+    (i, dual), (p, m) = word[idx], _colors(word[idx])
+    return word[:idx] + ((i + step * (p - m), dual),) + word[idx + 1:]
+
+
 def lower_word(word, k):
     """Apply the lowering operator at color k, or None."""
     minus, plus = _signature(word, k)
-    if not plus:
-        return None
-    idx = plus[0]
-    return word[:idx] + (_lowered(word[idx]),) + word[idx + 1:]
+    return _move(word, plus[0], 1) if plus else None
 
 
 def raise_word(word, k):
     """Apply the raising operator at color k, or None."""
     minus, plus = _signature(word, k)
-    if not minus:
-        return None
-    idx = minus[-1]
-    return word[:idx] + (_raised(word[idx]),) + word[idx + 1:]
+    return _move(word, minus[-1], -1) if minus else None
 
 
 def weight(word):
@@ -206,11 +196,12 @@ def enumerate_sst(lam, lo, hi, dual=False, phi=None):
 
     # slot c + 1 - lo holds color c, so the letters' colors lo-1 and hi get
     # slots 0 and n; those two, and every color when phi is None, get a cap
-    # no word of sum(lam) letters reaches
+    # no word of sum(lam) letters reaches.  A letter's colors move with its
+    # index, so letter i has the slots of the colors of letter i + 1 - lo.
     free = sum(lam) + 1
     cap = (free,) * (n + 1) if phi is None else (free,) + tuple(phi) + (free,)
-    slots = [(i - lo, i - lo + 1) if dual else (i - lo + 1, i - lo)
-             for i in letter]
+    p, m = _colors((1 - lo, dual))
+    slots = [(p + i, m + i) for i in letter]
     plus = [0] * (n + 1)
     minus = [0] * (n + 1)
 

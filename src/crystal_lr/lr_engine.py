@@ -97,18 +97,8 @@ def _skew_multiplicities(outer, inner, max_len):
 
 def _subpartitions(mu):
     """All partitions contained in mu."""
-    out = [()]
-    stack = [((), 0)]
-    while stack:
-        prefix, i = stack.pop()
-        if i == len(mu):
-            continue
-        hi = mu[i] if not prefix else min(mu[i], prefix[-1])
-        for v in range(1, hi + 1):
-            ext = prefix + (v,)
-            out.append(ext)
-            stack.append((ext, i + 1))
-    return out
+    return [normalize(x) for x in
+            shapes.decreasing_tuples((0,) * len(mu), mu)]
 
 
 # ---------------------------------------------------------------- products

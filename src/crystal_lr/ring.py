@@ -19,8 +19,8 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .shapes import (_sst_fillings, bump, conjugate, inversion_sign, lin_add,
-                     normalize, partitions_of)
+from .shapes import (bump, bump_poly, conjugate, inversion_sign, lin_add,
+                     normalize, partitions_of, sst_fillings)
 
 
 # ---------------------------------------------------------------- RElem
@@ -63,23 +63,27 @@ def z_skew_schur(lam, mu):
     return out
 
 
-def expand_in_z_schur(f, n, cap=10000):
+_Z_SCHUR_CAP = 10000
+
+
+def expand_in_z_schur(f, n):
     """Write a homogeneous element as a finite z-Schur combination by
     eliminating the lexicographically smallest monomial; every other
     monomial of a z-Schur element dominates its label, so each step is
     forced.  Monomials like z_1 z_0 expand to infinitely many z-Schur
-    terms; the cap turns that into an error."""
+    terms; a cap on the steps turns that into an error."""
     r_degree(f, n)
     work = f
     out = {}
-    for _ in range(cap):
+    for _ in range(_Z_SCHUR_CAP):
         if not work:
             return out
         mu = min(work)
         c = work[mu]
         out[mu] = c
         work = lin_add(work, z_schur(mu), -c)
-    raise ValueError("not a finite z-Schur combination within cap=%d" % cap)
+    raise ValueError("not a finite z-Schur combination within cap=%d"
+                     % _Z_SCHUR_CAP)
 
 
 # ---------------------------------------------------------------- DElem
@@ -89,21 +93,15 @@ def d_one():
 
 
 def _s_times(sign, n, d):
-    """Left-multiply by the symbol s^sign_n, normal ordering as it goes:
-    s z_k = z_k s + (-1)^(n-1) z_{k -+ n}."""
-    eps = 1 if n % 2 else -1
-    shift = -n if sign > 0 else n
-    out = {}
-    for (z, sp, sm), c in d.items():
-        if sign > 0:
-            key = (z, tuple(sorted(sp + (n,))), sm)
-        else:
-            key = (z, sp, tuple(sorted(sm + (n,))))
-        bump(out, key, c)
-        for i in range(len(z)):
-            zz = tuple(sorted(z[:i] + (z[i] + shift,) + z[i + 1:],
-                              reverse=True))
-            bump(out, (zz, sp, sm), c * eps)
+    """Left-multiply by s^sign_n: s f = f s + gamma^sign_n(f) for the z-part
+    f of each (s^+, s^-) pair, the keys of d.  Adding n keeps distinct pairs
+    distinct, so only the gamma terms can meet keys already there."""
+    if sign > 0:
+        out = {(tuple(sorted(sp + (n,))), sm): f for (sp, sm), f in d.items()}
+    else:
+        out = {(sp, tuple(sorted(sm + (n,)))): f for (sp, sm), f in d.items()}
+    for key, f in d.items():
+        bump_poly(out, key, p_action(sign, n, f))
     return out
 
 
@@ -111,14 +109,15 @@ def d_multiply(a, b):
     out = {}
     for (z1, sp1, sm1), c1 in a.items():
         for (z2, sp2, sm2), c2 in b.items():
-            carrier = {(z2, sp2, sm2): c1 * c2}
+            carrier = {(sp2, sm2): {z2: c1 * c2}}
             for n in sm1:
                 carrier = _s_times(-1, n, carrier)
             for n in sp1:
                 carrier = _s_times(+1, n, carrier)
-            for (z, sp, sm), c in carrier.items():
-                key = (tuple(sorted(z1 + z, reverse=True)), sp, sm)
-                bump(out, key, c)
+            for (sp, sm), f in carrier.items():
+                for z, c in f.items():
+                    key = (tuple(sorted(z1 + z, reverse=True)), sp, sm)
+                    bump(out, key, c)
     return out
 
 
@@ -217,7 +216,7 @@ def s_operator(sign, mu):
                 content = tuple(sorted(a))
                 if content not in kostka:
                     kostka[content] = sum(
-                        1 for _ in _sst_fillings(cols, content))
+                        1 for _ in sst_fillings(cols, content))
                 if kostka[content]:
                     rows.append((tuple(sign * x for x in a),
                                  kostka[content]))

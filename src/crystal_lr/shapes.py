@@ -14,6 +14,12 @@ ring, truncated elements {monomial: TPoly} in hall_littlewood and
 key maps to 0 (or to an empty TPoly), so two combinations are equal exactly
 when their dicts are.  bump, lin_add and bump_poly below are the one
 arithmetic kernel that keeps this invariant.
+
+Boxes of generalized partitions, horizontal strips and subpartitions are all
+weakly decreasing tuples between per-entry bounds, sometimes of fixed sum;
+decreasing_tuples is the one enumerator of them.  partitions_of stays
+apart: it yields reverse lexicographic order, which seeded samples and the
+verify grids read, and a lexicographic walker would need a direction flag.
 """
 
 from functools import cache
@@ -91,26 +97,48 @@ def _pad(mu, n):
     return tuple(mu) + (0,) * (n - len(mu))
 
 
+def decreasing_tuples(lows, highs, total=None):
+    """Weakly decreasing integer tuples x with lows[i] <= x[i] <= highs[i],
+    in lexicographic order.  With a total, only those of that sum, and each
+    entry loops only over the values from which the entries after it can
+    still reach it: none exceeds x[i], and they take at least their lows."""
+    n = len(lows)
+    if n == 0:
+        if total in (None, 0):
+            yield ()
+        return
+    x = [0] * n
+    stack = []  # stack[j] iterates the values of x[j] not yet tried
+    i = 0
+    while True:
+        # the values of x[i] under the prefix x[:i]
+        lo, hi = lows[i], min(highs[i], x[i - 1]) if i else highs[0]
+        if total is not None:
+            left = total - sum(x[:i])
+            lo = max(lo, -(-left // (n - i)))
+            hi = min(hi, left - sum(lows[i + 1:]))
+        if i < n - 1:
+            stack.append(iter(range(lo, hi + 1)))
+        else:
+            for x[i] in range(lo, hi + 1):
+                yield tuple(x)
+        # step the deepest entry that has a value left
+        while stack:
+            v = next(stack[-1], None)
+            if v is not None:
+                break
+            stack.pop()
+        else:
+            return
+        i = len(stack)
+        x[i - 1] = v
+
+
 def strips_above(lam, size):
     """mu in Z^n weakly decreasing such that mu/lam is a horizontal strip of
     the given size after subtracting the common baseline lam_n."""
-    n = len(lam)
-    if n == 0:
-        return [()] if size == 0 else []
-    out = []
-
-    def rec(i, prefix, left):
-        if i == n:
-            if left == 0:
-                out.append(tuple(prefix))
-            return
-        base = lam[i]
-        cap = (lam[i - 1] if i else lam[0] + left) - base
-        for add in range(min(cap, left) + 1):
-            rec(i + 1, prefix + [base + add], left - add)
-
-    rec(0, [], size)
-    return out
+    highs = (lam[0] + size,) + tuple(lam[:-1]) if lam else ()
+    return list(decreasing_tuples(lam, highs, sum(lam) + size))
 
 
 def strips_below(lam, size):
@@ -122,9 +150,11 @@ def strips_below(lam, size):
 
 
 def horizontal_strips_below(mu, k):
-    """Partitions nu <= mu with mu/nu a horizontal strip of size k."""
-    return [normalize(nu) for nu in strips_below(normalize(mu), k)
-            if not nu or nu[-1] >= 0]
+    """Partitions nu <= mu with mu/nu a horizontal strip of size k: the
+    tuples interlacing mu, mu_(i+1) <= nu_i <= mu_i."""
+    mu = normalize(mu)
+    return [normalize(nu) for nu in
+            decreasing_tuples((mu + (0,))[1:], mu, sum(mu) - k)]
 
 
 def partitions_of(n, max_length=None, max_part=None):
@@ -145,28 +175,8 @@ def partitions_of(n, max_length=None, max_part=None):
 
 def gen_partitions_box(length, lo, hi, total=None):
     """Weakly decreasing integer tuples with entries in [lo, hi], optionally
-    of fixed sum."""
-    if length == 0:
-        if total in (None, 0):
-            yield ()
-        return
-
-    def rec(i, prefix, acc):
-        if i == length:
-            if total is None or acc == total:
-                yield tuple(prefix)
-            return
-        cap = hi if not prefix else min(hi, prefix[-1])
-        first = lo
-        if total is not None:
-            # v and the r entries after it, each in [lo, v], must reach total
-            r = length - i - 1
-            first = max(lo, -((acc - total) // (r + 1)))
-            cap = min(cap, total - acc - r * lo)
-        for v in range(first, cap + 1):
-            yield from rec(i + 1, prefix + [v], acc + v)
-
-    yield from rec(0, [], 0)
+    of fixed sum, in lexicographic order."""
+    return decreasing_tuples((lo,) * length, (hi,) * length, total)
 
 
 def mu_star(mu, n):
@@ -291,8 +301,9 @@ def lin_add(a, b, c=1):
 
 
 def bump_poly(d, key, tp, c=1):
-    """d[key] += c*tp in place for TPoly-valued dicts, deleting the key when
-    its TPoly vanishes.  The stored TPoly is replaced, never mutated."""
+    """d[key] += c*tp in place for dicts of combinations (TPolys, z-parts),
+    deleting the key when its value vanishes.  The stored value is
+    replaced, never mutated."""
     tp = lin_add(d.get(key, {}), tp, c)
     if tp:
         d[key] = tp
@@ -356,7 +367,7 @@ def charge(word):
     return total
 
 
-def _sst_fillings(lam, content):
+def sst_fillings(lam, content):
     """Yield row fillings of shape lam with the given letter multiplicities."""
     lam = normalize(lam)
     m = len(content)
@@ -409,7 +420,7 @@ def kostka_foulkes(lam, mu):
     if sum(lam) != sum(mu):
         raise ValueError("degree mismatch: |%r| != |%r|" % (lam, mu))
     out = {}
-    for filling in _sst_fillings(lam, mu):
+    for filling in sst_fillings(lam, mu):
         word = []
         for row in reversed(filling):
             word.extend(row)

@@ -194,6 +194,31 @@ def test_hw_past_level0_duality():
         assert m1 == m2
 
 
+def stack_subpartitions(mu):
+    """The _subpartitions that walked its own stack, kept verbatim as the
+    oracle for the walker under mu."""
+    out = [()]
+    stack = [((), 0)]
+    while stack:
+        prefix, i = stack.pop()
+        if i == len(mu):
+            continue
+        hi = mu[i] if not prefix else min(mu[i], prefix[-1])
+        for v in range(1, hi + 1):
+            ext = prefix + (v,)
+            out.append(ext)
+            stack.append((ext, i + 1))
+    return out
+
+
+def test_subpartitions_match_stack_oracle():
+    for n in range(7):
+        for mu in shapes.partitions_of(n):
+            got = _subpartitions(mu)
+            assert len(set(got)) == len(got), mu
+            assert set(got) == set(stack_subpartitions(mu)), mu
+
+
 def two_leg_hw_past_level0(lam, mu, nu):
     """The hw_past_level0 that wrote the nu leg out by hand, kept verbatim as
     the oracle for the one-sided pass and its star mirror."""

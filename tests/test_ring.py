@@ -11,8 +11,8 @@ from crystal_lr.ring import (_z_rho, annihilator_relations, apply_delem,
                              expand_in_z_schur, h_delem, h_operator, omega,
                              p_action, r_monomial, r_mul, s_operator, z_schur,
                              z_skew_schur)
-from crystal_lr.shapes import (conjugate, gen_lr_coefficient, lin_add,
-                               mu_star, normalize, partitions_of)
+from crystal_lr.shapes import (bump, conjugate, gen_lr_coefficient,
+                               lin_add, mu_star, normalize, partitions_of)
 
 
 # ------------------------------------------------ power-sum oracle
@@ -113,7 +113,8 @@ def test_expand_roundtrip():
     assert expand_in_z_schur(f, 2) == {(0, 0): 1, (1, -1): 1}
     with pytest.raises(ValueError):
         expand_in_z_schur({(1,): 1, (2, 0): 1}, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a finite z-Schur "
+                       r"combination within cap=10000$"):
         expand_in_z_schur(r_monomial((1, 0)), 2)
 
 
@@ -176,6 +177,47 @@ def test_d_multiply_associative():
         a, b, c = (_random_delem(rng) for _ in range(3))
         assert d_multiply(d_multiply(a, b), c) == \
             d_multiply(a, d_multiply(b, c))
+
+
+def flat_s_times(sign, n, d):
+    """The _s_times that wrote the derivation out on flat DElem keys, kept
+    verbatim as the oracle for the one that reads p_action."""
+    eps = 1 if n % 2 else -1
+    shift = -n if sign > 0 else n
+    out = {}
+    for (z, sp, sm), c in d.items():
+        if sign > 0:
+            key = (z, tuple(sorted(sp + (n,))), sm)
+        else:
+            key = (z, sp, tuple(sorted(sm + (n,))))
+        bump(out, key, c)
+        for i in range(len(z)):
+            zz = tuple(sorted(z[:i] + (z[i] + shift,) + z[i + 1:],
+                              reverse=True))
+            bump(out, (zz, sp, sm), c * eps)
+    return out
+
+
+def flat_d_multiply(a, b):
+    out = {}
+    for (z1, sp1, sm1), c1 in a.items():
+        for (z2, sp2, sm2), c2 in b.items():
+            carrier = {(z2, sp2, sm2): c1 * c2}
+            for n in sm1:
+                carrier = flat_s_times(-1, n, carrier)
+            for n in sp1:
+                carrier = flat_s_times(+1, n, carrier)
+            for (z, sp, sm), c in carrier.items():
+                key = (tuple(sorted(z1 + z, reverse=True)), sp, sm)
+                bump(out, key, c)
+    return out
+
+
+def test_d_multiply_matches_flat_oracle():
+    rng = random.Random(23)
+    for _ in range(200):
+        a, b = _random_delem(rng), _random_delem(rng)
+        assert d_multiply(a, b) == flat_d_multiply(a, b), (a, b)
 
 
 def test_p_action_frozen():

@@ -199,6 +199,116 @@ def test_gen_partitions_box_matches_grid(length):
             assert not list(shapes.gen_partitions_box(length, lo, hi, total))
 
 
+def recursive_gen_partitions_box(length, lo, hi, total=None):
+    """The gen_partitions_box that recursed on its own, kept verbatim as the
+    oracle for the walker's uniform box."""
+    if length == 0:
+        if total in (None, 0):
+            yield ()
+        return
+
+    def rec(i, prefix, acc):
+        if i == length:
+            if total is None or acc == total:
+                yield tuple(prefix)
+            return
+        cap = hi if not prefix else min(hi, prefix[-1])
+        first = lo
+        if total is not None:
+            # v and the r entries after it, each in [lo, v], must reach total
+            r = length - i - 1
+            first = max(lo, -((acc - total) // (r + 1)))
+            cap = min(cap, total - acc - r * lo)
+        for v in range(first, cap + 1):
+            yield from rec(i + 1, prefix + [v], acc + v)
+
+    yield from rec(0, [], 0)
+
+
+def recursive_strips_above(lam, size):
+    """The strips_above that recursed on its own, kept verbatim as the
+    oracle for the walker over the strip bounds."""
+    n = len(lam)
+    if n == 0:
+        return [()] if size == 0 else []
+    out = []
+
+    def rec(i, prefix, left):
+        if i == n:
+            if left == 0:
+                out.append(tuple(prefix))
+            return
+        base = lam[i]
+        cap = (lam[i - 1] if i else lam[0] + left) - base
+        for add in range(min(cap, left) + 1):
+            rec(i + 1, prefix + [base + add], left - add)
+
+    rec(0, [], size)
+    return out
+
+
+def filtered_horizontal_strips_below(mu, k):
+    """The horizontal_strips_below that filtered the strips below mu by sign,
+    kept as the oracle for the walker over interlacing bounds.  It read the
+    star of strips_above, which the walker now backs, so the recursive
+    direct_strips_below stands in for it here."""
+    return [normalize(nu) for nu in direct_strips_below(normalize(mu), k)
+            if not nu or nu[-1] >= 0]
+
+
+@st.composite
+def _bounded_tuples(draw):
+    n = draw(st.integers(0, 4))
+    bounds = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple)
+    total = draw(st.none() | st.integers(-3 * n - 1, 3 * n + 1))
+    return draw(bounds), draw(bounds), total
+
+
+@given(_bounded_tuples())
+@example(((0, 0, 0), (2, 2, 2), 3))
+@example(((), (), None))
+@example(((), (), 1))
+def test_decreasing_tuples_is_the_filtered_product(case):
+    lows, highs, total = case
+    want = [x for x in itertools.product(
+                *(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+            if all(x[i] >= x[i + 1] for i in range(len(x) - 1))
+            and (total is None or sum(x) == total)]
+    assert list(shapes.decreasing_tuples(lows, highs, total)) == want
+
+
+def test_gen_partitions_box_matches_recursive_oracle():
+    cases = 0
+    for length in range(4):
+        for lo in range(-3, 2):
+            for hi in range(lo - 1, 3):
+                for total in [None] + list(range(-6, 7)):
+                    got = list(shapes.gen_partitions_box(length, lo, hi,
+                                                         total))
+                    assert got == list(recursive_gen_partitions_box(
+                        length, lo, hi, total)), (length, lo, hi, total)
+                    cases += 1
+    assert cases == 1400
+
+
+def test_strips_above_matches_recursive_oracle():
+    for n in range(5):
+        for lam in shapes.gen_partitions_box(n, -4, 4):
+            for size in range(7):
+                assert strips_above(lam, size) == \
+                    recursive_strips_above(lam, size), (lam, size)
+
+
+def test_horizontal_strips_below_matches_filtered_oracle():
+    for n in range(9):
+        for mu in shapes.partitions_of(n):
+            for k in range(n + 3):
+                got = horizontal_strips_below(mu, k)
+                assert len(set(got)) == len(got), (mu, k)
+                want = filtered_horizontal_strips_below(mu, k)
+                assert set(got) == set(want), (mu, k)
+
+
 def test_mu_star():
     assert shapes.mu_star((2, 1), 3) == (0, -1, -2)
     assert shapes.mu_star((), 2) == (0, 0)

@@ -3,7 +3,8 @@
 A top-level public name of crystal_lr that nothing the CLI runs refers to
 belongs in the tests, unless a stated reason keeps it in src/.  This
 guard keeps those reasons in one explicit list, so that every new
-exception shows up in review.
+exception shows up in review.  A second guard keeps private names
+private: no module of crystal_lr takes a `_name` from another one.
 """
 
 import ast
@@ -97,3 +98,25 @@ def test_only_allowed_names_are_unreferenced():
         "unreferenced but not allowed: %s; allowed but referenced: %s"
         % (sorted(found - ALLOWED), sorted(ALLOWED - found)))
 
+
+
+def foreign_private_references():
+    """`_name`s that a module of crystal_lr takes from another one, through
+    `from .mod import _name` or `mod._name` on a `from . import mod` alias."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules, names = _imports(tree)
+        used = set(names.values())
+        used |= {(modules[sub.value.id], sub.attr) for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Attribute)
+                 and isinstance(sub.value, ast.Name)
+                 and sub.value.id in modules}
+        found |= {"%s uses %s.%s" % (path.stem, mod, name)
+                  for mod, name in used
+                  if name.startswith("_") and not name.startswith("__")}
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    assert foreign_private_references() == set()
