@@ -64,16 +64,19 @@ def decomposition_to_json(dec):
 
 # ---------------------------------------------------------------- LR sums
 
-def _lr_expand(mu, nu):
-    """Classical product expansion s_mu s_nu = {lam: c}."""
+def _lr_expand(mu, nu, max_len=None):
+    """Classical product expansion s_mu s_nu = {lam: c}; with max_len (no
+    less than len(mu), len(nu)) the GL_max_len rule, l(lam) <= max_len."""
     mu, nu = normalize(mu), normalize(nu)
     if not mu:
         return {nu: 1}
     if not nu:
         return {mu: 1}
+    cap = len(mu) + len(nu)
+    if max_len is not None:
+        cap = min(cap, max_len)
     out = {}
-    for lam in shapes.partitions_of(sum(mu) + sum(nu),
-                                    max_length=len(mu) + len(nu),
+    for lam in shapes.partitions_of(sum(mu) + sum(nu), max_length=cap,
                                     max_part=mu[0] + nu[0]):
         c = lr_coefficient(lam, mu, nu)
         if c:
@@ -81,24 +84,22 @@ def _lr_expand(mu, nu):
     return out
 
 
-def _skew_multiplicities(outer, inner, max_len):
-    """{alpha: c^outer_{inner, alpha}} with length of alpha at most max_len."""
-    if not shapes.contains(outer, inner) or max_len < 0:
-        return {}
-    size = sum(outer) - sum(inner)
+def _coproduct(mu, max_len):
+    """{(sigma, alpha): c^{mu'}_{sigma' alpha}} over the partitions sigma
+    inside mu and alpha of length at most max_len."""
+    mu_c = conjugate(mu)
     out = {}
-    for alpha in shapes.partitions_of(size, max_length=max_len,
-                                      max_part=outer[0] if outer else 0):
-        c = lr_coefficient(outer, inner, alpha)
-        if c:
-            out[alpha] = c
+    for sigma in shapes.decreasing_tuples((0,) * len(mu), mu):
+        sigma = normalize(sigma)
+        sigma_c = conjugate(sigma)
+        # the width bound l(alpha) <= mu_1 is forced by the coefficient
+        for alpha in shapes.partitions_of(sum(mu) - sum(sigma),
+                                          max_length=max_len,
+                                          max_part=len(mu)):
+            c = lr_coefficient(mu_c, sigma_c, alpha)
+            if c:
+                out[sigma, alpha] = c
     return out
-
-
-def _subpartitions(mu):
-    """All partitions contained in mu."""
-    return [normalize(x) for x in
-            shapes.decreasing_tuples((0,) * len(mu), mu)]
 
 
 # ---------------------------------------------------------------- products
@@ -155,26 +156,21 @@ def pieri_column(lam, a, dual=False):
     return out
 
 
-def _past_mu(lam, mu):
+def _past_leg(lam, coproduct):
     """{(sigma, eta): mult} with B(Lambda_lam) (x) B_{mu,()} the sum of
-    mult B_{sigma,()} (x) B(Lambda_eta): mult sums c^{mu'}_{sigma' alpha}
-    c^lam_{eta alpha*} over alpha, and a nonzero c^lam_{eta alpha*} forces
-    lam_n <= eta_i <= lam_1 + alpha_1."""
+    mult B_{sigma,()} (x) B(Lambda_eta), for coproduct = _coproduct(mu, m)
+    and m = len(lam): mult sums c^{mu'}_{sigma' alpha} c^lam_{eta alpha*}
+    over alpha.  On GL_m, c^lam_{eta alpha*} is the multiplicity of eta in
+    lam (x) alpha, i.e. c^{eta+q}_{lam+q, alpha} after the shift q = -lam_m
+    that makes lam a partition, with eta+q of length at most m."""
     m = len(lam)
-    lo, hi = (lam[-1], lam[0]) if lam else (0, 0)
+    q = -lam[-1] if lam else 0
+    base = tuple(x + q for x in lam)
     out = {}
-    for sigma in _subpartitions(mu):
-        # strips longer than the hw cannot embed; the width bound
-        # l(alpha) <= mu_1 is already forced by the skew coefficient
-        for alpha, c1 in _skew_multiplicities(conjugate(mu), conjugate(sigma),
-                                              m).items():
-            star = shapes.mu_star(alpha, m)
-            top = hi + (alpha[0] if alpha else 0)
-            for eta in gen_partitions_box(m, lo, top,
-                                          total=sum(lam) + sum(alpha)):
-                c3 = gen_lr_coefficient(lam, eta, star)
-                if c3:
-                    bump(out, (sigma, eta), c1 * c3)
+    for (sigma, alpha), c1 in coproduct.items():
+        for kappa, c3 in _lr_expand(base, alpha, m).items():
+            eta = tuple(x - q for x in kappa + (0,) * (m - len(kappa)))
+            bump(out, (sigma, eta), c1 * c3)
     return out
 
 
@@ -185,15 +181,18 @@ def hw_past_level0(lam, mu, nu):
     B_{mu,nu} is the one class B_{mu,()} (x) B_{(),nu}.  The mu leg gives
     B_{sigma,()} (x) B(Lambda_eta).  The nu leg is its mirror under the star
     duality (mu <-> nu, hw -> -w0 hw): the mu leg on (eta*, nu), starred.
+    Its coproduct does not depend on eta, so it is taken once.
     """
     lam = tuple(lam)
     if not shapes.is_gen_partition(lam):
         raise ValueError("lam must be weakly decreasing")
     mu, nu = normalize(mu), normalize(nu)
     m = len(lam)
+    nu_coproduct = _coproduct(nu, m)
     out = {}
-    for (sigma, eta), a in _past_mu(lam, mu).items():
-        for (tau, zeta), b in _past_mu(shapes.mu_star(eta, m), nu).items():
+    for (sigma, eta), a in _past_leg(lam, _coproduct(mu, m)).items():
+        for (tau, zeta), b in _past_leg(shapes.mu_star(eta, m),
+                                        nu_coproduct).items():
             bump(out, (sigma, tau, shapes.mu_star(zeta, m)), a * b)
     return {ExtremalClass(s, t, r or None): c
             for (s, t, r), c in out.items()}

@@ -97,32 +97,26 @@ def _matrix_signature(A, k):
     return minus, plus
 
 
-def matrix_lower(A, k):
-    """Lowering operator at column color k: acts on the left-most good +."""
-    minus, plus = _matrix_signature(A, k)
-    if not plus:
-        return None
-    r = plus[0]
+def _column_move(A, r, k, up):
+    """A with the 1 of row offset r moved between columns k and k+1."""
     j = k - A.col_lo
     rows = list(A.entries)
     row = list(rows[r])
-    row[j], row[j + 1] = 0, 1
+    row[j], row[j + 1] = (1, 0) if up else (0, 1)
     rows[r] = tuple(row)
     return BinaryMatrix._of_rows(A.row_lo, A.col_lo, tuple(rows))
+
+
+def matrix_lower(A, k):
+    """Lowering operator at column color k: acts on the left-most good +."""
+    minus, plus = _matrix_signature(A, k)
+    return _column_move(A, plus[0], k, False) if plus else None
 
 
 def matrix_raise(A, k):
     """Raising operator at column color k: acts on the right-most good -."""
     minus, plus = _matrix_signature(A, k)
-    if not minus:
-        return None
-    r = minus[-1]
-    j = k - A.col_lo
-    rows = list(A.entries)
-    row = list(rows[r])
-    row[j], row[j + 1] = 1, 0
-    rows[r] = tuple(row)
-    return BinaryMatrix._of_rows(A.row_lo, A.col_lo, tuple(rows))
+    return _column_move(A, minus[-1], k, True) if minus else None
 
 
 # ---------------------------------------------------------------- transpose

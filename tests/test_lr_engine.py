@@ -7,11 +7,11 @@ from hypothesis import example, given, strategies as st
 from crystal_lr import characters, cli, shapes
 from crystal_lr.crystal import Weight
 from crystal_lr.shapes import (bump, conjugate, gen_lr_coefficient,
-                               gen_partitions_box, normalize)
+                               gen_partitions_box, lr_coefficient, normalize)
 from crystal_lr.lr_engine import (ExtremalClass, MixedLevelError,
-                                  _skew_multiplicities, _subpartitions,
-                                  class_product, decomposition_to_json,
-                                  expr_decompose, extremal_lr,
+                                  _coproduct, class_product,
+                                  decomposition_to_json, expr_decompose,
+                                  extremal_lr,
                                   hw_past_level0, hw_product,
                                   level0_product,
                                   parse_tensor_expr, pieri_column,
@@ -194,9 +194,36 @@ def test_hw_past_level0_duality():
         assert m1 == m2
 
 
+def test_equal_length_lr_is_the_gl_tensor_rule():
+    # c^lam_{eta alpha*} is the multiplicity of eta in lam (x) alpha on
+    # GL_m: c^{eta+q}_{lam+q, alpha} after the shift q = -lam_m, and 0 when
+    # eta+q is not a partition
+    alphas = [a for n in range(4) for a in shapes.partitions_of(n)]
+    nonzero = 0
+    for m in range(1, 4):
+        gens = list(gen_partitions_box(m, -2, 3))
+        for lam in gens:
+            q = -lam[-1]
+            for alpha in alphas:
+                if len(alpha) > m:
+                    continue
+                star = shapes.mu_star(alpha, m)
+                for eta in gens:
+                    c = gen_lr_coefficient(lam, eta, star)
+                    shifted = tuple(x + q for x in eta)
+                    if shifted[-1] < 0:
+                        assert c == 0, (lam, eta, alpha)
+                    else:
+                        assert c == lr_coefficient(
+                            shifted, tuple(x + q for x in lam), alpha), (
+                                lam, eta, alpha)
+                    nonzero += bool(c)
+    assert nonzero > 700
+
+
 def stack_subpartitions(mu):
-    """The _subpartitions that walked its own stack, kept verbatim as the
-    oracle for the walker under mu."""
+    """The subpartitions enumerator that walked its own stack, kept verbatim
+    as the oracle for the sigma range of _coproduct."""
     out = [()]
     stack = [((), 0)]
     while stack:
@@ -212,11 +239,78 @@ def stack_subpartitions(mu):
 
 
 def test_subpartitions_match_stack_oracle():
+    # with room for every strip, each sigma inside mu has a coproduct term
     for n in range(7):
         for mu in shapes.partitions_of(n):
-            got = _subpartitions(mu)
-            assert len(set(got)) == len(got), mu
-            assert set(got) == set(stack_subpartitions(mu)), mu
+            got = {sigma for sigma, _ in _coproduct(mu, n)}
+            assert got == set(stack_subpartitions(mu)), mu
+
+
+# The route through a box of eta candidates, retired from src/ and kept
+# verbatim as the oracle for the coproduct and GL_m tensor rule.
+
+def skew_multiplicities(outer, inner, max_len):
+    """{alpha: c^outer_{inner, alpha}} with length of alpha at most max_len."""
+    if not shapes.contains(outer, inner) or max_len < 0:
+        return {}
+    size = sum(outer) - sum(inner)
+    out = {}
+    for alpha in shapes.partitions_of(size, max_length=max_len,
+                                      max_part=outer[0] if outer else 0):
+        c = lr_coefficient(outer, inner, alpha)
+        if c:
+            out[alpha] = c
+    return out
+
+
+def subpartitions(mu):
+    """All partitions contained in mu."""
+    return [normalize(x) for x in
+            shapes.decreasing_tuples((0,) * len(mu), mu)]
+
+
+def past_mu(lam, mu):
+    """{(sigma, eta): mult} with B(Lambda_lam) (x) B_{mu,()} the sum of
+    mult B_{sigma,()} (x) B(Lambda_eta): mult sums c^{mu'}_{sigma' alpha}
+    c^lam_{eta alpha*} over alpha, and a nonzero c^lam_{eta alpha*} forces
+    lam_n <= eta_i <= lam_1 + alpha_1."""
+    m = len(lam)
+    lo, hi = (lam[-1], lam[0]) if lam else (0, 0)
+    out = {}
+    for sigma in subpartitions(mu):
+        # strips longer than the hw cannot embed; the width bound
+        # l(alpha) <= mu_1 is already forced by the skew coefficient
+        for alpha, c1 in skew_multiplicities(conjugate(mu), conjugate(sigma),
+                                             m).items():
+            star = shapes.mu_star(alpha, m)
+            top = hi + (alpha[0] if alpha else 0)
+            for eta in gen_partitions_box(m, lo, top,
+                                          total=sum(lam) + sum(alpha)):
+                c3 = gen_lr_coefficient(lam, eta, star)
+                if c3:
+                    bump(out, (sigma, eta), c1 * c3)
+    return out
+
+
+def past_mu_hw_past_level0(lam, mu, nu):
+    """B(Lambda_lam) (x) B_{mu,nu} = sum of B_{sigma,tau} (x) B(Lambda_rho)
+    with the quadruple-LR multiplicity; always finite.
+
+    B_{mu,nu} is the one class B_{mu,()} (x) B_{(),nu}.  The mu leg gives
+    B_{sigma,()} (x) B(Lambda_eta).  The nu leg is its mirror under the star
+    duality (mu <-> nu, hw -> -w0 hw): the mu leg on (eta*, nu), starred.
+    """
+    lam = tuple(lam)
+    if not shapes.is_gen_partition(lam):
+        raise ValueError("lam must be weakly decreasing")
+    mu, nu = normalize(mu), normalize(nu)
+    m = len(lam)
+    out = {}
+    for (sigma, eta), a in past_mu(lam, mu).items():
+        for (tau, zeta), b in past_mu(shapes.mu_star(eta, m), nu).items():
+            bump(out, (sigma, tau, shapes.mu_star(zeta, m)), a * b)
+    return {ExtremalClass(s, t, r or None): c
+            for (s, t, r), c in out.items()}
 
 
 def two_leg_hw_past_level0(lam, mu, nu):
@@ -229,15 +323,15 @@ def two_leg_hw_past_level0(lam, mu, nu):
     m = len(lam)
     mu_c, nu_c = conjugate(mu), conjugate(nu)
     out = {}
-    for sigma in _subpartitions(mu):
-        for tau in _subpartitions(nu):
+    for sigma in subpartitions(mu):
+        for tau in subpartitions(nu):
             # strips longer than the hw cannot embed; the width bound
             # l(alpha) <= mu_1 is already forced by the skew coefficient
-            for alpha, c1 in _skew_multiplicities(mu_c, conjugate(sigma),
-                                                  m).items():
+            for alpha, c1 in skew_multiplicities(mu_c, conjugate(sigma),
+                                                 m).items():
                 star = shapes.mu_star(alpha, m)
-                for beta, c2 in _skew_multiplicities(nu_c, conjugate(tau),
-                                                     m).items():
+                for beta, c2 in skew_multiplicities(nu_c, conjugate(tau),
+                                                    m).items():
                     beta_p = beta + (0,) * (m - len(beta))
                     asz, bsz = sum(alpha), sum(beta)
                     lob = (lam[-1] if lam else 0) - m * (alpha[0] if alpha
@@ -261,17 +355,22 @@ def two_leg_hw_past_level0(lam, mu, nu):
 
 
 def test_hw_past_level0_matches_two_leg_oracle():
-    lams = [lam for m in range(3)
-            for lam in gen_partitions_box(m, -2, 2)]
     parts = [mu for n in range(5) for mu in shapes.partitions_of(n)]
     pairs = [(mu, nu) for mu in parts for nu in parts
              if sum(mu) + sum(nu) <= 4]
     both_legs = 0
-    for lam in lams:
-        for mu, nu in pairs:
-            got = hw_past_level0(lam, mu, nu)
-            assert got == two_leg_hw_past_level0(lam, mu, nu), (lam, mu, nu)
-            both_legs += bool(lam and mu and nu and len(got) > 1)
+    for m in range(4):
+        for lam in gen_partitions_box(m, -2, 2):
+            for mu, nu in pairs:
+                if m == 3 and sum(mu) + sum(nu) > 3:
+                    continue
+                got = hw_past_level0(lam, mu, nu)
+                assert got == past_mu_hw_past_level0(lam, mu, nu), (
+                    lam, mu, nu)
+                if m < 3:
+                    assert got == two_leg_hw_past_level0(lam, mu, nu), (
+                        lam, mu, nu)
+                both_legs += bool(lam and mu and nu and len(got) > 1)
     assert both_legs > 100
 
 
@@ -418,23 +517,37 @@ def test_extremal_lr_duality():
 
 
 def test_extremal_lr_associative():
-    boxes = [{ExtremalClass((1,), ()): 1}, {ExtremalClass((), (1,)): 1},
-             {ExtremalClass(hw=(1,)): 1}]
-    win = (-6, 6)
+    # level-zero classes of one and two boxes, level-one factors, and one
+    # class of both kinds; at most two of the three factors of level one,
+    # but for B(Lambda_1)^3 (an all-level-one triple costs about 20 ms)
+    cube = (ExtremalClass(hw=(1,)),) * 3
+    factors = ([ExtremalClass(mu, nu) for n in (1, 2) for k in range(n + 1)
+                for mu in shapes.partitions_of(k)
+                for nu in shapes.partitions_of(n - k)]
+               + [ExtremalClass(hw=(a,)) for a in (-1, 0, 1)]
+               + [ExtremalClass((1,), (), (0,))])
+    win = (-7, 7)
+    triples = 0
+    for triple in itertools.product(factors, repeat=3):
+        if all(c.level for c in triple) and triple != cube:
+            continue
+        d1, d2, d3 = ({c: 1} for c in triple)
+        # each box moves intermediate hw entries by at most one, so classes
+        # s + 1 steps inside the window are complete on either side
+        s = sum(sum(c.mu) + sum(c.nu) for c in triple)
 
-    def inner(dec):
-        # a single box moves intermediate hw entries by at most one, so
-        # classes one step inside the window are complete on either side
-        return {c: m for c, m in dec.items()
-                if c.hw is None or (c.hw[0] <= win[1] - 1
-                                    and c.hw[-1] >= win[0] + 1)}
+        def inner(dec):
+            return {c: m for c, m in dec.items()
+                    if c.hw is None or (c.hw[0] <= win[1] - s - 1
+                                        and c.hw[-1] >= win[0] + s + 1)}
 
-    for d1, d2, d3 in itertools.product(boxes, repeat=3):
         left = product_decomposition(product_decomposition(d1, d2, win), d3,
                                      win)
         right = product_decomposition(d1, product_decomposition(d2, d3, win),
                                       win)
-        assert inner(left) == inner(right)
+        assert inner(left) == inner(right), triple
+        triples += 1
+    assert triples == 1268
 
 
 def test_class_product_noncommutative():

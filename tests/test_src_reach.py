@@ -3,8 +3,10 @@
 A top-level public name of crystal_lr that nothing the CLI runs refers to
 belongs in the tests, unless a stated reason keeps it in src/.  This
 guard keeps those reasons in one explicit list, so that every new
-exception shows up in review.  A second guard keeps private names
-private: no module of crystal_lr takes a `_name` from another one.
+exception shows up in review.  A private top-level name must be reached
+from the console script or from an allowed name, so no helper outlives
+its last caller.  A last guard keeps private names private: no module of
+crystal_lr takes a `_name` from another one.
 """
 
 import ast
@@ -55,21 +57,21 @@ def _imports(tree):
     return modules, names
 
 
-def unreferenced_public_names():
-    """Public top-level names that no definition reached from the console
-    script (cli.main) references.
+def reference_graph():
+    """Top-level names of crystal_lr ({(module, name)}) and what each
+    definition references ({(module, name): {(module, name)}}).
 
     A reference is a bare name resolved in its module (its own definitions,
     then its `from .mod import name` bindings) or `mod.name` through a
     `from . import mod` alias; a definition does not reference itself.
     Only definitions refer, so the `__main__` guard does not."""
-    public, refs = set(), {}
+    defined, refs = set(), {}
     for path in sorted(SRC.glob("*.py")):
         mod = path.stem
         tree = ast.parse(path.read_text())
         defs = _definitions(tree)
         modules, names = _imports(tree)
-        public |= {(mod, name) for name in defs if not name.startswith("_")}
+        defined |= {(mod, name) for name in defs}
         for name, node in defs.items():
             out = refs[(mod, name)] = set()
             for sub in ast.walk(node):
@@ -82,12 +84,26 @@ def unreferenced_public_names():
                       and sub.value.id in modules):
                     out.add((modules[sub.value.id], sub.attr))
             out.discard((mod, name))
-    reached, todo = set(), [("cli", "main")]
+    return defined, refs
+
+
+def reached_from(roots, refs):
+    """The definitions reached from roots by following references."""
+    reached, todo = set(), list(roots)
     while todo:
         key = todo.pop()
         if key not in reached:
             reached.add(key)
             todo.extend(refs.get(key, ()))
+    return reached
+
+
+def unreferenced_public_names():
+    """Public top-level names that no definition reached from the console
+    script (cli.main) references."""
+    defined, refs = reference_graph()
+    public = {key for key in defined if not key[1].startswith("_")}
+    reached = reached_from([("cli", "main")], refs)
     referenced = set().union(*(refs.get(key, ()) for key in reached))
     return {"%s.%s" % key for key in public - referenced}
 
@@ -98,6 +114,20 @@ def test_only_allowed_names_are_unreferenced():
         "unreferenced but not allowed: %s; allowed but referenced: %s"
         % (sorted(found - ALLOWED), sorted(ALLOWED - found)))
 
+
+def unreached_private_names():
+    """Private top-level names that nothing reached from the console script
+    or from an allowed name references: helpers left behind when their
+    last caller went."""
+    defined, refs = reference_graph()
+    roots = [("cli", "main")] + [tuple(n.split(".")) for n in ALLOWED]
+    reached = reached_from(roots, refs)
+    return {"%s.%s" % key for key in defined - reached
+            if key[1].startswith("_") and not key[1].startswith("__")}
+
+
+def test_every_private_name_is_reached():
+    assert unreached_private_names() == set()
 
 
 def foreign_private_references():
