@@ -182,7 +182,8 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except RecursionError:
-        # lr_coefficient and the SST fillings recurse once per cell
+        # lr_coefficient's cell filler, enumerate_sst, _window_census's walk
+        # and characters._hl_p still recurse
         print("error: %s: input too large for the recursive kernels"
               % args.command, file=sys.stderr)
         return 2

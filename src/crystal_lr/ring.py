@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from .shapes import (bump, bump_poly, conjugate, inversion_sign, lin_add,
-                     normalize, partitions_of, sst_fillings)
+                     normalize, partitions_of, sst_chains)
 
 
 # ---------------------------------------------------------------- RElem
@@ -173,17 +173,6 @@ def _z_rho(rho):
     return out
 
 
-def _compositions(m, n):
-    """Weak compositions of m into n parts."""
-    if n == 0:
-        if m == 0:
-            yield ()
-        return
-    for first in range(m, -1, -1):
-        for rest in _compositions(m - first, n - 1):
-            yield (first,) + rest
-
-
 @cache
 def s_operator(sign, mu):
     """The Schur-shape operator s_mu(gamma), moving z indices up for sign
@@ -199,9 +188,12 @@ def s_operator(sign, mu):
         s_mu z_{k1}...z_{kn} = sum_a K_{mu',a} z_{k1+sign a1}...z_{kn+sign an}
 
     over the weak compositions a of |mu| into n parts, with Kostka number
-    weights.  Monomials of degree below mu_1 = len(mu') are killed; the
-    empty shape acts as the identity.  The shift table of each degree is
-    built on first use and kept with the (cached) operator.
+    weights.  A Kostka number is symmetric in the content, so the table
+    walks the partitions of |mu| with at most n parts, counts each one's
+    tableaux once and gives the weight to every distinct rearrangement of
+    it padded to n parts.  Monomials of degree below mu_1 = len(mu') are
+    killed; the empty shape acts as the identity.  The shift table of each
+    degree is built on first use and kept with the (cached) operator.
     """
     mu = normalize(mu)
     cols = conjugate(mu)
@@ -210,16 +202,13 @@ def s_operator(sign, mu):
     def table(n):
         rows = tables.get(n)
         if rows is None:
-            kostka = {}
             rows = tables[n] = []
-            for a in _compositions(sum(mu), n):
-                content = tuple(sorted(a))
-                if content not in kostka:
-                    kostka[content] = sum(
-                        1 for _ in sst_fillings(cols, content))
-                if kostka[content]:
-                    rows.append((tuple(sign * x for x in a),
-                                 kostka[content]))
+            for p in partitions_of(sum(mu), max_length=n):
+                k = sum(1 for _ in sst_chains(cols, p))
+                if k:
+                    padded = p + (0,) * (n - len(p))
+                    rows.extend((tuple(sign * x for x in a), k)
+                                for a in set(itertools.permutations(padded)))
         return rows
 
     def act(f):

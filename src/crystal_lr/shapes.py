@@ -15,11 +15,12 @@ key maps to 0 (or to an empty TPoly), so two combinations are equal exactly
 when their dicts are.  bump, lin_add and bump_poly below are the one
 arithmetic kernel that keeps this invariant.
 
-Boxes of generalized partitions, horizontal strips and subpartitions are all
-weakly decreasing tuples between per-entry bounds, sometimes of fixed sum;
-decreasing_tuples is the one enumerator of them.  partitions_of stays
-apart: it yields reverse lexicographic order, which seeded samples and the
-verify grids read, and a lexicographic walker would need a direction flag.
+Boxes of generalized partitions, horizontal strips, subpartitions and the
+partitions of n are all weakly decreasing tuples between per-entry bounds,
+sometimes of fixed sum; decreasing_tuples is the one enumerator of them.
+partitions_of reverses its list, as seeded samples and the verify grids
+read reverse lexicographic order.  A semistandard tableau is a chain of
+such strips (sst_chains), one walker call per letter.
 """
 
 from functools import cache
@@ -158,19 +159,12 @@ def horizontal_strips_below(mu, k):
 
 
 def partitions_of(n, max_length=None, max_part=None):
-    """Yield partitions of n, largest part first, in reverse lex order."""
-    if max_length is None:
-        max_length = n
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    if max_length <= 0:
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, max_length - 1, first):
-            yield (first,) + rest
+    """The list of partitions of n, largest part first, in reverse lex
+    order: the walker's padded tuples, reversed and stripped."""
+    length = n if max_length is None else min(max_length, n)
+    top = n if max_part is None else max_part
+    return [normalize(mu) for mu in reversed(list(
+        decreasing_tuples((0,) * length, (top,) * length, n)))]
 
 
 def gen_partitions_box(length, lo, hi, total=None):
@@ -367,38 +361,35 @@ def charge(word):
     return total
 
 
-def sst_fillings(lam, content):
-    """Yield row fillings of shape lam with the given letter multiplicities."""
+def sst_chains(lam, content):
+    """Yield the semistandard tableaux of shape lam and the given content as
+    chains 0 = k_0, k_1, ..., k_m = lam of tuples of length len(lam), where
+    k_i/k_(i-1) is a horizontal strip of content[i-1] boxes, the cells of
+    letter i (Macdonald I.1).  Each strip interlaces the row above it in
+    k_(i-1) and stays inside lam."""
     lam = normalize(lam)
-    m = len(content)
-    counts = list(content)
-
-    def rows(r, above):
-        if r == len(lam):
-            yield []
+    if sum(content) != sum(lam):
+        return
+    chain = [(0,) * len(lam)]
+    strips = []  # strips[i] iterates the candidates for chain[i + 1]
+    while True:
+        if len(chain) > len(content):
+            yield tuple(chain)
+        else:
+            k = chain[-1]
+            highs = lam[:1] + tuple(map(min, lam[1:], k))
+            strips.append(decreasing_tuples(
+                k, highs, sum(k) + content[len(chain) - 1]))
+        # step the deepest strip that has a candidate left
+        while strips:
+            k = next(strips[-1], None)
+            if k is not None:
+                break
+            strips.pop()
+        else:
             return
-        width = lam[r]
-
-        def build(c, row, avail):
-            if c == width:
-                yield tuple(row)
-                return
-            lo = row[-1] if row else 1
-            if above is not None and c < len(above):
-                lo = max(lo, above[c] + 1)
-            for v in range(lo, m + 1):
-                if avail[v - 1] > 0:
-                    avail[v - 1] -= 1
-                    row.append(v)
-                    yield from build(c + 1, row, avail)
-                    row.pop()
-                    avail[v - 1] += 1
-
-        for row in build(0, [], counts):
-            for rest in rows(r + 1, row):
-                yield [row] + rest
-
-    yield from rows(0, None)
+        del chain[len(strips):]
+        chain.append(k)
 
 
 def kostka_foulkes(lam, mu):
@@ -420,10 +411,11 @@ def kostka_foulkes(lam, mu):
     if sum(lam) != sum(mu):
         raise ValueError("degree mismatch: |%r| != |%r|" % (lam, mu))
     out = {}
-    for filling in sst_fillings(lam, mu):
-        word = []
-        for row in reversed(filling):
-            word.extend(row)
+    for chain in sst_chains(lam, mu):
+        # rows bottom to top, each row's letters in increasing order
+        word = [i for r in reversed(range(len(lam)))
+                for i in range(1, len(chain))
+                for _ in range(chain[i][r] - chain[i - 1][r])]
         c = charge(word)
         out[c] = out.get(c, 0) + 1
     return out

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -674,7 +675,6 @@ def test_cli_names_out_of_range_value(argv, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["lr", "3000", "1500", "1500"],
-    ["kostka-foulkes", "1500", "1500"],
     # the window's box was once scanned value by value at every position
     ["decompose", "B(0) * B(0)", "--margin", "100000"],
     ["decompose", "B(0) * B(0)", "--margin", "1000000000"],
@@ -684,6 +684,14 @@ def test_cli_names_oversized_input(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: %s: " % argv[0]) and "too large" in err
+
+
+def test_cli_kostka_foulkes_one_long_row(capsys):
+    """A single row of 1500 boxes once exhausted the recursion of the row
+    fillings; the strip chain walks it as one strip."""
+    assert cli.main(["kostka-foulkes", "1500", "1500"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == {"tpoly": [[0, 1]]}
 
 
 def test_verify_pieri_and_self():

@@ -1,11 +1,13 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from crystal_lr import crystal
 from crystal_lr.ring import (_z_rho, annihilator_relations, apply_delem,
                              d_multiply, d_one, delem_to_json,
                              expand_in_z_schur, h_delem, h_operator, omega,
@@ -275,6 +277,53 @@ def test_s_operator_matches_power_sum_oracle(sign, mu, f):
         assert got == f
     elif all(len(z) < mu[0] for z in f):
         assert got == {}
+
+
+def _compositions(m, n):
+    """Weak compositions of m into n parts."""
+    if n == 0:
+        if m == 0:
+            yield ()
+        return
+    for first in range(m, -1, -1):
+        for rest in _compositions(m - first, n - 1):
+            yield (first,) + rest
+
+
+def composition_table(sign, mu, n):
+    """The retired shift table of s_operator on degree n, one row per weak
+    composition of |mu| into n parts (_compositions above, kept verbatim),
+    with Kostka weights K_{mu',a} counted here as the tableaux of the free
+    enumerator with content a, so that no shapes kernel is shared."""
+    cols = conjugate(normalize(mu))
+    kostka = Counter(
+        tuple(sum(col.count(i) for col in t.cols) for i in range(1, n + 1))
+        for t in crystal.enumerate_sst(cols, 1, n))
+    rows = []
+    for a in _compositions(sum(mu), n):
+        k = kostka[a]
+        if k:
+            rows.append((tuple(sign * x for x in a), k))
+    return rows
+
+
+def test_s_operator_table_matches_compositions():
+    """On one monomial whose indices lie far apart every table row gives
+    its own result monomial, so the action reads back the table as a
+    multiset: a row repeated would double its coefficient."""
+    cases = 0
+    for size in range(7):
+        for mu in partitions_of(size):
+            for n in range(6):
+                z = tuple(100 * (n - i) for i in range(n))
+                for sign in (-1, 1):
+                    want = {}
+                    for shift, k in composition_table(sign, mu, n):
+                        bump(want, tuple(x + y for x, y in zip(z, shift)), k)
+                    assert s_operator(sign, mu)({z: 1}) == want, (
+                        sign, mu, n)
+                    cases += 1
+    assert cases == 360
 
 
 def test_s_operator_frozen():

@@ -177,6 +177,112 @@ def test_partitions_of():
         assert len(mu) <= 2 and sum(mu) == 5
 
 
+def recursive_partitions_of(n, max_length=None, max_part=None):
+    """The partitions_of that recursed on its own, kept verbatim as the
+    oracle for the reversed walker."""
+    if max_length is None:
+        max_length = n
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    if max_length <= 0:
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in recursive_partitions_of(n - first, max_length - 1, first):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_recursive_oracle():
+    bounds = [None] + list(range(-1, 14))
+    cases = 0
+    for n in range(13):
+        for max_length in bounds:
+            for max_part in bounds:
+                assert shapes.partitions_of(n, max_length, max_part) == \
+                    list(recursive_partitions_of(n, max_length, max_part)), (
+                        n, max_length, max_part)
+                cases += 1
+    assert cases == 3328
+
+
+def recursive_sst_fillings(lam, content):
+    """The sst_fillings that recursed once per cell, kept verbatim as the
+    oracle for the strip chains: yield row fillings of shape lam with the
+    given letter multiplicities."""
+    lam = normalize(lam)
+    m = len(content)
+    counts = list(content)
+
+    def rows(r, above):
+        if r == len(lam):
+            yield []
+            return
+        width = lam[r]
+
+        def build(c, row, avail):
+            if c == width:
+                yield tuple(row)
+                return
+            lo = row[-1] if row else 1
+            if above is not None and c < len(above):
+                lo = max(lo, above[c] + 1)
+            for v in range(lo, m + 1):
+                if avail[v - 1] > 0:
+                    avail[v - 1] -= 1
+                    row.append(v)
+                    yield from build(c + 1, row, avail)
+                    row.pop()
+                    avail[v - 1] += 1
+
+        for row in build(0, [], counts):
+            for rest in rows(r + 1, row):
+                yield [row] + rest
+
+    yield from rows(0, None)
+
+
+def chain_rows(chain):
+    """The row filling of a chain of strips: row r holds letter i
+    chain[i][r] - chain[i-1][r] times."""
+    return [tuple(i for i in range(1, len(chain))
+                  for _ in range(chain[i][r] - chain[i - 1][r]))
+            for r in range(len(chain[0]))]
+
+
+def test_sst_chains_match_recursive_fillings():
+    """Every shape of at most 7 cells against every content of 1-4 letters
+    with multiplicities 0-3: equal tableaux where the sizes agree (the
+    retired fillings then use every letter), none where they do not."""
+    cases = 0
+    for n in range(8):
+        for lam in shapes.partitions_of(n):
+            for m in range(1, 5):
+                for content in itertools.product(range(4), repeat=m):
+                    got = list(shapes.sst_chains(lam, content))
+                    if sum(content) != n:
+                        assert got == [], (lam, content)
+                        continue
+                    assert all(chain[-1] == lam for chain in got)
+                    assert sorted(map(chain_rows, got)) == sorted(
+                        recursive_sst_fillings(lam, content)), (lam, content)
+                    cases += 1
+    assert cases == 2062
+
+
+def test_kostka_foulkes_matches_retired_filling_route():
+    """The charge of each retired row filling, read rows bottom to top."""
+    for n in range(7):
+        for lam in shapes.partitions_of(n):
+            for mu in shapes.partitions_of(n):
+                want = Counter(
+                    shapes.charge([v for row in reversed(filling)
+                                   for v in row])
+                    for filling in recursive_sst_fillings(lam, mu))
+                assert shapes.kostka_foulkes(lam, mu) == dict(want), (lam, mu)
+
+
 def _gen_grid(n, lo, hi):
     """The box enumerator gen_partitions_box replaced, kept as its oracle:
     the sorted multisets of n entries from [lo, hi]."""
