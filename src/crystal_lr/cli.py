@@ -20,6 +20,7 @@ product mixing positive and negative levels.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -107,6 +108,8 @@ def cmd_verify(args):
 
 # ---------------------------------------------------------------- parser
 
+# built once per process; each call of main parses into a fresh Namespace
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="crystal-lr",
