@@ -32,7 +32,8 @@ def _colors(let):
 class Weight(namedtuple("Weight", "level eps")):
     """An integral weight: level * Lambda_0 plus a finite sum of eps_i,
     built from a {i: coefficient} map and stored as its sorted nonzero
-    (i, coefficient) pairs."""
+    (i, coefficient) pairs.  Weights are compared, hashed and keyed, never
+    added: `+` on two of them is tuple concatenation."""
 
     __slots__ = ()
 
@@ -42,24 +43,6 @@ class Weight(namedtuple("Weight", "level eps")):
 
     def key(self):
         return tuple(self)
-
-    def __add__(self, other):
-        eps = dict(self.eps)
-        for i, c in other.eps:
-            eps[i] = eps.get(i, 0) + c
-        return Weight(self.level + other.level, eps)
-
-    def __neg__(self):
-        return Weight(-self.level, {i: -c for i, c in self.eps})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def pairing(self, k):
-        """Evaluation against the coroot h_k."""
-        eps = dict(self.eps)
-        base = eps.get(k, 0) - eps.get(k + 1, 0)
-        return base + (self.level if k == 0 else 0)
 
     def __repr__(self):
         bits = ["%d*L0" % self.level] if self.level else []
@@ -74,17 +57,6 @@ def fundamental_weight(k):
     if k < 0:
         return Weight(1, {j: -1 for j in range(k + 1, 1)})
     return Weight(1)
-
-
-def hw_weight(lam):
-    """Weight of the highest weight element for a generalized partition lam:
-    sum of Lambda_{lam_i}."""
-    n = len(lam)
-    out = Weight(0)
-    for a in lam:
-        out = out + fundamental_weight(a)
-    assert out.level == n
-    return out
 
 
 # ---------------------------------------------------------------- word ops
@@ -136,11 +108,6 @@ def weight(word):
     for i, dual in word:
         eps_map[i] = eps_map.get(i, 0) + (-1 if dual else 1)
     return Weight(0, eps_map)
-
-
-def dual_word(word):
-    """Dual crystal element: reverse the word and dualize each letter."""
-    return tuple((i, not d) for i, d in reversed(word))
 
 
 # ---------------------------------------------------------------- tableaux
@@ -244,16 +211,13 @@ def enumerate_sst(lam, lo, hi, dual=False, phi=None):
     yield from fill(len(heights) - 1, (), ())
 
 
-def hw_tableau(lam, lo, hi, dual=False):
+def hw_tableau(lam, lo, hi):
     """The unique source of SST(lam) over [lo, hi] (as a crystal of words):
-    every column reads lo, lo+1, ... (hi, hi-1, ... for dual letters)."""
+    every column reads lo, lo+1, ..."""
     lam = shapes.normalize(lam)
     if len(lam) > hi - lo + 1:
         raise ValueError("shape %r too tall for [%d,%d]" % (lam, lo, hi))
-    step = -1 if dual else 1
-    start = hi if dual else lo
-    return Tableau([range(start, start + step * h, step)
-                    for h in shapes.conjugate(lam)], dual)
+    return Tableau([range(lo, lo + h) for h in shapes.conjugate(lam)])
 
 
 # ---------------------------------------------------------------- components

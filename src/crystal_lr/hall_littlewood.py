@@ -18,9 +18,9 @@ def tr_one():
     return {(): {0: 1}}
 
 
-def tr_from_r(f, j=0):
-    """Lift a plain ring element onto the t^j slice."""
-    return {k: {j: c} for k, c in f.items() if c}
+def tr_from_r(f):
+    """Lift a plain ring element onto the t^0 slice."""
+    return {k: {0: c} for k, c in f.items() if c}
 
 
 def tr_add(a, b):

@@ -219,18 +219,14 @@ def extremal_lr(lam, mu, nu, rho, sigma, tau, window):
     return out
 
 
-def class_product(c1, c2, window):
-    """Decomposition of c1 (x) c2."""
-    return extremal_lr(c1.hw or (), c1.mu, c1.nu,
-                       c2.hw or (), c2.mu, c2.nu, window)
-
-
 def product_decomposition(d1, d2, window):
-    """Linear extension of class_product to {class: mult} maps."""
+    """Decomposition of d1 (x) d2 for {class: mult} maps: the linear
+    extension of extremal_lr."""
     out = {}
     for c1, a in d1.items():
         for c2, b in d2.items():
-            for c3, m in class_product(c1, c2, window).items():
+            for c3, m in extremal_lr(c1.hw or (), c1.mu, c1.nu, c2.hw or (),
+                                     c2.mu, c2.nu, window).items():
                 bump(out, c3, a * b * m)
     return out
 

@@ -1,6 +1,4 @@
-"""Binary matrices with a crystal structure on both index directions, plus the
-row models with finitely many ones (level 0) and with ones cofinite to the
-left (level 1).
+"""Binary matrices with a crystal structure on both index directions.
 
 Row and column index intervals are explicit data: the transpose bijection rho
 negates and swaps them, so nothing may be implicit in array offsets.
@@ -18,7 +16,7 @@ raising moves the 1 of the last surviving - up to row l; this equals
 import itertools
 from collections import Counter, namedtuple
 
-from .crystal import Weight, components
+from .crystal import components
 
 
 class BinaryMatrix(namedtuple("BinaryMatrix", "row_lo col_lo entries")):
@@ -190,135 +188,6 @@ def cap_raise(A, l):
     """Row-direction raising operator: acts on the last surviving -."""
     i, minus, plus = _cap_signature(A, l)
     return _cap_move(A, i, minus[-1], True) if minus else None
-
-
-def dual(A):
-    return BinaryMatrix(A.row_lo, A.col_lo,
-                        [tuple(1 - x for x in r) for r in A.entries])
-
-
-def row_reverse(A):
-    """Reflect the row order in place.  dual followed by row_reverse is the
-    dual-crystal map: it swaps matrix_lower and matrix_raise exactly,
-    including the null cases; entrywise complement alone does not once two
-    rows interact in a signature."""
-    return BinaryMatrix(A.row_lo, A.col_lo, A.entries[::-1])
-
-
-# ---------------------------------------------------------------- embeddings
-
-def embed_sigma(tab, window, nrows=None):
-    """Embed a tableau over the plain alphabet: the k-th column from the
-    right becomes the indicator row k.  Trivial factors are zero rows and
-    precede the column rows."""
-    lo, hi = window
-    if tab.dual:
-        raise ValueError("sigma embeds plain tableaux")
-    m = len(tab.cols)
-    if nrows is None:
-        nrows = m
-    if nrows < m:
-        raise ValueError("shape has %d columns, only %d rows" % (m, nrows))
-    rows = [(0,) * (hi - lo + 1)] * (nrows - m)
-    for col in reversed(tab.cols):
-        rows.append(_indicator(col, lo, hi))
-    return BinaryMatrix(1, lo, rows)
-
-
-def embed_tau(tab, window, nrows=None):
-    """Embed a tableau over the dual alphabet: the k-th column from the right
-    becomes the complement-indicator row k.  Trivial factors are all-ones
-    rows and follow the column rows."""
-    lo, hi = window
-    if not tab.dual:
-        raise ValueError("tau embeds dual tableaux")
-    m = len(tab.cols)
-    if nrows is None:
-        nrows = m
-    if nrows < m:
-        raise ValueError("shape has %d columns, only %d rows" % (m, nrows))
-    rows = []
-    for col in reversed(tab.cols):
-        ind = _indicator(col, lo, hi)
-        rows.append(tuple(1 - x for x in ind))
-    rows.extend([(1,) * (hi - lo + 1)] * (nrows - m))
-    return BinaryMatrix(1, lo, rows)
-
-
-def _indicator(values, lo, hi):
-    if any(v < lo or v > hi for v in values):
-        raise ValueError("entry outside window [%d,%d]" % (lo, hi))
-    marks = set(values)
-    if len(marks) != len(values):
-        raise ValueError("column entries must be distinct")
-    return tuple(1 if j in marks else 0 for j in range(lo, hi + 1))
-
-
-# ---------------------------------------------------------------- maya rows
-
-class MayaRow(namedtuple("MayaRow", "kind charge delta")):
-    """One row of the infinite models: kind "E" has finite support, kind "F"
-    is all ones up to `charge` with a finite set of flips."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind, charge=0, delta=()):
-        if kind not in ("E", "F"):
-            raise ValueError("kind must be E or F")
-        if kind == "E" and charge != 0:
-            raise ValueError("E rows carry no charge")
-        return super().__new__(cls, kind, charge, frozenset(delta))
-
-    def entry(self, i):
-        vac = 1 if (self.kind == "F" and i <= self.charge) else 0
-        return vac ^ (1 if i in self.delta else 0)
-
-    def to_json(self):
-        return {"kind": self.kind, "charge": self.charge,
-                "delta": sorted(self.delta)}
-
-
-def maya_weight(v):
-    if v.kind == "E":
-        return Weight(0, {i: 1 for i in v.delta})
-    pos = set(v.delta)
-    if v.charge > 0:
-        pos |= set(range(1, v.charge + 1))
-    else:
-        pos |= set(range(v.charge + 1, 1))
-    eps = {}
-    for i in pos:
-        c = v.entry(i) if i > 0 else v.entry(i) - 1
-        if c:
-            eps[i] = c
-    return Weight(1, eps)
-
-
-def _maya_step(rows, k, op):
-    """op (matrix_lower or matrix_raise) on the pairs (v(k), v(k+1)) down
-    the rows; the acting row flips at k and k+1."""
-    pairs = tuple((v.entry(k), v.entry(k + 1)) for v in rows)
-    A = op(BinaryMatrix(1, k, pairs), k)
-    if A is None:
-        return None
-    return tuple(v if new == old else MayaRow(v.kind, v.charge,
-                                                v.delta ^ {k, k + 1})
-                 for v, old, new in zip(rows, pairs, A.entries))
-
-
-def maya_lower(rows, k):
-    return _maya_step(rows, k, matrix_lower)
-
-
-def maya_raise(rows, k):
-    return _maya_step(rows, k, matrix_raise)
-
-
-def maya_weight_total(rows):
-    out = Weight(0)
-    for v in rows:
-        out = out + maya_weight(v)
-    return out
 
 
 # ---------------------------------------------------------------- censuses

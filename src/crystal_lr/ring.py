@@ -25,8 +25,8 @@ from .shapes import (bump, bump_poly, conjugate, inversion_sign, lin_add,
 
 # ---------------------------------------------------------------- RElem
 
-def r_monomial(ks, c=1):
-    return {tuple(sorted(ks, reverse=True)): c} if c else {}
+def r_monomial(ks):
+    return {tuple(sorted(ks, reverse=True)): 1}
 
 
 def r_mul(f, g):

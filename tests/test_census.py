@@ -12,6 +12,7 @@ import pytest
 from crystal_lr import crystal, lr_engine, shapes
 from crystal_lr.lr_engine import (ExtremalClass, pieri_column,
                                   verify_truncated)
+from duality import dual_word, weight_add
 
 
 # ---------------------------------------------------------------- oracle
@@ -63,7 +64,7 @@ def enumerated_census(factors, lo, hi):
             if all(e <= p for e, p in zip(evec, phis)):
                 walk(i + 1, tuple(p - e + q
                                   for e, p, q in zip(evec, phis, pvec)),
-                     wt + w)
+                     weight_add(wt, w))
 
     _, phi0, wt0 = sources[0]
     walk(1, phi0, wt0)
@@ -224,7 +225,7 @@ def test_dual_letter_tableaux_realize_the_dual_crystal(nletters):
                      for t in crystal.enumerate_sst(shape, lo, hi)]
             dual = [crystal.tableau_word(t)
                     for t in crystal.enumerate_sst(shape, lo, hi, dual=True)]
-            assert rows(dual) == rows(crystal.dual_word(w) for w in plain), (
+            assert rows(dual) == rows(dual_word(w) for w in plain), (
                 shape, lo, hi)
             checked += 1
     assert checked > 5

@@ -6,9 +6,11 @@ from hypothesis import example, given, strategies as st
 
 from crystal_lr import shapes
 from crystal_lr.crystal import (Tableau, Weight, decompose_components,
-                                dual_word, enumerate_sst, eps, hw_tableau,
-                                hw_weight, fundamental_weight, lower_word,
-                                phi, raise_word, tableau_word, weight)
+                                enumerate_sst, eps, hw_tableau,
+                                fundamental_weight, lower_word, phi,
+                                raise_word, tableau_word, weight)
+from duality import (dual_word, hw_weight, pairing, weight_add, weight_neg,
+                     weight_sub)
 
 
 def w(*letters):
@@ -55,7 +57,7 @@ def test_eps_phi_weight_relation():
         word = tuple((rng.randrange(-3, 4), rng.random() < 0.4)
                      for _ in range(rng.randrange(1, 6)))
         k = rng.randrange(-3, 3)
-        assert phi(word, k) - eps(word, k) == weight(word).pairing(k)
+        assert phi(word, k) - eps(word, k) == pairing(weight(word), k)
 
 
 def test_tensor_rule():
@@ -67,8 +69,10 @@ def test_tensor_rule():
         b = tuple((rng.randrange(-2, 3), rng.random() < 0.4)
                   for _ in range(rng.randrange(0, 4)))
         k = rng.randrange(-2, 2)
-        assert eps(a + b, k) == max(eps(a, k), eps(b, k) - weight(a).pairing(k))
-        assert phi(a + b, k) == max(phi(b, k), phi(a, k) + weight(b).pairing(k))
+        assert eps(a + b, k) == max(eps(a, k),
+                                    eps(b, k) - pairing(weight(a), k))
+        assert phi(a + b, k) == max(phi(b, k),
+                                    phi(a, k) + pairing(weight(b), k))
 
 
 def test_dual_word():
@@ -78,7 +82,7 @@ def test_dual_word():
                      for _ in range(rng.randrange(1, 5)))
         k = rng.randrange(-2, 2)
         assert dual_word(dual_word(word)) == word
-        assert weight(dual_word(word)) == -weight(word)
+        assert weight(dual_word(word)) == weight_neg(weight(word))
         down = lower_word(word, k)
         lifted = raise_word(dual_word(word), k)
         if down is None:
@@ -94,8 +98,8 @@ def test_weights():
     assert hw_weight((0, 0)) == Weight(2)
     assert hw_weight((1, 0)) == Weight(2, {1: 1})
     assert hw_weight((0, -1)) == Weight(2, {0: -1})
-    assert Weight(1).pairing(0) == 1
-    assert Weight(1).pairing(1) == 0
+    assert pairing(Weight(1), 0) == 1
+    assert pairing(Weight(1), 1) == 0
     assert weight(((2, True),)) == Weight(0, {2: -1})
     assert weight(((2, False),)) == Weight(0, {2: 1})
 
@@ -121,18 +125,18 @@ def test_weight_is_its_nonzero_part(la, a, lb, b):
         assert hash(wa) == hash(wb)
     total = Counter(a)
     total.update(b)
-    assert (wa + wb).key() == _oracle_key(la + lb, total)
+    assert weight_add(wa, wb).key() == _oracle_key(la + lb, total)
     neg = Counter()
     neg.subtract(a)
-    assert (-wa).key() == _oracle_key(-la, neg)
+    assert weight_neg(wa).key() == _oracle_key(-la, neg)
     diff = Counter(a)
     diff.subtract(b)
-    assert (wa - wb).key() == _oracle_key(la - lb, diff)
+    assert weight_sub(wa, wb).key() == _oracle_key(la - lb, diff)
 
 
 def weyl_reflect(word, k):
     """Simple reflection on a word: apply lowering or raising |<wt,h_k>| times."""
-    m = weight(word).pairing(k)
+    m = pairing(weight(word), k)
     out = word
     for _ in range(m):
         out = lower_word(out, k)
@@ -176,7 +180,8 @@ def test_enumerate_sst_counts():
 
 
 # The row-based enumerator, reading word and source tableau that column
-# storage replaced, kept as the oracle for enumerate_sst and hw_tableau.
+# storage replaced, kept as the oracle for enumerate_sst, hw_tableau and
+# the dual-letter source.
 # A tableau here is its tuple of rows of letter indices.
 
 def _row_sst(lam, lo, hi, dual=False):
@@ -243,10 +248,15 @@ def test_columns_match_retired_row_enumerator():
                         want = Counter(_row_word(rows, dual)
                                        for rows in _row_sst(lam, lo, hi, dual))
                         assert got == want, (lam, lo, hi, dual)
-                        if len(lam) <= hi - lo + 1:
+                        if len(lam) > hi - lo + 1:
+                            continue
+                        hw = _row_word(_row_hw(lam, lo, hi, dual), dual)
+                        if dual:
+                            assert [tableau_word(t) for t in _dual_sources(
+                                lam, lo, hi)] == [hw]
+                        else:
                             assert tableau_word(hw_tableau(
-                                lam, lo, hi, dual)) == _row_word(
-                                    _row_hw(lam, lo, hi, dual), dual)
+                                lam, lo, hi)) == hw
 
 
 def test_sst_is_single_component():
@@ -258,12 +268,24 @@ def test_sst_is_single_component():
     assert hw == Weight(0, {1: 2, 2: 1})
 
 
+def _dual_sources(lam, lo, hi):
+    """The dual-letter tableaux of shape lam over [lo, hi] with eps 0 at
+    every color: the sources that the census reaches for a leading Bdual
+    factor."""
+    return [t for t in enumerate_sst(lam, lo, hi, dual=True)
+            if all(eps(tableau_word(t), k) == 0 for k in range(lo, hi))]
+
+
 def test_hw_tableau_is_source():
     for lam in [(2, 1), (3,), (2, 2, 1)]:
         word = tableau_word(hw_tableau(lam, 0, 4))
         assert all(raise_word(word, k) is None for k in range(0, 4))
-        word = tableau_word(hw_tableau(lam, 0, 4, dual=True))
+        # the dual-letter source is unique, and each column reads 4, 3, ...
+        (source,) = _dual_sources(lam, 0, 4)
+        word = tableau_word(source)
         assert all(raise_word(word, k) is None for k in range(0, 4))
+        assert source.cols == tuple(tuple(range(4, 4 - h, -1))
+                                    for h in shapes.conjugate(lam))
 
 
 def test_decompose_products_match_lr():

@@ -55,7 +55,8 @@ def test_bt_apply_degree_shift():
         deg = rng.randrange(0, 3)
         ks = tuple(sorted((rng.randint(-3, 3) for _ in range(deg)),
                           reverse=True))
-        f = hl.tr_from_r(ring.r_monomial(ks), j=rng.randrange(0, 2))
+        f = tr_t_shift(hl.tr_from_r(ring.r_monomial(ks)),
+                       rng.randrange(0, 2), 2)
         out = hl.bt_apply(rng.randint(-2, 2), f, 2)
         assert all(len(key) == deg + 1 for key in out)
 

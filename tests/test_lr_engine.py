@@ -10,7 +10,7 @@ from crystal_lr.crystal import Weight
 from crystal_lr.shapes import (bump, conjugate, gen_lr_coefficient,
                                gen_partitions_box, lr_coefficient, normalize)
 from crystal_lr.lr_engine import (ExtremalClass, MixedLevelError,
-                                  _coproduct, class_product,
+                                  _coproduct,
                                   decomposition_to_json, expr_decompose,
                                   extremal_lr,
                                   hw_past_level0, hw_product,
@@ -554,9 +554,9 @@ def test_extremal_lr_associative():
 def test_class_product_noncommutative():
     dualcol = ExtremalClass((), (1,))
     vac = ExtremalClass(hw=(0,))
-    assert class_product(dualcol, vac, (-4, 4)) == {
+    assert product_decomposition({dualcol: 1}, {vac: 1}, (-4, 4)) == {
         ExtremalClass((), (1,), (0,)): 1}
-    assert class_product(vac, dualcol, (-4, 4)) == {
+    assert product_decomposition({vac: 1}, {dualcol: 1}, (-4, 4)) == {
         ExtremalClass((), (1,), (0,)): 1,
         ExtremalClass((), (), (-1,)): 1}
 

@@ -232,10 +232,12 @@ def test_p_action_frozen():
 def test_p_action_derivation():
     rng = random.Random(23)
     for _ in range(40):
-        f = r_monomial([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))],
-                       rng.randint(-2, 2))
-        g = r_monomial([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))],
-                       rng.randint(-2, 2))
+        f = lin_add({}, r_monomial([rng.randint(-3, 3)
+                                    for _ in range(rng.randint(0, 2))]),
+                    rng.randint(-2, 2))
+        g = lin_add({}, r_monomial([rng.randint(-3, 3)
+                                    for _ in range(rng.randint(0, 2))]),
+                    rng.randint(-2, 2))
         n = rng.randint(1, 3)
         sign = rng.choice((1, -1))
         lhs = p_action(sign, n, r_mul(f, g))
@@ -448,7 +450,7 @@ def test_apply_delem_composition():
     for _ in range(30):
         a, b = _random_delem(rng), _random_delem(rng)
         f = r_monomial([rng.randint(-3, 3)
-                        for _ in range(rng.randint(0, 2))], 1)
+                        for _ in range(rng.randint(0, 2))])
         assert apply_delem(d_multiply(a, b), f) == \
             apply_delem(a, apply_delem(b, f))
 

@@ -3,29 +3,30 @@
 A top-level public name of crystal_lr that nothing the CLI runs refers to
 belongs in the tests, unless a stated reason keeps it in src/.  This
 guard keeps those reasons in one explicit list, so that every new
-exception shows up in review.  A private top-level name must be reached
-from the console script or from an allowed name, so no helper outlives
-its last caller.  A last guard keeps private names private: no module of
-crystal_lr takes a `_name` from another one.
+exception shows up in review; the paper's duality tools, which no verify
+suite reads, live in the test fixtures of tests/duality.py for that
+reason.  A private top-level name must be reached from the console script
+or from an allowed name, so no helper outlives its last caller.  A
+parameter with a default must be passed by some call in src/ or perfbench/,
+so no option exists only for the tests.  A last guard keeps private names
+private: no module of crystal_lr takes a `_name` from another one.
 """
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "crystal_lr"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 ALLOWED = {
-    # the crystal-lr console script
+    # the crystal-lr console script, the root every other name is reached
+    # from
     "cli.main",
-    # the genlr oracle of the benchmark's queries workload
+    # the oracle of the benchmark's genlr queries, which perfbench calls
     "characters.branch_split",
-    # wrapped by the benchmark; the reference for the cap operators
+    # wrapped by the benchmark's tracer; the reference that the cap
+    # operators' docstrings and tests conjugate by
     "matrices.rho_transpose", "matrices.rho_inverse",
-    # the paper's duality tools, waiting for a verify check that reads them
-    "matrices.MayaRow", "matrices.maya_weight", "matrices.maya_lower",
-    "matrices.maya_raise", "matrices.maya_weight_total",
-    "matrices.embed_sigma", "matrices.embed_tau", "matrices.dual",
-    "matrices.row_reverse", "crystal.dual_word", "crystal.hw_weight",
 }
 
 
@@ -150,3 +151,61 @@ def foreign_private_references():
 
 def test_no_module_uses_another_modules_private_names():
     assert foreign_private_references() == set()
+
+
+def _defaults(fn):
+    """{parameter: position or None} for the parameters of fn that have a
+    default; None marks a keyword-only one."""
+    args = fn.args.posonlyargs + fn.args.args
+    out = {a.arg: i for i, a in
+           enumerate(args) if i >= len(args) - len(fn.args.defaults)}
+    out.update((a.arg, None) for a, d in
+               zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None)
+    return out
+
+
+def _program_calls():
+    """(callee name, positional count, keyword names) for every call in src/
+    and in the non-test files of perfbench/; the callee is matched by its
+    bare or attribute name.  A *args call passes every position, a
+    **kwargs call every keyword."""
+    paths = sorted(SRC.glob("*.py")) + [
+        p for p in sorted(PERFBENCH.glob("*.py"))
+        if not p.name.startswith("test_")]
+    for path in paths:
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(sub, ast.Call):
+                continue
+            if isinstance(sub.func, ast.Name):
+                name = sub.func.id
+            elif isinstance(sub.func, ast.Attribute):
+                name = sub.func.attr
+            else:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in sub.args)
+            yield (name, float("inf") if starred else len(sub.args),
+                   {kw.arg for kw in sub.keywords})
+
+
+def unpassed_defaults():
+    """`module.function.parameter` for every defaulted parameter of a
+    top-level function of crystal_lr that no call in src/ or perfbench/
+    passes, by position or by keyword."""
+    calls = {}
+    for name, npos, keys in _program_calls():
+        calls.setdefault(name, []).append((npos, keys))
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for param, pos in _defaults(node).items():
+                if not any(param in keys or None in keys
+                           or (pos is not None and npos > pos)
+                           for npos, keys in calls.get(node.name, ())):
+                    found.add("%s.%s.%s" % (path.stem, node.name, param))
+    return found
+
+
+def test_every_default_is_set_by_a_program_caller():
+    assert unpassed_defaults() == set()
