@@ -33,7 +33,7 @@ class Weight(namedtuple("Weight", "level eps")):
     """An integral weight: level * Lambda_0 plus a finite sum of eps_i,
     built from a {i: coefficient} map and stored as its sorted nonzero
     (i, coefficient) pairs.  Weights are compared, hashed and keyed, never
-    added: `+` on two of them is tuple concatenation."""
+    added: `+` raises TypeError rather than concatenate the tuples."""
 
     __slots__ = ()
 
@@ -43,6 +43,11 @@ class Weight(namedtuple("Weight", "level eps")):
 
     def key(self):
         return tuple(self)
+
+    def __add__(self, other):
+        raise TypeError("weights are not added")
+
+    __radd__ = __add__
 
     def __repr__(self):
         bits = ["%d*L0" % self.level] if self.level else []

@@ -312,45 +312,44 @@ def expr_decompose(factors, window):
     return dec
 
 
-def _level0_shape(mu, nu, nletters):
-    """Shape and per-letter shift realizing B_{mu,nu} on nletters letters:
-    the dominant rearrangement (mu, 0...0, -reverse(nu)) plus a constant."""
-    if len(mu) + len(nu) > nletters:
-        raise _WindowTooSmall(
-            "B_{%r,%r} needs %d letters" % (mu, nu, len(mu) + len(nu)))
-    s = nu[0] if nu else 0
-    parts = ([x + s for x in mu]
-             + [s] * (nletters - len(mu) - len(nu))
-             + [s - x for x in reversed(nu)])
-    return normalize(parts), s
+def _triple(fac):
+    """(mu, nu, hw) of a normalized factor, as for a class: Bmn is
+    B_{mu,nu} with hw (), B and Bdual are B(Lambda_hw) with mu = nu = ()."""
+    return (fac[1], fac[2], ()) if fac[0] == "Bmn" else ((), (), fac[1])
 
 
-def _hw_shape(lam, lo, hi):
-    """Column-conjugate shape realizing the window subcrystal of
-    B(Lambda_lam) on the letters [lo, hi]."""
-    p = lo - 1
-    if lam[-1] < p:
-        raise _WindowTooSmall(
-            "B(Lambda_%r) needs letters down to %d" % (lam, lam[-1] + 1))
-    if lam[0] > hi:
-        raise _WindowTooSmall(
-            "B(Lambda_%r) needs letters up to %d" % (lam, lam[0]))
-    return conjugate(tuple(x - p for x in lam))
+def _misfit(mu, nu, hw, lo, hi):
+    """Why B_{mu,nu} (x) B(Lambda_hw) does not fit the letters [lo, hi], or
+    None: hw must lie in [lo-1, hi] and mu, nu need l(mu) + l(nu) letters."""
+    if hw and hw[-1] < lo - 1:
+        return "B(Lambda_%r) needs letters down to %d" % (hw, hw[-1] + 1)
+    if hw and hw[0] > hi:
+        return "B(Lambda_%r) needs letters up to %d" % (hw, hw[0])
+    if len(mu) + len(nu) > hi - lo + 1:
+        return "B_{%r,%r} needs %d letters" % (mu, nu, len(mu) + len(nu))
+    return None
 
 
 def _factor_shape(fac, lo, hi):
     """Tableau shape, level, dualization and per-letter shift of one tensor
     factor restricted to the letters [lo, hi]: a tableau of content c has
     the weight level*Lambda_{lo-1} + c - shift*(eps_lo + ... + eps_hi),
-    with dual letters counting -1 in c."""
-    if fac[0] == "Bmn":
-        shape, s = _level0_shape(fac[1], fac[2], hi - lo + 1)
-        return shape, 0, False, s
-    lam = fac[1]
-    shape = _hw_shape(lam, lo, hi)
-    if fac[0] == "Bdual":
-        return shape, -len(lam), True, 0
-    return shape, len(lam), False, 0
+    with dual letters counting -1 in c.
+
+    B(Lambda_lam) is the column-conjugate of lam - (lo-1); B_{mu,nu} is the
+    dominant rearrangement (mu, 0...0, -reverse(nu)) plus the shift nu_1."""
+    mu, nu, lam = _triple(fac)
+    why = _misfit(mu, nu, lam, lo, hi)
+    if why:
+        raise _WindowTooSmall(why)
+    if lam:
+        shape = conjugate(tuple(x - lo + 1 for x in lam))
+        dual = fac[0] == "Bdual"
+        return shape, -len(lam) if dual else len(lam), dual, 0
+    s = nu[0] if nu else 0
+    parts = ([x + s for x in mu] + [s] * (hi - lo + 1 - len(mu) - len(nu))
+             + [s - x for x in reversed(nu)])
+    return normalize(parts), 0, False, s
 
 
 def _window_census(factors, lo, hi):
@@ -414,7 +413,8 @@ def _window_census(factors, lo, hi):
 
 def _class_census(cls, lo, hi):
     """Window image of one class: the census key (level, content) of its one
-    source, or None when the class does not fit the window.
+    source, or None when the class does not fit the window by the fit rule
+    of the factors (_misfit).
 
     Truncation carries each class to a single irreducible (the component of
     the combined highest weight vector), so the census is the canonical
@@ -424,20 +424,17 @@ def _class_census(cls, lo, hi):
     _window_census keys its sources over the same vacuum, so the two keys
     agree exactly whether or not the window holds the origin.
     """
-    n = hi - lo + 1
-    if len(cls.mu) + len(cls.nu) > n:
+    if _misfit(*cls, lo, hi):
         return None
+    n = hi - lo + 1
     content = [0] * n
     for i, x in enumerate(cls.mu):
         content[i] += x
     for i, x in enumerate(cls.nu):
         content[n - 1 - i] -= x
-    if cls.hw is not None:
-        if cls.hw[-1] < lo - 1 or cls.hw[0] > hi:
-            return None
-        for a in cls.hw:
-            for j in range(a - lo + 1):
-                content[j] += 1
+    for a in cls.hw or ():
+        for j in range(a - lo + 1):
+            content[j] += 1
     return cls.level, tuple(content)
 
 
@@ -452,18 +449,11 @@ def _weight_key(key, lo):
 
 
 def _default_margin(factors, predicted):
-    hw_span = [0]
-    strip = [0]
-    for fac in factors:
-        if fac[0] in ("B", "Bdual"):
-            hw_span.append(abs(fac[1][0]) + abs(fac[1][-1]))
-        else:
-            strip.append(len(fac[1]) + len(fac[2]))
-    for cls in predicted:
-        if cls.hw is not None:
-            hw_span.append(abs(cls.hw[0]) + abs(cls.hw[-1]))
-        strip.append(len(cls.mu) + len(cls.nu))
-    return min(8, max(hw_span) + max(strip) + 2)
+    triples = [_triple(f) for f in factors] + list(predicted)
+    hw_span = max((abs(hw[0]) + abs(hw[-1]) for _, _, hw in triples if hw),
+                  default=0)
+    strip = max((len(mu) + len(nu) for mu, nu, _ in triples), default=0)
+    return min(8, hw_span + strip + 2)
 
 
 def verify_truncated(factors, window, predicted, threads=1):
@@ -476,8 +466,11 @@ def verify_truncated(factors, window, predicted, threads=1):
     benchmark change.  Any other value raises ValueError.
 
     Returns a report dict with status "ok", "mismatch" (first discrepancies
-    listed) or "window-too-small"; widens the window step by step and retries
-    before giving up.
+    listed) or "window-too-small".  Windows widen by one letter a side, up
+    to _default_margin steps: one the factors do not fit (_misfit) is
+    skipped, one past _WORD_CAP ends the search, and the first with no gap
+    is "ok".  Otherwise the last compared window is reported, as
+    "window-too-small" if its total gap |lhs - rhs| is below the first's.
 
     The census (_window_census) is exact by Kashiwara's tensor product
     rule.  Both sides are keyed by (level, content) over the attempted
@@ -512,61 +505,45 @@ def verify_truncated(factors, window, predicted, threads=1):
             for sub, m in hw_past_level0(cls.hw or (), cls.mu, cls.nu).items():
                 expanded[sub] += m * mult
 
-    def attempt(lo, hi):
-        try:
-            lhs = _window_census(factors, lo, hi)
-        except (_WindowTooSmall, _TooLarge) as exc:
-            return None, exc
-        rhs = Counter()
-        for cls, mult in expanded.items():
-            key = _class_census(cls, lo, hi)
-            if key is not None:
-                rhs[key] += mult
-        return (lhs, rhs), None
-
-    def diffs(lhs, rhs):
-        return [k for k in set(lhs) | set(rhs)
-                if lhs.get(k, 0) != rhs.get(k, 0)]
-
-    def mass(lhs, rhs, diff):
-        return sum(abs(lhs.get(k, 0) - rhs.get(k, 0)) for k in diff)
-
-    def report(status, lo, hi, retried, lhs, rhs, diff):
-        out = {"status": status, "window": [lo, hi], "retried": retried,
+    def report(status, lo, hi, lhs, rhs, gap):
+        out = {"status": status, "window": [lo, hi],
+               "retried": [lo, hi] != [lo0, hi0],
                "lhs_components": sum(lhs.values()),
                "predicted_components": sum(rhs.values())}
-        if diff:
-            rows = sorted((_weight_key(k, lo), lhs.get(k, 0), rhs.get(k, 0))
-                          for k in diff)
+        if gap:
+            rows = sorted((_weight_key(k, lo), lhs[k], rhs[k]) for k in gap)
             out["discrepancies"] = [
                 {"weight": {"level": level, "eps": [list(p) for p in eps]},
                  "lhs": a, "predicted": b}
                 for (level, eps), a, b in rows[:10]]
         return out
 
-    first = last = None
-    detail = None
+    first = last = detail = None
     for d in range(margin + 1):
         lo, hi = lo0 - d, hi0 + d
-        res, err = attempt(lo, hi)
-        if err is not None:
-            detail = str(err)
-            if isinstance(err, _TooLarge):
-                break
+        try:
+            lhs = _window_census(factors, lo, hi)
+        except _WindowTooSmall as exc:
+            detail = str(exc)
             continue
-        lhs, rhs = res
-        diff = diffs(lhs, rhs)
-        if not diff:
-            return report("ok", lo, hi, d > 0, lhs, rhs, diff)
-        last = (mass(lhs, rhs, diff), lo, hi, lhs, rhs, diff)
-        if first is None:
-            first = last
+        except _TooLarge as exc:
+            detail = str(exc)
+            break
+        rhs = Counter()
+        for cls, mult in expanded.items():
+            key = _class_census(cls, lo, hi)
+            if key is not None:
+                rhs[key] += mult
+        gap = {k: g for k in lhs.keys() | rhs.keys()
+               if (g := abs(lhs[k] - rhs[k]))}
+        if not gap:
+            return report("ok", lo, hi, lhs, rhs, gap)
+        last = (lo, hi, lhs, rhs, gap)
+        first = first or last
     if last is None:
         return {"status": "window-too-small", "window": [lo0, hi0],
                 "retried": d > 0, "detail": detail}
     # truncation artifacts shrink as the window grows; a census gap that
     # persists at the widest window is a genuine error in the prediction
-    m, lo, hi, lhs, rhs, diff = last
-    small = m < first[0]
-    return report("window-too-small" if small else "mismatch",
-                  lo, hi, (lo, hi) != (lo0, hi0), lhs, rhs, diff)
+    small = sum(last[-1].values()) < sum(first[-1].values())
+    return report("window-too-small" if small else "mismatch", *last)

@@ -251,23 +251,19 @@ def gen_lr_coefficient(lam, mu, nu):
             % (L, m, n))
     if sum(lam) != sum(mu) + sum(nu):
         return 0
+    # shift mu by a, nu by b and lam by c into partitions: one common shift
+    # a = b = c for the additive pattern, c = a + b for the equal one
     if L == m + n:
-        p = max([0] + [-x[-1] for x in (lam, mu, nu) if x])
-        lam_s = tuple(a + p for a in lam)
-        mu_s = tuple(a + p for a in mu)
-        nu_s = tuple(a + p for a in nu)
-        if any(a < 0 for a in lam_s):
-            return 0
-        return lr_coefficient(lam_s, mu_s, nu_s)
-    if L == m == n:
-        a = max(0, -mu[-1]) if mu else 0
-        b = max(0, -nu[-1]) if nu else 0
-        lam_s = tuple(x + a + b for x in lam)
-        if lam_s and lam_s[-1] < 0:
-            return 0
-        mu_s = tuple(x + a for x in mu)
-        nu_s = tuple(x + b for x in nu)
-        return lr_coefficient(lam_s, mu_s, nu_s)
+        a = b = c = max([0] + [-x[-1] for x in (lam, mu, nu) if x])
+    else:
+        a = max(0, -mu[-1])
+        b = max(0, -nu[-1])
+        c = a + b
+    lam_s = tuple(x + c for x in lam)
+    if lam_s and lam_s[-1] < 0:
+        return 0
+    return lr_coefficient(lam_s, tuple(x + a for x in mu),
+                          tuple(x + b for x in nu))
 
 
 # ---------------------------------------------------------------- sparse sums

@@ -277,6 +277,32 @@ def test_retried_means_a_wider_window_was_attempted(monkeypatch):
     assert rep["status"] == "window-too-small" and rep["retried"] is True
 
 
+# ---------------------------------------------------------------- fit rule
+
+@pytest.mark.parametrize("mu, nu, hw, why", [
+    # window [-1, 2]: hw entries in [lo-1, hi] = [-2, 2], l(mu)+l(nu) <= 4
+    ((), (), (-2,), None),
+    ((), (), (2,), None),
+    ((), (), (-3,), "B(Lambda_(-3,)) needs letters down to -2"),
+    ((), (), (3,), "B(Lambda_(3,)) needs letters up to 3"),
+    ((1, 1), (1, 1), (), None),
+    ((1, 1, 1), (1, 1), (), "B_{(1, 1, 1),(1, 1)} needs 5 letters"),
+])
+def test_fit_rule_boundaries(mu, nu, hw, why):
+    lo, hi = -1, 2
+    facs = ([("Bmn", mu, nu)] if not hw
+            else [("B", hw), ("Bdual", hw)])
+    for fac in facs:
+        if why is None:
+            lr_engine._factor_shape(fac, lo, hi)
+        else:
+            with pytest.raises(lr_engine._WindowTooSmall) as exc:
+                lr_engine._factor_shape(fac, lo, hi)
+            assert str(exc.value) == why
+    key = lr_engine._class_census(ExtremalClass(mu, nu, hw), lo, hi)
+    assert (key is None) == (why is not None)
+
+
 # ---------------------------------------------------------------- off origin
 
 _LEVEL_ONE = {ExtremalClass((1,) * (a + 1), (1,) * a): 1 for a in range(4)}

@@ -134,6 +134,14 @@ def test_weight_is_its_nonzero_part(la, a, lb, b):
     assert weight_sub(wa, wb).key() == _oracle_key(la - lb, diff)
 
 
+def test_weight_refuses_plus():
+    # a namedtuple would concatenate, giving a silently wrong 4-tuple key
+    w = Weight(1, {1: 2})
+    for add in (lambda: w + w, lambda: w + (), lambda: () + w):
+        with pytest.raises(TypeError):
+            add()
+
+
 def weyl_reflect(word, k):
     """Simple reflection on a word: apply lowering or raising |<wt,h_k>| times."""
     m = pairing(weight(word), k)

@@ -44,12 +44,17 @@ CASES = {
 }
 
 # verify_truncated reports, full discrepancy lists and their order included;
-# the first is perfbench's census case that stays a mismatch at [-10, 10]
+# the first is perfbench's census case that stays a mismatch at [-10, 10],
+# the second the three window-fit refusals with their detail texts
 REPORTS = {
     "verify_truncated_bmn1_b-1_b0_mismatch": lambda: (
         lr_engine.verify_truncated(
             [("Bmn", (1,), ()), ("B", (-1,)), ("B", (0,))], (-3, 3),
             lr_engine.extremal_lr((-1,), (1,), (), (0,), (), (), (-3, 3)))),
+    "verify_truncated_window_too_small": lambda: [
+        lr_engine.verify_truncated(f, (0, 0), {})
+        for f in ([("B", (20,))], [("B", (-20,))],
+                  [("Bmn", (1,) * 20, ())])],
 }
 
 

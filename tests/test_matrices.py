@@ -315,8 +315,29 @@ def test_maya_sources():
 
 # The retired snapshot route, kept as the oracle for maya_lower/maya_raise:
 # copy every row onto a column window holding all flips, charges and the
-# color's two columns plus a margin, act with the column operator, and read
-# each row's flips back off the window.
+# color's two columns plus a margin, act with a column operator read off the
+# word crystal (not the matrix operators that maya_lower/maya_raise call),
+# and read each row's flips back off the window.
+
+def _word_column_op(word_op):
+    """Column operator at color k through a word operator: the rows top to
+    bottom, each row's 1-columns in increasing order, as letters (j, False);
+    the word's letters are written back into their rows."""
+    def op(A, k):
+        word = tuple((A.col_lo + j, False) for row in A.entries
+                     for j, x in enumerate(row) if x)
+        word = word_op(word, k)
+        if word is None:
+            return None
+        rows, start = [], 0
+        for row in A.entries:
+            cols = {j for j, _ in word[start:start + sum(row)]}
+            start += sum(row)
+            rows.append(tuple(int(A.col_lo + j in cols)
+                              for j in range(len(row))))
+        return BinaryMatrix(A.row_lo, A.col_lo, rows)
+    return op
+
 
 def _snapshot_window(rows, k, margin):
     pts = [k, k + 1]
@@ -359,9 +380,9 @@ def test_maya_ops_match_snapshot_route():
         k = rng.randint(-4, 4)
         for margin in (2, 5):
             assert maya_lower(rows, k) == _snapshot_step(
-                rows, k, matrix_lower, margin)
+                rows, k, _word_column_op(lower_word), margin)
             assert maya_raise(rows, k) == _snapshot_step(
-                rows, k, matrix_raise, margin)
+                rows, k, _word_column_op(raise_word), margin)
 
 
 def test_serialization():
