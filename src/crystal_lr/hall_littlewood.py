@@ -1,75 +1,62 @@
 """Hall-Littlewood vertex operators on the z-ring.
 
-A truncated element (TRElem) is a zero-free dict {monomial: TPoly}, summed
-with shapes.bump_poly; the truncation order T is passed explicitly and
-arithmetic drops every power of t above it.  The mode operator b^t_k raises
-z-degree by one; words in the modes applied to 1 expand in the z-Schur basis
-with Kostka-Foulkes coefficients, interpolating between a single z-Schur
-class at t=0 and the plain monomial product at t=1.
+A truncated element (TRElem) is a zero-free dict {power of t: ring element},
+one t-slice per power, slices summed with shapes.bump_poly; the truncation
+order T is passed explicitly and arithmetic drops every power of t above it.
+The mode operator b^t_k raises z-degree by one; words in the modes applied
+to 1 expand in the z-Schur basis with Kostka-Foulkes coefficients,
+interpolating between a single z-Schur class at t=0 and the plain monomial
+product at t=1.
 """
 
 from . import ring
-from .shapes import bump_poly, is_gen_partition
+from .shapes import bump, bump_poly, is_gen_partition, lin_add
 
 
 # ---------------------------------------------------------------- TRElem
 
 def tr_one():
-    return {(): {0: 1}}
+    return {0: {(): 1}}
 
 
 def tr_from_r(f):
     """Lift a plain ring element onto the t^0 slice."""
-    return {k: {0: c} for k, c in f.items() if c}
+    sl = {k: c for k, c in f.items() if c}
+    return {0: sl} if sl else {}
 
 
 def tr_add(a, b):
     out = dict(a)
-    for k, tp in b.items():
-        bump_poly(out, k, tp)
+    for e, sl in b.items():
+        bump_poly(out, e, sl)
     return out
 
 
 def tr_t_shift(f, j, T, c=1):
     """Multiply by c*t^j, dropping powers beyond T."""
-    out = {}
-    for k, tp in f.items():
-        cur = {e + j: v * c for e, v in tp.items() if e + j <= T}
-        if cur:
-            out[k] = cur
-    return out
-
-
-def tr_slices(f, T):
-    """Split into plain ring elements keyed by power of t."""
-    out = {}
-    for k, tp in f.items():
-        for e, c in tp.items():
-            if e <= T:
-                out.setdefault(e, {})[k] = c
-    return out
+    return {e + j: {k: v * c for k, v in sl.items()}
+            for e, sl in f.items() if e + j <= T}
 
 
 def tr_eval(f, t):
     """Specialize t to an integer; a plain ring element."""
     out = {}
-    for k, tp in f.items():
-        v = sum(c * t ** e for e, c in tp.items())
-        if v:
-            out[k] = v
+    for e, sl in f.items():
+        out = lin_add(out, sl, t ** e)
     return out
 
 
 def tr_omega(f):
     """z_k -> z_{-k} on every slice."""
-    return {tuple(sorted((-x for x in k), reverse=True)): tp
-            for k, tp in f.items()}
+    return {e: {tuple(sorted((-x for x in k), reverse=True)): c
+                for k, c in sl.items()}
+            for e, sl in f.items()}
 
 
-def tr_expand_schur(f, n, T):
+def tr_expand_schur(f, n):
     """Expand every t-slice in the z-Schur basis; {shape: TPoly}."""
     out = {}
-    for e, sl in sorted(tr_slices(f, T).items()):
+    for e, sl in sorted(f.items()):
         for lam, c in ring.expand_in_z_schur(sl, n).items():
             out.setdefault(lam, {})[e] = c
     return out
@@ -88,12 +75,13 @@ def bt_apply(k, f, T):
     truncation order alone.
     """
     out = {}
-    for e, sl in tr_slices(f, T).items():
+    for e, sl in f.items():
         deg = max((len(key) for key in sl), default=0)
         for j in range(T - e + 1):
             g = ring.s_operator(-1, (1,) * j)(sl)
             if not g:
                 continue
+            acc = out.setdefault(e + j, {})
             for d in range(deg + 2):
                 h = ring.s_operator(-1, (d,))(g) if d else g
                 if d > deg:
@@ -106,8 +94,8 @@ def bt_apply(k, f, T):
                 sign = -1 if d % 2 else 1
                 term = ring.r_mul(ring.r_monomial((j + d + k,)), h)
                 for key, c in term.items():
-                    bump_poly(out, key, {e + j: c}, sign)
-    return out
+                    bump(acc, key, sign * c)
+    return {e: sl for e, sl in out.items() if sl}
 
 
 def bt_bar_apply(k, f, T):
@@ -133,10 +121,10 @@ def bt_word_action(mu, T):
     mu = tuple(mu)
     if not is_gen_partition(mu):
         raise ValueError("mode word must be weakly decreasing")
-    f = tr_one()
+    f = tr_t_shift(tr_one(), 0, T)
     for m in reversed(mu):
         f = bt_apply(m, f, T)
-    return tr_expand_schur(f, len(mu), T)
+    return tr_expand_schur(f, len(mu))
 
 
 def bt_commutator_check(m, n, T, sample):

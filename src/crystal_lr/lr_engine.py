@@ -463,7 +463,7 @@ def verify_truncated(factors, window, predicted, threads=1):
 
     The census runs in one thread.  threads accepts only 1, which
     perfbench's census workload still passes; the keyword goes in the next
-    benchmark change.  Any other value raises ValueError.
+    benchmark change.  Any other value, or lo > hi, raises ValueError.
 
     Returns a report dict with status "ok", "mismatch" (first discrepancies
     listed) or "window-too-small".  Windows widen by one letter a side, up
@@ -485,6 +485,8 @@ def verify_truncated(factors, window, predicted, threads=1):
                          % (threads,))
     factors = [_factor_norm(f) for f in factors]
     lo0, hi0 = window
+    if lo0 > hi0:
+        raise ValueError("window [%d, %d] has lo > hi" % (lo0, hi0))
     margin = _default_margin(factors, predicted)
     # The window census only sees the factor multiset, so it always matches
     # the arrangement with every highest weight factor on the left.  When the

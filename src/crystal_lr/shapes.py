@@ -9,10 +9,10 @@ tuple of ints of fixed length, negative entries allowed; a TPoly is a dict
 
 Every finite linear combination in the package is a dict {key: coeff}:
 TPolys here, Laurent polynomials in characters, z-ring and Ore elements in
-ring, truncated elements {monomial: TPoly} in hall_littlewood and
+ring, truncated elements {power of t: z-ring element} in hall_littlewood and
 {class: mult} decompositions in lr_engine.  All of them are zero-free: no
-key maps to 0 (or to an empty TPoly), so two combinations are equal exactly
-when their dicts are.  bump, lin_add and bump_poly below are the one
+key maps to 0 (or to an empty combination), so two combinations are equal
+exactly when their dicts are.  bump, lin_add and bump_poly below are the one
 arithmetic kernel that keeps this invariant.
 
 Boxes of generalized partitions, horizontal strips, subpartitions and the
@@ -280,7 +280,7 @@ def bump(d, key, c):
 def lin_add(a, b, c=1):
     """The combination a + c*b, as a new dict."""
     out = dict(a)
-    # bump inlined: this loop runs once per term of every bt_apply
+    # bump inlined: bump_poly and expand_in_z_schur run this once per term
     for key, v in b.items():
         v = out.get(key, 0) + c * v
         if v:

@@ -277,6 +277,16 @@ def test_retried_means_a_wider_window_was_attempted(monkeypatch):
     assert rep["status"] == "window-too-small" and rep["retried"] is True
 
 
+@pytest.mark.parametrize("factors", [[("Bmn", (), ())],
+                                     [("B", (0,)), ("Bcol", 1)]])
+def test_inverted_window_is_refused(factors):
+    # attempted as given, these reported window-too-small ("needs 0
+    # letters") and a mismatch at [0, 0]; a one-letter window stays valid
+    with pytest.raises(ValueError, match=r"window \[3, -3\]"):
+        verify_truncated(factors, (3, -3), {})
+    assert verify_truncated(factors, (0, 0), {})["status"] == "mismatch"
+
+
 # ---------------------------------------------------------------- fit rule
 
 @pytest.mark.parametrize("mu, nu, hw, why", [

@@ -31,6 +31,7 @@ CASES = {
     "verify_pieri_seed0": ["verify", "pieri", "--seed", "0"],
     "verify_s_action_seed0": ["verify", "s-action", "--seed", "0"],
     "verify_annihilator_seed0": ["verify", "annihilator", "--seed", "0"],
+    "verify_hl_seed0": ["verify", "hl", "--seed", "0"],
     "hl_act_2_1_0": ["hl-act", "--mu", "2,1,0"],
     "hl_act_1_0_-1_T3": ["hl-act", "--mu", "1,0,-1", "--T", "3"],
     "lr_321_21_21": ["lr", "3,2,1", "2,1", "2,1"],

@@ -5,7 +5,7 @@ import pytest
 
 from crystal_lr import characters, ring, shapes
 from crystal_lr import hall_littlewood as hl
-from crystal_lr.hall_littlewood import bt_apply, tr_slices, tr_t_shift
+from crystal_lr.hall_littlewood import bt_apply, tr_t_shift
 from crystal_lr.shapes import (bump_poly, conjugate, gen_lr_coefficient,
                                gen_partitions_box, inversion_sign,
                                is_gen_partition, lr_coefficient, mu_star,
@@ -30,23 +30,22 @@ def dominates(lam, mu):
 def test_tr_helpers():
     a = hl.tr_from_r({(1,): 2, (0,): -1})
     b = hl.tr_t_shift(a, 2, 3)
-    assert b == {(1,): {2: 2}, (0,): {2: -1}}
+    assert b == {2: {(1,): 2, (0,): -1}}
     assert hl.tr_t_shift(a, 4, 3) == {}
     assert hl.tr_add(a, hl.tr_t_shift(a, 0, 3, -1)) == {}
-    assert hl.tr_eval({(2,): {0: 1, 1: -1}}, 1) == {}
-    assert hl.tr_eval({(2,): {0: 1, 1: -1}}, 0) == {(2,): 1}
-    assert hl.tr_omega({(2, -1): {1: 3}}) == {(1, -2): {1: 3}}
-    assert hl.tr_slices({(1,): {0: 1, 5: 2}}, 3) == {0: {(1,): 1}}
+    assert hl.tr_eval({0: {(2,): 1}, 1: {(2,): -1}}, 1) == {}
+    assert hl.tr_eval({0: {(2,): 1}, 1: {(2,): -1}}, 0) == {(2,): 1}
+    assert hl.tr_omega({1: {(2, -1): 3}}) == {1: {(1, -2): 3}}
 
 
 def test_bt_apply_frozen():
     for k in (-2, 0, 1, 4):
-        assert hl.bt_apply(k, hl.tr_one(), 0) == {(k,): {0: 1}}
+        assert hl.bt_apply(k, hl.tr_one(), 0) == {0: {(k,): 1}}
     # annihilators kill every higher term on degree 0, whatever T
     for T in (1, 3):
-        assert hl.bt_apply(0, hl.tr_one(), T) == {(0,): {0: 1}}
+        assert hl.bt_apply(0, hl.tr_one(), T) == {0: {(0,): 1}}
     got = hl.bt_apply(1, hl.tr_from_r(ring.r_monomial((1,))), 1)
-    assert got == {(1, 1): {0: 1}, (2, 0): {0: -1, 1: 1}, (3, -1): {1: -1}}
+    assert got == {0: {(1, 1): 1, (2, 0): -1}, 1: {(2, 0): 1, (3, -1): -1}}
 
 
 def test_bt_apply_degree_shift():
@@ -58,7 +57,7 @@ def test_bt_apply_degree_shift():
         f = tr_t_shift(hl.tr_from_r(ring.r_monomial(ks)),
                        rng.randrange(0, 2), 2)
         out = hl.bt_apply(rng.randint(-2, 2), f, 2)
-        assert all(len(key) == deg + 1 for key in out)
+        assert all(len(key) == deg + 1 for sl in out.values() for key in sl)
 
 
 def test_rodrigues():
@@ -171,7 +170,38 @@ def test_bar_commutation():
 
 
 def test_bt_bar_frozen():
-    assert hl.bt_bar_apply(2, hl.tr_one(), 1) == {(-2,): {0: 1}}
+    assert hl.bt_bar_apply(2, hl.tr_one(), 1) == {0: {(-2,): 1}}
+
+
+def test_trelem_invariant():
+    # every operation returns a TRElem: {power <= T: nonempty slice}, each
+    # slice zero-free and keyed by weakly decreasing monomials
+    def check(f, T):
+        for e, sl in f.items():
+            assert sl and e <= T
+            assert all(c and is_gen_partition(key) for key, c in sl.items())
+
+    rng = random.Random(5)
+    for _ in range(80):
+        T = rng.randint(0, 3)
+        f = {}
+        for _ in range(rng.randint(1, 3)):
+            ks = tuple(sorted((rng.randint(-2, 2)
+                               for _ in range(rng.randrange(0, 3))),
+                              reverse=True))
+            f = hl.tr_add(f, tr_t_shift(hl.tr_from_r(ring.r_monomial(ks)),
+                                        rng.randint(0, T), T,
+                                        rng.choice((-1, 1))))
+        k, m = rng.randint(-2, 2), rng.randint(-2, 2)
+        outs = [f, bt_apply(k, f, T), bt_apply(m, bt_apply(k, f, T), T),
+                hl.bt_bar_apply(k, f, T),
+                hl.tr_add(f, tr_t_shift(f, 0, T, -1)),
+                hl.tr_add(bt_apply(k, f, T), hl.bt_bar_apply(k, f, T)),
+                tr_t_shift(f, rng.randint(0, 2), T)]
+        for g in outs:
+            check(g, T)
+    for mu in [(), (1,), (1, 0)]:
+        assert hl.bt_word_action(mu, -1) == {}
 
 
 # ---------------------------------------------------------------- oracles
@@ -246,7 +276,7 @@ def bt_lambda_classes(lam, T):
 
     def act(f):
         out = {}
-        for e, sl in tr_slices(f, T).items():
+        for e, sl in f.items():
             deg = max((len(key) for key in sl), default=0)
             for snu in range(T - e + 1):
                 for nu in partitions_of(snu, max_length=n):
@@ -278,7 +308,7 @@ def bt_lambda_classes(lam, T):
                                         continue
                                     term = ring.r_mul(ring.z_schur(eta), g)
                                     for key, c in term.items():
-                                        bump_poly(out, key, {e + snu: c},
+                                        bump_poly(out, e + snu, {key: c},
                                                   msign * c1 * c2)
         return out
 

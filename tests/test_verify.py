@@ -15,8 +15,8 @@ from crystal_lr.shapes import lin_add
 
 
 def _drop_first_class(fn):
-    def mutant(*args):
-        dec = dict(fn(*args))
+    def mutant(*args, **kwargs):
+        dec = dict(fn(*args, **kwargs))
         if dec:
             del dec[next(iter(dec))]
         return dec
@@ -47,6 +47,10 @@ def _nonzero(fn):
     return lambda rel, f: {((0,),): 1}
 
 
+def _only_at_top_left_zero(fn):
+    return lambda A, l: fn(A, l) if A.entries[0][0] == 0 else None
+
+
 MUTANTS = [
     # every prediction loses a class, so the first case fails
     ("pieri", "pieri_column", _drop_first_class, "column-pieri", 1,
@@ -67,6 +71,16 @@ MUTANTS = [
      {"mu": [1, 1], "T": 1}),
     ("annihilator", "apply_delem", _nonzero, "relations-annihilate", 1,
      {"n": 1, "lam": [-1]}),
+    # every column move keeps the first matrix's corner 1, so the mutant
+    # acts on neither side of any square there; on the second, lowering
+    # column color 1 empties the corner and only one side acts
+    ("bicrystal", "cap_lower", _only_at_top_left_zero, "commutation", 2,
+     {"column_color": 1, "row_color": 1, "column_op": "lower",
+      "row_op": "lower"}),
+    # the count is the 2 x 4 matrices walked, 2^8; the first component
+    # found, the one dropped, has weight (2, 2, 1, 1)
+    ("duality-en", "bicrystal_components", _drop_first_class, "census", 256,
+     {"weight": [2, 2, 1, 1], "got": 0, "expected": 1}),
 ]
 
 
