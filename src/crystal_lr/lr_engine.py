@@ -23,35 +23,33 @@ class MixedLevelError(ValueError):
 class ExtremalClass(namedtuple("ExtremalClass", "mu nu hw")):
     """Isomorphism class of B_{mu,nu} (x) B(Lambda_hw).
 
-    hw None (or empty) means level 0, i.e. the bare B_{mu,nu}.  Distinct
-    (mu, nu, hw) triples are distinct classes.
+    hw is a tuple, () at level 0, i.e. the bare B_{mu,nu}; the constructor
+    also takes None for ().  Distinct (mu, nu, hw) triples are distinct
+    classes.
     """
 
     __slots__ = ()
 
-    def __new__(cls, mu=(), nu=(), hw=None):
+    def __new__(cls, mu=(), nu=(), hw=()):
         pmu, pnu = normalize(mu), normalize(nu)
         if not shapes.is_partition(pmu) or not shapes.is_partition(pnu):
             raise ValueError("mu and nu must be partitions: %r, %r"
                              % (mu, nu))
-        if hw is not None:
-            hw = tuple(hw)
-            if not shapes.is_gen_partition(hw):
-                raise ValueError("hw must be weakly decreasing: %r" % (hw,))
-            if not hw:
-                hw = None
+        hw = tuple(hw) if hw else ()
+        if not shapes.is_gen_partition(hw):
+            raise ValueError("hw must be weakly decreasing: %r" % (hw,))
         return super().__new__(cls, pmu, pnu, hw)
 
     @property
     def level(self):
-        return len(self.hw) if self.hw is not None else 0
+        return len(self.hw)
 
     def key(self):
-        return (self.level, self.hw or (), self.mu, self.nu)
+        return (self.level, self.hw, self.mu, self.nu)
 
     def to_json(self):
         return {"mu": list(self.mu), "nu": list(self.nu),
-                "hw": list(self.hw) if self.hw is not None else None}
+                "hw": list(self.hw) if self.hw else None}
 
 
 def decomposition_to_json(dec):
@@ -149,10 +147,10 @@ def pieri_column(lam, a, dual=False):
         col = (1,) * k
         if dual:
             for nu in strips_below(lam, a - k):
-                out[ExtremalClass((), col, nu or None)] = 1
+                out[ExtremalClass((), col, nu)] = 1
         else:
             for mu in strips_above(lam, a - k):
-                out[ExtremalClass(col, (), mu or None)] = 1
+                out[ExtremalClass(col, (), mu)] = 1
     return out
 
 
@@ -194,8 +192,7 @@ def hw_past_level0(lam, mu, nu):
         for (tau, zeta), b in _past_leg(shapes.mu_star(eta, m),
                                         nu_coproduct).items():
             bump(out, (sigma, tau, shapes.mu_star(zeta, m)), a * b)
-    return {ExtremalClass(s, t, r or None): c
-            for (s, t, r), c in out.items()}
+    return {ExtremalClass(s, t, r): c for (s, t, r), c in out.items()}
 
 
 def extremal_lr(lam, mu, nu, rho, sigma, tau, window):
@@ -209,13 +206,12 @@ def extremal_lr(lam, mu, nu, rho, sigma, tau, window):
     """
     out = {}
     for cls, d in hw_past_level0(lam, sigma, tau).items():
-        zetas = hw_product(cls.hw or (), rho, window)
+        zetas = hw_product(cls.hw, rho, window)
         if not zetas:
             continue
         for lz, c23 in level0_product(cls.mu, cls.nu, mu, nu).items():
             for zeta, c1 in zetas.items():
-                bump(out, ExtremalClass(lz.mu, lz.nu, zeta or None),
-                     d * c1 * c23)
+                bump(out, ExtremalClass(lz.mu, lz.nu, zeta), d * c1 * c23)
     return out
 
 
@@ -225,8 +221,8 @@ def product_decomposition(d1, d2, window):
     out = {}
     for c1, a in d1.items():
         for c2, b in d2.items():
-            for c3, m in extremal_lr(c1.hw or (), c1.mu, c1.nu, c2.hw or (),
-                                     c2.mu, c2.nu, window).items():
+            for c3, m in extremal_lr(c1.hw, c1.mu, c1.nu, c2.hw, c2.mu,
+                                     c2.nu, window).items():
                 bump(out, c3, a * b * m)
     return out
 
@@ -304,11 +300,8 @@ def expr_decompose(factors, window):
         raise MixedLevelError("product involves a negative-level factor")
     dec = {ExtremalClass(): 1}
     for fac in factors:
-        if fac[0] == "B":
-            step = {ExtremalClass(hw=fac[1]): 1}
-        else:
-            step = {ExtremalClass(fac[1], fac[2]): 1}
-        dec = product_decomposition(dec, step, window)
+        dec = product_decomposition(dec, {ExtremalClass(*_triple(fac)): 1},
+                                    window)
     return dec
 
 
@@ -432,7 +425,7 @@ def _class_census(cls, lo, hi):
         content[i] += x
     for i, x in enumerate(cls.nu):
         content[n - 1 - i] -= x
-    for a in cls.hw or ():
+    for a in cls.hw:
         for j in range(a - lo + 1):
             content[j] += 1
     return cls.level, tuple(content)
@@ -504,7 +497,7 @@ def verify_truncated(factors, window, predicted, threads=1):
         if hw_first:
             expanded[cls] += mult
         else:
-            for sub, m in hw_past_level0(cls.hw or (), cls.mu, cls.nu).items():
+            for sub, m in hw_past_level0(cls.hw, cls.mu, cls.nu).items():
                 expanded[sub] += m * mult
 
     def report(status, lo, hi, lhs, rhs, gap):

@@ -24,7 +24,6 @@ such strips (sst_chains), one walker call per letter.
 """
 
 from functools import cache
-import itertools
 
 
 # ---------------------------------------------------------------- parsing
@@ -319,41 +318,28 @@ def tpoly_pairs(a):
 # ---------------------------------------------------------------- charge
 
 def charge(word):
-    """Charge of a word with weakly decreasing content.
+    """Charge of a word whose content is a partition (Macdonald III.6).
 
-    Standard subwords are extracted scanning right to left with cyclic
-    wraparound; within a standard subword the index of letter r+1 is the index
-    of r, plus one if r+1 sits to the right of r.
+    Each round reads one standard subword: letter 1 is the rightmost 1 and
+    letter r+1 the nearest r+1 to the left of letter r, or the rightmost
+    r+1 when there is none (a wrap).  The index starts at 0 and goes up by
+    one at each wrap; the round adds its letters' indices to the charge and
+    removes them.  On content that is not a partition some round misses a
+    letter and max() raises ValueError.
     """
-    remaining = list(enumerate(word))
+    word = list(word)
     total = 0
-    while remaining:
-        picked = []
-        picked_idx = set()
-        target = 1
-        start = len(remaining) - 1
-        while True:
-            order = itertools.chain(range(start, -1, -1),
-                                    range(len(remaining) - 1, start, -1))
-            found = None
-            for i in order:
-                if i not in picked_idx and remaining[i][1] == target:
-                    found = i
-                    break
-            if found is None:
-                break
-            picked.append(remaining[found][0])
-            picked_idx.add(found)
-            start = found - 1 if found > 0 else len(remaining) - 1
-            target += 1
-        positions = picked
-        idx = 0
-        for r in range(1, len(positions)):
-            if positions[r] > positions[r - 1]:
+    while word:
+        at, idx, picked = len(word), 0, set()
+        for r in range(1, max(word) + 1):
+            found = [i for i, x in enumerate(word) if x == r]
+            left = [i for i in found if i < at]
+            if not left:
                 idx += 1
+            at = max(left or found)
+            picked.add(at)
             total += idx
-        remaining = [remaining[i] for i in range(len(remaining))
-                     if i not in picked_idx]
+        word = [x for i, x in enumerate(word) if i not in picked]
     return total
 
 
@@ -412,8 +398,7 @@ def kostka_foulkes(lam, mu):
         word = [i for r in reversed(range(len(lam)))
                 for i in range(1, len(chain))
                 for _ in range(chain[i][r] - chain[i - 1][r])]
-        c = charge(word)
-        out[c] = out.get(c, 0) + 1
+        bump(out, charge(word), 1)
     return out
 
 

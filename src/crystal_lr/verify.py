@@ -312,7 +312,7 @@ def _identity_block(rho, p, q, degree, szleft, past):
             for tsz in range(szleft - ssz + 1):
                 for tau in partitions_of(tsz, max_part=q):
                     targets.append((sigma, tau))
-    tkey = {t: ExtremalClass(t[0], t[1], rho or None) for t in targets}
+    tkey = {t: ExtremalClass(t[0], t[1], rho) for t in targets}
     lob = (rho[-1] if rho else 0) - degree - 1
     hib = (rho[0] if rho else 0) + degree + 1
     lhs = {t: {} for t in targets}

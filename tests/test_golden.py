@@ -36,6 +36,9 @@ CASES = {
     "hl_act_1_0_-1_T3": ["hl-act", "--mu", "1,0,-1", "--T", "3"],
     "lr_321_21_21": ["lr", "3,2,1", "2,1", "2,1"],
     "kostka_foulkes_321_2211": ["kostka-foulkes", "3,2,1", "2,2,1,1"],
+    "kostka_foulkes_3221_1x8": ["kostka-foulkes", "3,2,2,1",
+                                "1,1,1,1,1,1,1,1"],
+    "kostka_foulkes_20-1_100": ["kostka-foulkes", "--", "2,0,-1", "1,0,0"],
     "decompose_B0_Bcol2": ["decompose", "B(0) * Bcol(2)"],
     "decompose_B1-1_Bmn1_1": ["decompose", "B(1,-1) * Bmn(1;1)"],
     "genlr_10-1_10_-1": ["genlr", "--", "1,0,-1", "1,0", "-1"],

@@ -36,13 +36,13 @@ def rand_gen_partition(rng, n, lo=-2, hi=2):
 
 def test_extremal_class_normalization():
     c = ExtremalClass((2, 1, 0), (1, 0, 0))
-    assert c.mu == (2, 1) and c.nu == (1,) and c.hw is None
+    assert c.mu == (2, 1) and c.nu == (1,) and c.hw == ()
     assert c.level == 0
     # hw keeps trailing zeros: Lambda_(1,0) has level 2, Lambda_(1) level 1
     assert ExtremalClass(hw=(1, 0)).level == 2
     assert ExtremalClass(hw=(1,)).level == 1
     assert ExtremalClass(hw=(1, 0)) != ExtremalClass(hw=(1,))
-    assert ExtremalClass(hw=()).hw is None
+    assert ExtremalClass(hw=None).hw == ()
     assert ExtremalClass((1,), (2,), (0, -1)).key() == (2, (0, -1), (1,), (2,))
     with pytest.raises(ValueError):
         ExtremalClass((0, 1), ())
@@ -539,8 +539,8 @@ def test_extremal_lr_associative():
 
         def inner(dec):
             return {c: m for c, m in dec.items()
-                    if c.hw is None or (c.hw[0] <= win[1] - s - 1
-                                        and c.hw[-1] >= win[0] + s + 1)}
+                    if not c.hw or (c.hw[0] <= win[1] - s - 1
+                                    and c.hw[-1] >= win[0] + s + 1)}
 
         left = product_decomposition(product_decomposition(d1, d2, win), d3,
                                      win)

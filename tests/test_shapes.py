@@ -595,6 +595,61 @@ def test_charge_basic():
     assert shapes.charge(()) == 0
 
 
+def two_pass_charge(word):
+    """The retired charge: a cyclic search over (position, letter) pairs
+    picks each standard subword, then a second loop reads the indices off
+    the picked positions."""
+    remaining = list(enumerate(word))
+    total = 0
+    while remaining:
+        picked = []
+        picked_idx = set()
+        target = 1
+        start = len(remaining) - 1
+        while True:
+            order = itertools.chain(range(start, -1, -1),
+                                    range(len(remaining) - 1, start, -1))
+            found = None
+            for i in order:
+                if i not in picked_idx and remaining[i][1] == target:
+                    found = i
+                    break
+            if found is None:
+                break
+            picked.append(remaining[found][0])
+            picked_idx.add(found)
+            start = found - 1 if found > 0 else len(remaining) - 1
+            target += 1
+        positions = picked
+        idx = 0
+        for r in range(1, len(positions)):
+            if positions[r] > positions[r - 1]:
+                idx += 1
+            total += idx
+        remaining = [remaining[i] for i in range(len(remaining))
+                     if i not in picked_idx]
+    return total
+
+
+def test_charge_matches_two_pass_oracle():
+    """Every distinct nonempty word whose content is a partition of at most
+    7."""
+    words = 0
+    for n in range(1, 8):
+        for mu in shapes.partitions_of(n):
+            letters = [i for i, m in enumerate(mu, 1) for _ in range(m)]
+            for word in set(itertools.permutations(letters)):
+                assert shapes.charge(word) == two_pass_charge(word), word
+                words += 1
+    assert words == 13390
+
+
+@pytest.mark.parametrize("word", [(1, 3), (1, 2, 2)])
+def test_charge_refuses_content_that_is_not_a_partition(word):
+    with pytest.raises(ValueError):
+        shapes.charge(word)
+
+
 def test_kostka_foulkes_frozen():
     assert shapes.kostka_foulkes((2,), (1, 1)) == {1: 1}
     assert shapes.kostka_foulkes((2, 1), (1, 1, 1)) == {1: 1, 2: 1}

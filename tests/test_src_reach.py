@@ -27,6 +27,8 @@ ALLOWED = {
     # wrapped by the benchmark's tracer; the reference that the cap
     # operators' docstrings and tests conjugate by
     "matrices.rho_transpose", "matrices.rho_inverse",
+    # wrapped by the benchmark's tracer
+    "crystal.phi",
 }
 
 
@@ -58,13 +60,28 @@ def _imports(tree):
     return modules, names
 
 
+def _bound(node):
+    """Names a definition binds inside itself: the parameters of its
+    functions and lambdas, and every store target (assignments, loops,
+    comprehensions)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.arg):
+            out.add(sub.arg)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+    return out
+
+
 def reference_graph():
     """Top-level names of crystal_lr ({(module, name)}) and what each
     definition references ({(module, name): {(module, name)}}).
 
     A reference is a bare name resolved in its module (its own definitions,
     then its `from .mod import name` bindings) or `mod.name` through a
-    `from . import mod` alias; a definition does not reference itself.
+    `from . import mod` alias; a definition does not reference itself, and
+    a name it binds inside itself (a parameter or a local) is not a
+    reference to the top-level name it shadows.
     Only definitions refer, so the `__main__` guard does not."""
     defined, refs = set(), {}
     for path in sorted(SRC.glob("*.py")):
@@ -75,7 +92,10 @@ def reference_graph():
         defined |= {(mod, name) for name in defs}
         for name, node in defs.items():
             out = refs[(mod, name)] = set()
+            bound = _bound(node)
             for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in bound:
+                    continue
                 if isinstance(sub, ast.Name) and sub.id in defs:
                     out.add((mod, sub.id))
                 elif isinstance(sub, ast.Name) and sub.id in names:
