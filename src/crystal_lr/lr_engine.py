@@ -12,7 +12,7 @@ from collections import Counter, namedtuple
 from . import crystal, shapes
 from .crystal import Weight
 from .shapes import (bump, conjugate, gen_lr_coefficient, gen_partitions_box,
-                     lr_coefficient, normalize, strips_above, strips_below)
+                     lr_coefficient, normalize)
 
 
 class MixedLevelError(ValueError):
@@ -64,7 +64,13 @@ def decomposition_to_json(dec):
 
 def _lr_expand(mu, nu, max_len=None):
     """Classical product expansion s_mu s_nu = {lam: c}; with max_len (no
-    less than len(mu), len(nu)) the GL_max_len rule, l(lam) <= max_len."""
+    less than len(mu), len(nu)) the GL_max_len rule, l(lam) <= max_len.
+
+    Only the lam with max(mu_i, nu_i) <= lam_i <= mu_i + nu_1 are scanned.
+    lam contains mu and nu.  Each row of an LR tableau of shape lam/mu is a
+    weakly increasing run of its reading word, and the tableau rectifies to
+    a tableau of shape nu, so by Schensted's theorem (Fulton, Young
+    Tableaux, 3) the run has at most nu_1 cells."""
     mu, nu = normalize(mu), normalize(nu)
     if not mu:
         return {nu: 1}
@@ -73,9 +79,12 @@ def _lr_expand(mu, nu, max_len=None):
     cap = len(mu) + len(nu)
     if max_len is not None:
         cap = min(cap, max_len)
+    mu_p, nu_p = (x + (0,) * (cap - len(x)) for x in (mu, nu))
     out = {}
-    for lam in shapes.partitions_of(sum(mu) + sum(nu), max_length=cap,
-                                    max_part=mu[0] + nu[0]):
+    for lam in shapes.decreasing_tuples(tuple(map(max, mu_p, nu_p)),
+                                        tuple(x + nu[0] for x in mu_p),
+                                        sum(mu) + sum(nu)):
+        lam = normalize(lam)
         c = lr_coefficient(lam, mu, nu)
         if c:
             out[lam] = c
@@ -122,6 +131,9 @@ def hw_product(mu, nu, window):
     """
     mu, nu = tuple(mu), tuple(nu)
     lo, hi = window
+    if not mu or not nu:  # B(Lambda_()) is the trivial crystal
+        lam = mu or nu
+        return {lam: 1} if all(lo <= x <= hi for x in lam) else {}
     out = {}
     for lam in gen_partitions_box(len(mu) + len(nu), lo, hi,
                                   total=sum(mu) + sum(nu)):
@@ -133,25 +145,26 @@ def hw_product(mu, nu, window):
 
 def pieri_column(lam, a, dual=False):
     """B(Lambda_lam) (x) B_{(1^a)}, or the dual-column branch when dual is
-    set, as a finite multiplicity-free Decomposition.
+    set, as a finite multiplicity-free Decomposition (a = 0: the identity).
 
-    a = 0 gives the identity decomposition.
+    hw_past_level0's mu leg on the column's coproduct {((1^k), (a-k)): 1},
+    i.e. _coproduct((1^a), len(lam)), which keeps only alpha = () when lam
+    is empty; the dual branch is its star, as that function's nu leg.
     """
     lam = tuple(lam)
     if not shapes.is_gen_partition(lam):
         raise ValueError("lam must be weakly decreasing")
     if a < 0:
         raise ValueError("column length must be nonnegative, got %d" % a)
-    out = {}
-    for k in range(a + 1):
-        col = (1,) * k
-        if dual:
-            for nu in strips_below(lam, a - k):
-                out[ExtremalClass((), col, nu)] = 1
-        else:
-            for mu in strips_above(lam, a - k):
-                out[ExtremalClass(col, (), mu)] = 1
-    return out
+    m = len(lam)
+    coproduct = {((1,) * k, normalize((a - k,))): 1
+                 for k in range(a + 1) if m or k == a}
+    if dual:
+        return {ExtremalClass((), tau, shapes.mu_star(zeta, m)): c
+                for (tau, zeta), c in _past_leg(shapes.mu_star(lam, m),
+                                                coproduct).items()}
+    return {ExtremalClass(sigma, (), eta): c
+            for (sigma, eta), c in _past_leg(lam, coproduct).items()}
 
 
 def _past_leg(lam, coproduct):

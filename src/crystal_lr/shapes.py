@@ -15,12 +15,13 @@ key maps to 0 (or to an empty combination), so two combinations are equal
 exactly when their dicts are.  bump, lin_add and bump_poly below are the one
 arithmetic kernel that keeps this invariant.
 
-Boxes of generalized partitions, horizontal strips, subpartitions and the
-partitions of n are all weakly decreasing tuples between per-entry bounds,
-sometimes of fixed sum; decreasing_tuples is the one enumerator of them.
-partitions_of reverses its list, as seeded samples and the verify grids
-read reverse lexicographic order.  A semistandard tableau is a chain of
-such strips (sst_chains), one walker call per letter.
+Boxes of generalized partitions, the horizontal strips below a partition,
+subpartitions and the partitions of n are all weakly decreasing tuples
+between per-entry bounds, sometimes of fixed sum; decreasing_tuples is the
+one enumerator of them.  partitions_of reverses its list, as seeded samples
+and the verify grids read reverse lexicographic order.  A semistandard
+tableau is a chain of horizontal strips (sst_chains), one walker call per
+letter.
 """
 
 from functools import cache
@@ -132,21 +133,6 @@ def decreasing_tuples(lows, highs, total=None):
             return
         i = len(stack)
         x[i - 1] = v
-
-
-def strips_above(lam, size):
-    """mu in Z^n weakly decreasing such that mu/lam is a horizontal strip of
-    the given size after subtracting the common baseline lam_n."""
-    highs = (lam[0] + size,) + tuple(lam[:-1]) if lam else ()
-    return list(decreasing_tuples(lam, highs, sum(lam) + size))
-
-
-def strips_below(lam, size):
-    """nu in Z^n weakly decreasing such that lam/nu is a horizontal strip of
-    the given size after subtracting the common baseline nu_n: the stars of
-    the strips above lam*, as the star -w0 reverses containment."""
-    n = len(lam)
-    return [mu_star(x, n) for x in strips_above(mu_star(lam, n), size)]
 
 
 def horizontal_strips_below(mu, k):

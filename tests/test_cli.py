@@ -70,11 +70,41 @@ def test_module_entry_point_matches_in_process(argv, capsys, monkeypatch):
     # argparse wraps usage text to the terminal width: fix it on both sides
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = _call(argv, capsys)
+    proc = _run_module(argv, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, out.encode("utf-8"), err.encode("utf-8"))
+
+
+# hostile inputs, each with the exit code it must end in: the empty factor
+# B(Lambda_()) is the trivial crystal, and a Pieri or past-level-0 LR
+# expansion scans only the shapes between its factors, however far the
+# entries reach; a huge margin still ends in a named error
+HOSTILE = [
+    (["decompose", "B(0,-2000)", "--margin", "0"], 0),
+    (["decompose", "B(0,-10000000)", "--margin", "0"], 0),
+    (["decompose", "B(0,-10000000) * Bmn(1;)", "--margin", "0"], 0),
+    (["extremal-lr", "--margin", "0", "--", "0,-10000000", "", "", "", "1",
+      ""], 0),
+    (["pieri", "--", "0,-10000000", "3"], 0),
+    (["decompose", "B(0) * B(0)", "--margin", "100000"], 2),
+    (["decompose", "B(0) * B(0)", "--margin", "1000000000"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", HOSTILE,
+                         ids=[" ".join(argv) for argv, _ in HOSTILE])
+def test_hostile_input_ends_in_time(argv, code):
+    # a subprocess with a timeout, so a regression fails instead of hanging
+    proc = _run_module(argv, timeout=20)
+    assert proc.returncode == code, proc.stderr
+    assert (proc.stderr == b"") == (code == 0)
+
+
+def _run_module(argv, timeout):
+    """Run python -m crystal_lr.cli on argv with src/ on the path."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "crystal_lr.cli"] + argv,
-                          env=env, capture_output=True, timeout=120)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        code, out.encode("utf-8"), err.encode("utf-8"))
+    return subprocess.run([sys.executable, "-m", "crystal_lr.cli"] + argv,
+                          env=env, capture_output=True, timeout=timeout)

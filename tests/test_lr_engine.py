@@ -10,7 +10,7 @@ from crystal_lr.crystal import Weight
 from crystal_lr.shapes import (bump, conjugate, gen_lr_coefficient,
                                gen_partitions_box, lr_coefficient, normalize)
 from crystal_lr.lr_engine import (ExtremalClass, MixedLevelError,
-                                  _coproduct,
+                                  _coproduct, _lr_expand,
                                   decomposition_to_json, expr_decompose,
                                   extremal_lr,
                                   hw_past_level0, hw_product,
@@ -109,6 +109,21 @@ def test_hw_product_matches_branch_split():
             assert characters.branch_split(zeta, m, n).get((mu, nu), 0) == c
 
 
+def test_hw_product_with_the_trivial_factor():
+    # B(Lambda_()) is the trivial crystal, so the window's box scan finds
+    # exactly the other factor, when the window holds it
+    fits = 0
+    for n in range(4):
+        for lam in gen_partitions_box(n, -3, 3):
+            for lo, hi in [(-3, 3), (-1, 1), (0, 2), (-2, -1)]:
+                want = {z: c for z in gen_partitions_box(n, lo, hi, sum(lam))
+                        if (c := gen_lr_coefficient(z, lam, ()))}
+                assert hw_product(lam, (), (lo, hi)) == want, (lam, lo, hi)
+                assert hw_product((), lam, (lo, hi)) == want, (lam, lo, hi)
+                fits += bool(want)
+    assert fits == 170
+
+
 def test_pieri_frozen():
     assert pieri_column((2,), 3) == {
         ExtremalClass((1,) * a, (), (5 - a,)): 1 for a in range(4)}
@@ -162,6 +177,8 @@ def test_pieri_strip_support():
 
 
 def test_pieri_matches_hw_past_level0():
+    # both read _past_leg; test_pieri_strip_support and verify pieri are the
+    # checks that share no code with it
     rng = random.Random(23)
     for _ in range(12):
         n = rng.randrange(1, 3)
@@ -220,6 +237,46 @@ def test_equal_length_lr_is_the_gl_tensor_rule():
                                 lam, eta, alpha)
                     nonzero += bool(c)
     assert nonzero > 700
+
+
+def scanned_lr_expand(mu, nu, max_len=None):
+    """The _lr_expand that scanned every partition of |mu| + |nu| with parts
+    at most mu_1 + nu_1, kept verbatim as the oracle for the scan between
+    the factors."""
+    mu, nu = normalize(mu), normalize(nu)
+    if not mu:
+        return {nu: 1}
+    if not nu:
+        return {mu: 1}
+    cap = len(mu) + len(nu)
+    if max_len is not None:
+        cap = min(cap, max_len)
+    out = {}
+    for lam in shapes.partitions_of(sum(mu) + sum(nu), max_length=cap,
+                                    max_part=mu[0] + nu[0]):
+        c = lr_coefficient(lam, mu, nu)
+        if c:
+            out[lam] = c
+    return out
+
+
+def test_lr_expand_matches_scanned_oracle():
+    # every length cap from the longer factor to one past the sum of the
+    # lengths, and none
+    cases = nonzero = 0
+    for n in range(9):
+        for k in range(n + 1):
+            for mu in shapes.partitions_of(k):
+                for nu in shapes.partitions_of(n - k):
+                    longer = max(len(mu), len(nu))
+                    for max_len in [None] + list(
+                            range(longer, len(mu) + len(nu) + 2)):
+                        got = _lr_expand(mu, nu, max_len)
+                        assert got == scanned_lr_expand(mu, nu, max_len), (
+                            mu, nu, max_len)
+                        cases += 1
+                        nonzero += len(got)
+    assert (cases, nonzero) == (1726, 4968)
 
 
 def stack_subpartitions(mu):

@@ -7,9 +7,28 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from crystal_lr import crystal, shapes
+from crystal_lr.lr_engine import ExtremalClass, pieri_column
 from crystal_lr.shapes import (_pad, conjugate, contains,
-                               horizontal_strips_below, normalize,
-                               strips_above)
+                               decreasing_tuples, horizontal_strips_below,
+                               mu_star, normalize)
+
+
+# The strip enumerators that pieri_column read, moved from src/ to be its
+# oracle.
+
+def strips_above(lam, size):
+    """mu in Z^n weakly decreasing such that mu/lam is a horizontal strip of
+    the given size after subtracting the common baseline lam_n."""
+    highs = (lam[0] + size,) + tuple(lam[:-1]) if lam else ()
+    return list(decreasing_tuples(lam, highs, sum(lam) + size))
+
+
+def strips_below(lam, size):
+    """nu in Z^n weakly decreasing such that lam/nu is a horizontal strip of
+    the given size after subtracting the common baseline nu_n: the stars of
+    the strips above lam*, as the star -w0 reverses containment."""
+    n = len(lam)
+    return [mu_star(x, n) for x in strips_above(mu_star(lam, n), size)]
 
 
 # Moved from src/, where only these tests used them.
@@ -161,7 +180,7 @@ def test_strips_below_matches_direct_oracle():
     for n in range(5):
         for lam in shapes.gen_partitions_box(n, -4, 4):
             for size in range(7):
-                got = shapes.strips_below(lam, size)
+                got = strips_below(lam, size)
                 assert len(set(got)) == len(got), (lam, size)
                 assert set(got) == set(direct_strips_below(lam, size)), (
                     lam, size)
@@ -403,6 +422,29 @@ def test_strips_above_matches_recursive_oracle():
             for size in range(7):
                 assert strips_above(lam, size) == \
                     recursive_strips_above(lam, size), (lam, size)
+
+
+def test_pieri_column_is_the_strip_rule():
+    # B(Lambda_lam) (x) B_{(1^a)} has one class B_{(1^k),()} (x)
+    # B(Lambda_mu) for each mu/lam a horizontal strip of size a - k, and the
+    # dual branch one B_{(),(1^k)} (x) B(Lambda_nu) for each lam/nu; the
+    # order is compared too, as the census tests drop a class by position
+    cases = 0
+    for n in range(5):
+        for lam in shapes.gen_partitions_box(n, -3, 3):
+            for a in range(6):
+                want = {ExtremalClass((1,) * k, (), mu): 1
+                        for k in range(a + 1)
+                        for mu in strips_above(lam, a - k)}
+                assert list(pieri_column(lam, a).items()) == \
+                    list(want.items()), (lam, a)
+                want = {ExtremalClass((), (1,) * k, nu): 1
+                        for k in range(a + 1)
+                        for nu in strips_below(lam, a - k)}
+                assert list(pieri_column(lam, a, dual=True).items()) == \
+                    list(want.items()), (lam, a)
+                cases += 2
+    assert cases == 3960
 
 
 def test_horizontal_strips_below_matches_filtered_oracle():
