@@ -108,6 +108,13 @@ def raise_word(word, k):
     return _move(word, minus[-1], -1) if minus else None
 
 
+def _word_step(word, k):
+    """(raise_word(word, k), lower_word(word, k)) from one signature."""
+    minus, plus = _signature(word, k)
+    return (_move(word, minus[-1], -1) if minus else None,
+            _move(word, plus[0], 1) if plus else None)
+
+
 def weight(word):
     eps_map = {}
     for i, dual in word:
@@ -227,13 +234,15 @@ def hw_tableau(lam, lo, hi):
 
 # ---------------------------------------------------------------- components
 
-def components(nodes, raises, lowers):
+def components(nodes, steps):
     """Traverse a finite set under crystal operators, one component at a time.
 
-    raises and lowers are lists of (op, color) moves, op(node, color)
-    returning the neighbour or None.  Yields (source, size) per component,
-    the source being its one node that no raise move leaves.  Raises
-    ValueError if a move leaves the set or a component has no unique source.
+    steps is a list of (step, color) pairs, step(node, color) returning the
+    pair (raised, lowered) of the node's neighbours at that color, None
+    where the operator is undefined; one step reads one signature for both
+    directions.  Yields (source, size) per component, the source being its
+    one node without a raised neighbour.  Raises ValueError if a neighbour
+    leaves the set or a component has no unique source.
     """
     nodes = set(nodes)
     seen = set()
@@ -248,19 +257,20 @@ def components(nodes, raises, lowers):
             x = queue.popleft()
             size += 1
             is_source = True
-            for moves, raising in ((raises, True), (lowers, False)):
-                for op, c in moves:
-                    y = op(x, c)
-                    if y is None:
+            for step, c in steps:
+                raised, lowered = step(x, c)
+                if raised is not None:
+                    is_source = False
+                # seen is inside nodes, so a visited neighbour needs no
+                # closure test
+                for y in (raised, lowered):
+                    if y is None or y in seen:
                         continue
-                    if raising:
-                        is_source = False
                     if y not in nodes:
                         raise ValueError(
                             "set not closed under color %r at %r" % (c, x))
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
+                    seen.add(y)
+                    queue.append(y)
             if is_source:
                 sources.append(x)
         if len(sources) != 1:
@@ -275,7 +285,5 @@ def decompose_components(words, colors):
     input is not closed under the operators or a component has no unique
     source.
     """
-    colors = list(colors)
     return Counter((weight(w), size) for w, size in components(
-        words, [(raise_word, k) for k in colors],
-        [(lower_word, k) for k in colors]))
+        words, [(_word_step, k) for k in colors]))

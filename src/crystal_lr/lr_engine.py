@@ -63,8 +63,8 @@ def decomposition_to_json(dec):
 # ---------------------------------------------------------------- LR sums
 
 def _lr_expand(mu, nu, max_len=None):
-    """Classical product expansion s_mu s_nu = {lam: c}; with max_len (no
-    less than len(mu), len(nu)) the GL_max_len rule, l(lam) <= max_len.
+    """Classical product expansion s_mu s_nu = {lam: c}; with max_len the
+    GL_max_len rule, l(lam) <= max_len, empty when a factor is longer.
 
     Only the lam with max(mu_i, nu_i) <= lam_i <= mu_i + nu_1 are scanned.
     lam contains mu and nu.  Each row of an LR tableau of shape lam/mu is a
@@ -72,6 +72,8 @@ def _lr_expand(mu, nu, max_len=None):
     a tableau of shape nu, so by Schensted's theorem (Fulton, Young
     Tableaux, 3) the run has at most nu_1 cells."""
     mu, nu = normalize(mu), normalize(nu)
+    if max_len is not None and max(len(mu), len(nu)) > max_len:
+        return {}
     if not mu:
         return {nu: 1}
     if not nu:
@@ -147,9 +149,8 @@ def pieri_column(lam, a, dual=False):
     """B(Lambda_lam) (x) B_{(1^a)}, or the dual-column branch when dual is
     set, as a finite multiplicity-free Decomposition (a = 0: the identity).
 
-    hw_past_level0's mu leg on the column's coproduct {((1^k), (a-k)): 1},
-    i.e. _coproduct((1^a), len(lam)), which keeps only alpha = () when lam
-    is empty; the dual branch is its star, as that function's nu leg.
+    hw_past_level0's mu leg on the column's coproduct {((1^k), (a-k)): 1};
+    the dual branch is its star, as that function's nu leg.
     """
     lam = tuple(lam)
     if not shapes.is_gen_partition(lam):
@@ -157,8 +158,7 @@ def pieri_column(lam, a, dual=False):
     if a < 0:
         raise ValueError("column length must be nonnegative, got %d" % a)
     m = len(lam)
-    coproduct = {((1,) * k, normalize((a - k,))): 1
-                 for k in range(a + 1) if m or k == a}
+    coproduct = {((1,) * k, normalize((a - k,))): 1 for k in range(a + 1)}
     if dual:
         return {ExtremalClass((), tau, shapes.mu_star(zeta, m)): c
                 for (tau, zeta), c in _past_leg(shapes.mu_star(lam, m),

@@ -117,6 +117,13 @@ def matrix_raise(A, k):
     return _column_move(A, minus[-1], k, True) if minus else None
 
 
+def _column_step(A, k):
+    """(matrix_raise(A, k), matrix_lower(A, k)) from one signature."""
+    minus, plus = _matrix_signature(A, k)
+    return (_column_move(A, minus[-1], k, True) if minus else None,
+            _column_move(A, plus[0], k, False) if plus else None)
+
+
 # ---------------------------------------------------------------- transpose
 
 def rho_transpose(A):
@@ -190,13 +197,21 @@ def cap_raise(A, l):
     return _cap_move(A, i, minus[-1], True) if minus else None
 
 
+def _cap_step(A, l):
+    """(cap_raise(A, l), cap_lower(A, l)) from one signature."""
+    i, minus, plus = _cap_signature(A, l)
+    return (_cap_move(A, i, minus[-1], True) if minus else None,
+            _cap_move(A, i, plus[0], False) if plus else None)
+
+
 # ---------------------------------------------------------------- censuses
 
 def enumerate_matrices(row_lo, row_hi, col_lo, col_hi):
     nr, nc = row_hi - row_lo + 1, col_hi - col_lo + 1
     for bits in itertools.product((0, 1), repeat=nr * nc):
-        yield BinaryMatrix(row_lo, col_lo,
-                           [bits[r * nc:(r + 1) * nc] for r in range(nr)])
+        yield BinaryMatrix._of_rows(
+            row_lo, col_lo, tuple(bits[r * nc:(r + 1) * nc]
+                                  for r in range(nr)))
 
 
 def bicrystal_components(mats, col_colors, row_colors):
@@ -205,10 +220,7 @@ def bicrystal_components(mats, col_colors, row_colors):
     Returns a Counter over (doubly-source column weight, component size);
     raises if a component lacks a unique doubly-source.
     """
-    col_colors, row_colors = list(col_colors), list(row_colors)
-    raises = ([(matrix_raise, k) for k in col_colors]
-              + [(cap_raise, l) for l in row_colors])
-    lowers = ([(matrix_lower, k) for k in col_colors]
-              + [(cap_lower, l) for l in row_colors])
+    steps = ([(_column_step, k) for k in col_colors]
+             + [(_cap_step, l) for l in row_colors])
     return Counter((A.col_weight(), size)
-                   for A, size in components(mats, raises, lowers))
+                   for A, size in components(mats, steps))

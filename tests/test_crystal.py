@@ -2,9 +2,9 @@ import random
 from collections import Counter, deque
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from crystal_lr import shapes
+from crystal_lr import crystal, shapes
 from crystal_lr.crystal import (Tableau, Weight, decompose_components,
                                 enumerate_sst, eps, hw_tableau,
                                 fundamental_weight, lower_word, phi,
@@ -315,8 +315,41 @@ def test_decompose_products_match_lr():
 
 def test_decompose_not_closed():
     words = [tableau_word(t) for t in enumerate_sst((1,), 1, 3)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="set not closed under color"):
         decompose_components(words[:-1], range(1, 3))
+
+
+# mixed words over the letters of colors -1..6: each color meets plus and
+# minus letters of both families
+_mixed_words = st.lists(st.tuples(st.integers(-1, 7), st.booleans()),
+                        max_size=10).map(tuple)
+
+
+def _check_word_step(step):
+    """Checks step against the per-color operators, its oracle."""
+    @settings(database=None)
+    @given(_mixed_words, st.integers(-1, 6))
+    @example(((1, False), (1, False)), 1)  # two surviving + at color 1
+    def check(word, k):
+        assert step(word, k) == (raise_word(word, k), lower_word(word, k))
+    check()
+
+
+def _step_lowering_last_plus(word, k):
+    """A mutant of _word_step: lowers at the last surviving + instead of
+    the first."""
+    minus, plus = crystal._signature(word, k)
+    return (crystal._move(word, minus[-1], -1) if minus else None,
+            crystal._move(word, plus[-1], 1) if plus else None)
+
+
+def test_word_step_matches_operators():
+    _check_word_step(crystal._word_step)
+
+
+def test_word_step_check_catches_mutant():
+    with pytest.raises(AssertionError):
+        _check_word_step(_step_lowering_last_plus)
 
 
 def is_equivalent(b1, b2, colors, max_nodes=200000):

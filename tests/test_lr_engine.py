@@ -279,6 +279,13 @@ def test_lr_expand_matches_scanned_oracle():
     assert (cases, nonzero) == (1726, 4968)
 
 
+@pytest.mark.parametrize("mu, nu, max_len", [((), (2,), 0),
+                                             ((1, 1), (), 1)])
+def test_lr_expand_factor_longer_than_cap(mu, nu, max_len):
+    # no lam of length at most max_len contains the longer factor
+    assert _lr_expand(mu, nu, max_len) == {}
+
+
 def stack_subpartitions(mu):
     """The subpartitions enumerator that walked its own stack, kept verbatim
     as the oracle for the sigma range of _coproduct."""

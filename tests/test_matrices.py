@@ -155,9 +155,15 @@ def _cap_lower_last_plus(A, l):
     return matrices._cap_move(A, i, plus[-1], False) if plus else None
 
 
+def _cap_step_last_plus(A, l):
+    """_cap_step with the same mutant lowering."""
+    return matrices.cap_raise(A, l), _cap_lower_last_plus(A, l)
+
+
 def test_verifiers_catch_mutant_row_operator(monkeypatch):
     monkeypatch.setattr(matrices, "cap_lower", _cap_lower_last_plus)
     monkeypatch.setattr(verify, "cap_lower", _cap_lower_last_plus)
+    monkeypatch.setattr(matrices, "_cap_step", _cap_step_last_plus)
     cfg = {"seed": 0, "quick": True}
     (check,) = verify.SUITES["bicrystal"](cfg)
     assert check["status"] == "fail"
@@ -291,6 +297,31 @@ def test_census_small():
             expected[(key, num_sst(mu, 3) * num_sst(conjugate(mu), 2))] = 1
     assert dict(comps) == expected
     assert sum(sz * n for (_, sz), n in comps.items()) == 64
+
+
+def test_census_not_closed():
+    # the dropped matrix is [(1, 0, 0), (0, 0, 0)] lowered at column color 1
+    mats = list(enumerate_matrices(1, 2, 1, 3))
+    mats.remove(M(1, 1, [(0, 1, 0), (0, 0, 0)]))
+    with pytest.raises(ValueError, match="set not closed under color"):
+        bicrystal_components(mats, col_colors=(1, 2), row_colors=(1,))
+
+
+def test_steps_match_operators():
+    # every matrix with at most 3 rows and 4 columns, at every color
+    cases = 0
+    for nrows in range(1, 4):
+        for ncols in range(1, 5):
+            for A in enumerate_matrices(-1, nrows - 2, 2, ncols + 1):
+                for k in range(A.col_lo, A.col_hi):
+                    assert matrices._column_step(A, k) == (
+                        matrix_raise(A, k), matrix_lower(A, k))
+                    cases += 1
+                for l in range(A.row_lo, A.row_hi):
+                    assert matrices._cap_step(A, l) == (
+                        cap_raise(A, l), cap_lower(A, l))
+                    cases += 1
+    assert cases == 24056
 
 
 def test_maya_weights():
