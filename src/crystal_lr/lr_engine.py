@@ -8,6 +8,7 @@ tensor product restricted to a finite letter window.
 """
 
 from collections import Counter, namedtuple
+from functools import cache
 
 from . import crystal, shapes
 from .crystal import Weight
@@ -93,9 +94,11 @@ def _lr_expand(mu, nu, max_len=None):
     return out
 
 
+@cache
 def _coproduct(mu, max_len):
     """{(sigma, alpha): c^{mu'}_{sigma' alpha}} over the partitions sigma
-    inside mu and alpha of length at most max_len."""
+    inside mu and alpha of length at most max_len.  Cached, so every caller
+    shares the returned dict and must not mutate it."""
     mu_c = conjugate(mu)
     out = {}
     for sigma in shapes.decreasing_tuples((0,) * len(mu), mu):
@@ -149,36 +152,30 @@ def pieri_column(lam, a, dual=False):
     """B(Lambda_lam) (x) B_{(1^a)}, or the dual-column branch when dual is
     set, as a finite multiplicity-free Decomposition (a = 0: the identity).
 
-    hw_past_level0's mu leg on the column's coproduct {((1^k), (a-k)): 1};
-    the dual branch is its star, as that function's nu leg.
+    hw_past_level0 with mu = (1^a), or with nu = (1^a) when dual is set.
     """
-    lam = tuple(lam)
-    if not shapes.is_gen_partition(lam):
-        raise ValueError("lam must be weakly decreasing")
     if a < 0:
         raise ValueError("column length must be nonnegative, got %d" % a)
-    m = len(lam)
-    coproduct = {((1,) * k, normalize((a - k,))): 1 for k in range(a + 1)}
     if dual:
-        return {ExtremalClass((), tau, shapes.mu_star(zeta, m)): c
-                for (tau, zeta), c in _past_leg(shapes.mu_star(lam, m),
-                                                coproduct).items()}
-    return {ExtremalClass(sigma, (), eta): c
-            for (sigma, eta), c in _past_leg(lam, coproduct).items()}
+        return hw_past_level0(lam, (), (1,) * a)
+    return hw_past_level0(lam, (1,) * a, ())
 
 
-def _past_leg(lam, coproduct):
+def _past_leg(lam, mu):
     """{(sigma, eta): mult} with B(Lambda_lam) (x) B_{mu,()} the sum of
-    mult B_{sigma,()} (x) B(Lambda_eta), for coproduct = _coproduct(mu, m)
-    and m = len(lam): mult sums c^{mu'}_{sigma' alpha} c^lam_{eta alpha*}
-    over alpha.  On GL_m, c^lam_{eta alpha*} is the multiplicity of eta in
-    lam (x) alpha, i.e. c^{eta+q}_{lam+q, alpha} after the shift q = -lam_m
-    that makes lam a partition, with eta+q of length at most m."""
+    mult B_{sigma,()} (x) B(Lambda_eta); an empty mu is the identity.  With
+    m = len(lam), mult sums c^{mu'}_{sigma' alpha} c^lam_{eta alpha*} over
+    the terms of _coproduct(mu, m).  On GL_m, c^lam_{eta alpha*} is the
+    multiplicity of eta in lam (x) alpha, i.e. c^{eta+q}_{lam+q, alpha}
+    after the shift q = -lam_m that makes lam a partition, with eta+q of
+    length at most m."""
+    if not mu:
+        return {((), lam): 1}
     m = len(lam)
     q = -lam[-1] if lam else 0
     base = tuple(x + q for x in lam)
     out = {}
-    for (sigma, alpha), c1 in coproduct.items():
+    for (sigma, alpha), c1 in _coproduct(mu, m).items():
         for kappa, c3 in _lr_expand(base, alpha, m).items():
             eta = tuple(x - q for x in kappa + (0,) * (m - len(kappa)))
             bump(out, (sigma, eta), c1 * c3)
@@ -192,18 +189,19 @@ def hw_past_level0(lam, mu, nu):
     B_{mu,nu} is the one class B_{mu,()} (x) B_{(),nu}.  The mu leg gives
     B_{sigma,()} (x) B(Lambda_eta).  The nu leg is its mirror under the star
     duality (mu <-> nu, hw -> -w0 hw): the mu leg on (eta*, nu), starred.
-    Its coproduct does not depend on eta, so it is taken once.
+    An empty nu leaves eta as it is.
     """
     lam = tuple(lam)
     if not shapes.is_gen_partition(lam):
         raise ValueError("lam must be weakly decreasing")
     mu, nu = normalize(mu), normalize(nu)
     m = len(lam)
-    nu_coproduct = _coproduct(nu, m)
     out = {}
-    for (sigma, eta), a in _past_leg(lam, _coproduct(mu, m)).items():
-        for (tau, zeta), b in _past_leg(shapes.mu_star(eta, m),
-                                        nu_coproduct).items():
+    for (sigma, eta), a in _past_leg(lam, mu).items():
+        if not nu:
+            bump(out, (sigma, (), eta), a)
+            continue
+        for (tau, zeta), b in _past_leg(shapes.mu_star(eta, m), nu).items():
             bump(out, (sigma, tau, shapes.mu_star(zeta, m)), a * b)
     return {ExtremalClass(s, t, r): c for (s, t, r), c in out.items()}
 

@@ -1,8 +1,8 @@
 """The windowed source census of verify_truncated against an oracle that
 enumerates every factor in full, the eps-bounded enumeration it walks, its
 irreducibility and size-refusal invariants, windows away from the origin,
-mutated predictions it must reject, and the window-edge over-count that is
-still open."""
+the two-factor grid where the census is exact, mutated predictions it must
+reject, and the window-edge over-count that is still open."""
 
 import random
 from collections import Counter
@@ -343,6 +343,43 @@ def test_dropped_class_away_from_the_origin_is_a_mismatch():
     rep = verify_truncated([("B", (2,)), ("Bcol", 1)], (2, 4),
                            {ExtremalClass((1,), (), (2,)): 1})
     assert rep["status"] == "mismatch", rep
+
+
+# ---------------------------------------------------------------- exact grid
+
+def _two_factor_misses():
+    """The products B(Lambda_lam) (x) B_{mu,nu} and B_{mu,nu} (x)
+    B(Lambda_lam) whose expr_decompose prediction the census does not pass,
+    for 1 <= l(lam) <= 2 with entries in [-1, 1] and mu or nu nonempty with
+    |mu| + |nu| <= 2."""
+    legs = [(mu, nu) for size in (1, 2) for i in range(size + 1)
+            for mu in shapes.partitions_of(i)
+            for nu in shapes.partitions_of(size - i)]
+    products = [f for n in (1, 2)
+                for lam in shapes.gen_partitions_box(n, -1, 1)
+                for mu, nu in legs
+                for f in ([("B", lam), ("Bmn", mu, nu)],
+                          [("Bmn", mu, nu), ("B", lam)])]
+    assert len(products) == 126
+    return [f for f in products
+            if verify_truncated(f, (-3, 3), lr_engine.expr_decompose(
+                f, (-9, 9)))["status"] != "ok"]
+
+
+def test_two_factor_grid_is_exact():
+    # both legs of hw_past_level0 and both of its empty-leg shortcuts, each
+    # checked by the census
+    assert _two_factor_misses() == []
+
+
+def test_two_factor_grid_catches_a_dropped_class(monkeypatch):
+    past = lr_engine.hw_past_level0
+
+    def dropped(lam, mu, nu):
+        return dict(list(past(lam, mu, nu).items())[1:])
+
+    monkeypatch.setattr(lr_engine, "hw_past_level0", dropped)
+    assert _two_factor_misses()
 
 
 # ---------------------------------------------------------------- mutants

@@ -177,8 +177,10 @@ def test_pieri_strip_support():
 
 
 def test_pieri_matches_hw_past_level0():
-    # both read _past_leg; test_pieri_strip_support and verify pieri are the
-    # checks that share no code with it
+    # true by definition now that pieri_column calls hw_past_level0; the
+    # checks that share no code with them are
+    # tests/test_shapes.py::test_pieri_column_is_the_strip_rule,
+    # test_pieri_strip_support, verify pieri and the census's Pieri items
     rng = random.Random(23)
     for _ in range(12):
         n = rng.randrange(1, 3)
@@ -187,6 +189,72 @@ def test_pieri_matches_hw_past_level0():
         assert pieri_column(lam, a) == hw_past_level0(lam, (1,) * a, ())
         assert (pieri_column(lam, a, dual=True)
                 == hw_past_level0(lam, (), (1,) * a))
+
+
+# The pieri_column that built the column's coproduct by hand and wrote out
+# the star of its dual branch, retired from src/ and kept verbatim as the
+# oracle of the column case of hw_past_level0.
+
+def coproduct_leg(lam, coproduct):
+    """The two-argument _past_leg, which took coproduct = _coproduct(mu, m)
+    from its caller."""
+    m = len(lam)
+    q = -lam[-1] if lam else 0
+    base = tuple(x + q for x in lam)
+    out = {}
+    for (sigma, alpha), c1 in coproduct.items():
+        for kappa, c3 in _lr_expand(base, alpha, m).items():
+            eta = tuple(x - q for x in kappa + (0,) * (m - len(kappa)))
+            bump(out, (sigma, eta), c1 * c3)
+    return out
+
+
+def hand_coproduct_pieri_column(lam, a, dual=False):
+    lam = tuple(lam)
+    if not shapes.is_gen_partition(lam):
+        raise ValueError("lam must be weakly decreasing")
+    if a < 0:
+        raise ValueError("column length must be nonnegative, got %d" % a)
+    m = len(lam)
+    coproduct = {((1,) * k, normalize((a - k,))): 1 for k in range(a + 1)}
+    if dual:
+        return {ExtremalClass((), tau, shapes.mu_star(zeta, m)): c
+                for (tau, zeta), c in coproduct_leg(shapes.mu_star(lam, m),
+                                                    coproduct).items()}
+    return {ExtremalClass(sigma, (), eta): c
+            for (sigma, eta), c in coproduct_leg(lam, coproduct).items()}
+
+
+def test_pieri_column_matches_hand_coproduct_oracle():
+    # items and order, as the census tests drop a class by position
+    cases = 0
+    for n in range(5):
+        for lam in gen_partitions_box(n, -3, 3):
+            for a in range(6):
+                for dual in (False, True):
+                    assert list(pieri_column(lam, a, dual).items()) == list(
+                        hand_coproduct_pieri_column(lam, a, dual).items()), (
+                            lam, a, dual)
+                    cases += 1
+    assert cases == 3960
+
+
+def test_coproduct_memo_is_never_mutated():
+    # every caller shares the cached dicts, so each must still equal a fresh
+    # computation after a batch of calls
+    _coproduct.cache_clear()
+    rng = random.Random(41)
+    keys = set()
+    for _ in range(60):
+        lam = rand_gen_partition(rng, rng.randrange(0, 4))
+        a = rng.randrange(0, 4)
+        mu, nu = rand_partition(rng), rand_partition(rng)
+        pieri_column(lam, a, dual=rng.random() < 0.5)
+        hw_past_level0(lam, mu, nu)
+        keys |= {(p, len(lam)) for p in ((1,) * a, mu, nu) if p}
+    assert _coproduct.cache_info().currsize == len(keys) > 20
+    for mu, m in keys:
+        assert _coproduct(mu, m) == _coproduct.__wrapped__(mu, m), (mu, m)
 
 
 def test_hw_past_level0_frozen():
