@@ -6,11 +6,15 @@ order T is passed explicitly and arithmetic drops every power of t above it.
 The mode operator b^t_k raises z-degree by one; words in the modes applied
 to 1 expand in the z-Schur basis with Kostka-Foulkes coefficients,
 interpolating between a single z-Schur class at t=0 and the plain monomial
-product at t=1.
+product at t=1.  Each mode makes one merged column pass per power of t and
+one fused row pass, which lowers and multiplies in the same loop.
 """
 
+from itertools import product
+from operator import sub
+
 from . import ring
-from .shapes import bump, bump_poly, is_gen_partition, lin_add
+from .shapes import bump_poly, is_gen_partition, lin_add
 
 
 # ---------------------------------------------------------------- TRElem
@@ -69,32 +73,35 @@ def bt_apply(k, f, T):
 
     The mode expands as sum_{j,d} (-1)^d t^j [multiply by z_{j+d+k}] o
     [lower by the row (d)] o [lower by the column (1^j)], left factor
-    outermost.  The row factor kills everything of degree below d, so d
-    stops at the slice degree and the first discarded term is checked to
-    vanish; the column factor never annihilates, so j is cut by the
-    truncation order alone.
+    outermost (Jing 1991).  The column pass is one ring.s_operator call per
+    slice and power of t; it never annihilates, so j is cut by T alone.
+    The row (d) lowers d distinct entries by one, so the row pass and the
+    multiplication are one loop over the 0/1 vectors b of each monomial,
+    d = |b|, which gives d <= degree by construction.
     """
     out = {}
+    flips = {}
     for e, sl in f.items():
-        deg = max((len(key) for key in sl), default=0)
         for j in range(T - e + 1):
             g = ring.s_operator(-1, (1,) * j)(sl)
             if not g:
                 continue
             acc = out.setdefault(e + j, {})
-            for d in range(deg + 2):
-                h = ring.s_operator(-1, (d,))(g) if d else g
-                if d > deg:
-                    if h:
-                        raise ValueError("row term beyond the operand degree"
-                                         " did not vanish")
-                    break
-                if not h:
-                    continue
-                sign = -1 if d % 2 else 1
-                term = ring.r_mul(ring.r_monomial((j + d + k,)), h)
-                for key, c in term.items():
-                    bump(acc, key, sign * c)
+            for z, c in g.items():
+                rows = flips.get(len(z))
+                if rows is None:
+                    rows = flips[len(z)] = [
+                        (b, sum(b), -1 if sum(b) % 2 else 1)
+                        for b in product((0, 1), repeat=len(z))]
+                for b, d, sign in rows:
+                    key = tuple(sorted((j + d + k, *map(sub, z, b)),
+                                       reverse=True))
+                    # bump inlined: this is the inner loop of every mode
+                    v = acc.get(key, 0) + sign * c
+                    if v:
+                        acc[key] = v
+                    elif key in acc:
+                        del acc[key]
     return {e: sl for e, sl in out.items() if sl}
 
 

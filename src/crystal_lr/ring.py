@@ -18,9 +18,10 @@ through gamma^+_n.
 import itertools
 from fractions import Fraction
 from functools import cache
+from operator import add
 
-from .shapes import (bump, bump_poly, conjugate, inversion_sign, lin_add,
-                     normalize, partitions_of, sst_chains)
+from .shapes import (bump, bump_poly, conjugate, lin_add, normalize,
+                     partitions_of, sst_chains)
 
 
 # ---------------------------------------------------------------- RElem
@@ -52,15 +53,29 @@ def z_schur(lam):
 
 
 def z_skew_schur(lam, mu):
-    """det(z_{lam_i - mu_j - i + j}); equal-length index vectors."""
+    """det(z_{lam_i - mu_j - i + j}); equal-length index vectors.
+
+    Laplace expansion row by row (Macdonald I.3), the partial products kept
+    by the set S of columns used so far, equal ones merged: row i placed in
+    column p after S adds one inversion per q in S with q > p.
+    """
     n = len(lam)
     if len(mu) != n:
         raise ValueError("length mismatch")
-    out = {}
-    for p in itertools.permutations(range(n)):
-        ks = tuple(lam[i] - mu[p[i]] - i + p[i] for i in range(n))
-        bump(out, tuple(sorted(ks, reverse=True)), inversion_sign(p))
-    return out
+    layer = {0: {(): 1}}
+    for i in range(n):
+        nxt = {}
+        for used, part in layer.items():
+            for p in range(n):
+                if used >> p & 1:
+                    continue
+                x = lam[i] - mu[p] - i + p
+                sign = -1 if (used >> p).bit_count() % 2 else 1
+                acc = nxt.setdefault(used | 1 << p, {})
+                for ks, c in part.items():
+                    bump(acc, tuple(sorted((*ks, x), reverse=True)), sign * c)
+        layer = nxt
+    return layer[(1 << n) - 1]
 
 
 _Z_SCHUR_CAP = 10000
@@ -215,9 +230,13 @@ def s_operator(sign, mu):
         out = {}
         for z, c in f.items():
             for shift, k in table(len(z)):
-                zz = tuple(sorted((x + y for x, y in zip(z, shift)),
-                                  reverse=True))
-                bump(out, zz, c * k)
+                zz = tuple(sorted(map(add, z, shift), reverse=True))
+                # bump inlined, as in lin_add: bt_apply's column pass
+                v = out.get(zz, 0) + c * k
+                if v:
+                    out[zz] = v
+                elif zz in out:
+                    del out[zz]
         return out
 
     return act

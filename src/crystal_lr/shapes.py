@@ -405,10 +405,3 @@ def num_sst(lam, n):
     out, rem = divmod(num, den)
     assert rem == 0
     return out
-
-
-def inversion_sign(seq):
-    """(-1) to the number of pairs i < j with seq[i] > seq[j]."""
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv % 2 else 1

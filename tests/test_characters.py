@@ -11,12 +11,19 @@ from crystal_lr.characters import _hl_p, lp_lift, lp_mul
 # crystal), kept as oracles: the bialternant ratio with exact division by
 # each x_i - x_j, and the branching expansion that peels lex-maximal terms.
 
+def inversion_sign(seq):
+    """(-1) to the number of pairs i < j with seq[i] > seq[j]."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
 def _alternant(avec):
     n = len(avec)
     out = {}
     for perm in itertools.permutations(range(n)):
         exps = tuple(avec[perm[i]] for i in range(n))
-        shapes.bump(out, exps, shapes.inversion_sign(perm))
+        shapes.bump(out, exps, inversion_sign(perm))
     return out
 
 

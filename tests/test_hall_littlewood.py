@@ -6,8 +6,8 @@ import pytest
 from crystal_lr import characters, ring, shapes
 from crystal_lr import hall_littlewood as hl
 from crystal_lr.hall_littlewood import bt_apply, tr_t_shift
-from crystal_lr.shapes import (bump_poly, conjugate, gen_lr_coefficient,
-                               gen_partitions_box, inversion_sign,
+from crystal_lr.shapes import (bump, bump_poly, conjugate,
+                               gen_lr_coefficient, gen_partitions_box,
                                is_gen_partition, lr_coefficient, mu_star,
                                partitions_of)
 
@@ -58,6 +58,107 @@ def test_bt_apply_degree_shift():
                        rng.randrange(0, 2), 2)
         out = hl.bt_apply(rng.randint(-2, 2), f, 2)
         assert all(len(key) == deg + 1 for sl in out.values() for key in sl)
+
+
+# Retired from src/ (bt_apply now fuses the row pass with the
+# multiplication), kept as an oracle: every (j, d) term through two
+# s_operator passes and an r_mul.
+
+def two_pass_bt_apply(k, f, T):
+    """Apply the mode operator b^t_k, raising z-degree by exactly one.
+
+    The mode expands as sum_{j,d} (-1)^d t^j [multiply by z_{j+d+k}] o
+    [lower by the row (d)] o [lower by the column (1^j)], left factor
+    outermost.  The row factor kills everything of degree below d, so d
+    stops at the slice degree and the first discarded term is checked to
+    vanish; the column factor never annihilates, so j is cut by the
+    truncation order alone.
+    """
+    out = {}
+    for e, sl in f.items():
+        deg = max((len(key) for key in sl), default=0)
+        for j in range(T - e + 1):
+            g = ring.s_operator(-1, (1,) * j)(sl)
+            if not g:
+                continue
+            acc = out.setdefault(e + j, {})
+            for d in range(deg + 2):
+                h = ring.s_operator(-1, (d,))(g) if d else g
+                if d > deg:
+                    if h:
+                        raise ValueError("row term beyond the operand degree"
+                                         " did not vanish")
+                    break
+                if not h:
+                    continue
+                sign = -1 if d % 2 else 1
+                term = ring.r_mul(ring.r_monomial((j + d + k,)), h)
+                for key, c in term.items():
+                    bump(acc, key, sign * c)
+    return {e: sl for e, sl in out.items() if sl}
+
+
+def formula_bt_apply(k, f, T):
+    """The mode on each monomial in closed form, cut at t^T:
+
+        b^t_k prod z_{k_i} = sum_s z_{k+|s|} prod z_{k_i - s_i}
+                             prod_{s_i > 0} (t^{s_i} - t^{s_i - 1})
+
+    over s in N^n.  A factor with s_i > 0 starts at t^{s_i - 1}, so
+    s_i <= T + 1 - e on slice e.  Shares no code with ring.s_operator.
+    """
+    out = {}
+    for e, sl in f.items():
+        top = T - e
+        for z, c in sl.items():
+            for s in itertools.product(range(top + 2), repeat=len(z)):
+                weight = {0: 1}
+                for si in (x for x in s if x):
+                    nxt = {}
+                    for p, w in weight.items():
+                        for q, v in ((si, w), (si - 1, -w)):
+                            if p + q <= top:
+                                nxt[p + q] = nxt.get(p + q, 0) + v
+                    weight = nxt
+                key = tuple(sorted((k + sum(s),
+                                    *(x - y for x, y in zip(z, s))),
+                                   reverse=True))
+                for p, w in weight.items():
+                    if w:
+                        bump(out.setdefault(e + p, {}), key, c * w)
+    return {e: sl for e, sl in out.items() if sl}
+
+
+def _random_trelem(rng, T):
+    """1-3 slices at powers <= T, each of 1-3 monomials of degree 0-5 with
+    entries in [-3, 3]; mixed degrees within a slice are allowed."""
+    f = {}
+    for _ in range(rng.randint(1, 3)):
+        sl = {}
+        for _ in range(rng.randint(1, 3)):
+            key = tuple(sorted((rng.randint(-3, 3)
+                                for _ in range(rng.randint(0, 5))),
+                               reverse=True))
+            bump(sl, key, rng.choice((-3, -2, -1, 1, 2, 3)))
+        bump_poly(f, rng.randint(0, T), sl)
+    return f
+
+
+def test_bt_apply_matches_retired_routes():
+    rng = random.Random(26)
+    for _ in range(60):
+        T = rng.randint(0, 4)
+        f = _random_trelem(rng, T)
+        k = rng.randint(-3, 3)
+        got = bt_apply(k, f, T)
+        assert got == two_pass_bt_apply(k, f, T)
+        assert got == formula_bt_apply(k, f, T)
+
+
+def test_formula_oracle_frozen():
+    # the closed form alone, on the hand-checked case of test_bt_apply_frozen
+    got = formula_bt_apply(1, hl.tr_from_r(ring.r_monomial((1,))), 1)
+    assert got == {0: {(1, 1): 1, (2, 0): -1}, 1: {(2, 0): 1, (3, -1): -1}}
 
 
 def test_rodrigues():
@@ -208,6 +309,13 @@ def test_trelem_invariant():
 #
 # The raising-product operator and its straightening, kept as oracles for
 # the class expansion and for each other.
+
+def inversion_sign(seq):
+    """(-1) to the number of pairs i < j with seq[i] > seq[j]."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
 
 def bt_straighten(alpha):
     """Dominant rewriting of a mode word.

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -102,6 +103,42 @@ def test_z_skew_frozen():
     assert z_skew_schur((1, 0), (0, 0)) == z_schur((1, 0))
     with pytest.raises(ValueError):
         z_skew_schur((1, 0), (1,))
+
+
+# Retired from src/ (z_skew_schur now expands by rows, merging partial
+# products), kept as the oracle of the Laplace expansion: Leibniz's sum over
+# all n! permutations, each signed by its inversions.
+
+def inversion_sign(seq):
+    """(-1) to the number of pairs i < j with seq[i] > seq[j]."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
+
+
+def leibniz_z_skew_schur(lam, mu):
+    """det(z_{lam_i - mu_j - i + j}); equal-length index vectors."""
+    n = len(lam)
+    if len(mu) != n:
+        raise ValueError("length mismatch")
+    out = {}
+    for p in itertools.permutations(range(n)):
+        ks = tuple(lam[i] - mu[p[i]] - i + p[i] for i in range(n))
+        bump(out, tuple(sorted(ks, reverse=True)), inversion_sign(p))
+    return out
+
+
+def test_z_skew_schur_matches_leibniz_oracle():
+    rng = random.Random(26)
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        lam = tuple(rng.randint(-3, 3) for _ in range(n))
+        mu = tuple(rng.randint(-3, 3) for _ in range(n))
+        if rng.random() < 0.5:
+            lam = tuple(sorted(lam, reverse=True))
+            mu = tuple(sorted(mu, reverse=True))
+        assert z_skew_schur(lam, mu) == leibniz_z_skew_schur(lam, mu)
+    assert z_schur((0,) * 7) == leibniz_z_skew_schur((0,) * 7, (0,) * 7)
 
 
 def test_expand_roundtrip():

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from crystal_lr import cli, verify
-from crystal_lr.shapes import lin_add
+from crystal_lr.shapes import bump, lin_add
 
 
 def _drop_first_class(fn):
@@ -98,3 +98,46 @@ def test_suite_catches_mutant(monkeypatch, capsys, suite, name, mutate,
     bad = entry["counterexample"]
     assert {k: bad[k] for k in where} == where
 
+
+
+
+def _flip_one_odd_term(fn):
+    """On a single monomial of degree >= 2, flip the sign of its j = 0,
+    d = 1 term that lowers the first entry.  A flip on the word actions'
+    path (degree 0 or 1 operands) makes an action non-finite in the z-Schur
+    basis, and the suite then ends in an error before any check reports."""
+    def mutant(k, f, T):
+        out = {e: dict(sl) for e, sl in fn(k, f, T).items()}
+        terms = [(e, z, c) for e, sl in f.items() for z, c in sl.items()]
+        if len(terms) == 1 and len(terms[0][1]) >= 2:
+            (e, z, c), = terms
+            key = tuple(sorted((k + 1, z[0] - 1, *z[1:]), reverse=True))
+            bump(out.setdefault(e, {}), key, 2 * c)
+        return {e: sl for e, sl in out.items() if sl}
+    return mutant
+
+
+def _drop_one_top_slice_term(fn):
+    def mutant(k, f, T):
+        out = {e: dict(sl) for e, sl in fn(k, f, T).items()}
+        if out:
+            top = out[max(out)]
+            del top[next(iter(top))]
+        return {e: sl for e, sl in out.items() if sl}
+    return mutant
+
+
+@pytest.mark.parametrize("mutate,failed", [
+    (_flip_one_odd_term, {"defining-relation", "bar-commutation"}),
+    (_drop_one_top_slice_term, {"kostka-charge", "p-expansion",
+                                "rodrigues-t0", "monomial-t1",
+                                "defining-relation", "bar-commutation"}),
+], ids=["flip-odd-d", "drop-top-term"])
+def test_hl_suite_catches_mode_mutant(monkeypatch, capsys, mutate, failed):
+    # every hl check reaches the mode through the module, verify.hl
+    monkeypatch.setattr(verify.hl, "bt_apply", mutate(verify.hl.bt_apply))
+    assert cli.main(["verify", "hl", "--quick"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "fail"
+    assert {c["name"] for c in report["checks"]
+            if c["status"] == "fail"} == failed
