@@ -32,14 +32,11 @@ from pathlib import Path
 MIN_PAIRS = 10
 
 
-def _git(*args):
-    return subprocess.run(["git", *args], check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
 def _export(ref, into):
     """Write the tree of ref into the directory into; its full commit id."""
-    commit = _git("rev-parse", "--verify", ref + "^{commit}")
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", ref + "^{commit}"], check=True,
+        capture_output=True, text=True).stdout.strip()
     archive = subprocess.run(["git", "archive", commit], check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
@@ -108,7 +105,19 @@ def main(argv=None):
         for side, root in roots.items():
             root.mkdir()
             commits[side] = _export(getattr(args, side), root)
-        results = []
+        record = {
+            "parent": {"ref": args.parent, "commit": commits["parent"]},
+            "change": {"ref": args.change, "commit": commits["change"]},
+            "command": ["python3", "perfbench/run.py", "--trace", "0",
+                        "--seconds", str(seconds)],
+            "order": "parent first in odd pairs, change first in even pairs",
+            "nproc": len(os.sched_getaffinity(0)),
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "PYTHONDONTWRITEBYTECODE":
+                os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "results": [],
+        }
         for workload in workloads:
             for seed in args.seeds:
                 runs = {"parent": [], "change": []}
@@ -122,27 +131,17 @@ def main(argv=None):
                         failed[side] += res["failed"]
                     print("%s seed %d: pair %d/%d done" % (
                         workload, seed, i + 1, args.pairs), file=sys.stderr)
-                results.append({
+                record["results"].append({
                     "workload": workload, "seed": seed,
                     "pairs": args.pairs, "failed": failed,
                     "all_correct": all(r["correct"] for side in runs.values()
                                        for r in side),
                     "metrics": summarize(metrics, runs["parent"],
                                          runs["change"])})
-
-    record = {
-        "parent": {"ref": args.parent, "commit": commits["parent"]},
-        "change": {"ref": args.change, "commit": commits["change"]},
-        "command": ["python3", "perfbench/run.py", "--trace", "0",
-                    "--seconds", str(seconds)],
-        "order": "parent first in odd pairs, change first in even pairs",
-        "nproc": len(os.sched_getaffinity(0)),
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "results": results,
-    }
-    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+                # rewritten after every workload and seed, so a run cut
+                # short keeps what it finished
+                Path(args.out).write_text(json.dumps(record, indent=1)
+                                          + "\n")
     return 0
 
 
