@@ -12,12 +12,23 @@ still test the program.
 
 A weight's sum, negative, difference and pairing with a coroot are plain
 functions here: the program itself never adds, negates or pairs a `Weight`.
+So is the sign of a permutation, which only the tests' determinant and
+alternant oracles read.
 """
 
 from collections import namedtuple
 
 from crystal_lr.crystal import Weight, fundamental_weight
 from crystal_lr.matrices import BinaryMatrix, matrix_lower, matrix_raise
+
+
+# ---------------------------------------------------------------- signs
+
+def inversion_sign(seq):
+    """(-1) to the number of pairs i < j with seq[i] > seq[j]."""
+    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+              if seq[i] > seq[j])
+    return -1 if inv % 2 else 1
 
 
 # ---------------------------------------------------------------- weights

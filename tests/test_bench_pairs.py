@@ -37,7 +37,3 @@ def test_summary_needs_more_than_the_parent_spread():
     assert got["change_wins"] == 10
     assert not got["clear"]
 
-
-def test_fewer_than_ten_pairs_is_refused():
-    with pytest.raises(SystemExit):
-        bench_pairs.main(["--pairs", "9", "--out", "unused.json"])

@@ -5,18 +5,12 @@ import pytest
 
 from crystal_lr import characters, shapes
 from crystal_lr.characters import _hl_p, lp_lift, lp_mul
+from duality import inversion_sign
 
 
 # Retired from src/ (the characters module now reads both from the tableau
 # crystal), kept as oracles: the bialternant ratio with exact division by
 # each x_i - x_j, and the branching expansion that peels lex-maximal terms.
-
-def inversion_sign(seq):
-    """(-1) to the number of pairs i < j with seq[i] > seq[j]."""
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv % 2 else 1
-
 
 def _alternant(avec):
     n = len(avec)

@@ -10,6 +10,7 @@ from crystal_lr.shapes import (bump, bump_poly, conjugate,
                                gen_lr_coefficient, gen_partitions_box,
                                is_gen_partition, lr_coefficient, mu_star,
                                partitions_of)
+from duality import inversion_sign
 
 
 def n_stat(mu):
@@ -309,13 +310,6 @@ def test_trelem_invariant():
 #
 # The raising-product operator and its straightening, kept as oracles for
 # the class expansion and for each other.
-
-def inversion_sign(seq):
-    """(-1) to the number of pairs i < j with seq[i] > seq[j]."""
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv % 2 else 1
-
 
 def bt_straighten(alpha):
     """Dominant rewriting of a mode word.

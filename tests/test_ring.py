@@ -16,6 +16,7 @@ from crystal_lr.ring import (_z_rho, annihilator_relations, apply_delem,
                              z_skew_schur)
 from crystal_lr.shapes import (bump, conjugate, gen_lr_coefficient,
                                lin_add, mu_star, normalize, partitions_of)
+from duality import inversion_sign
 
 
 # ------------------------------------------------ power-sum oracle
@@ -108,13 +109,6 @@ def test_z_skew_frozen():
 # Retired from src/ (z_skew_schur now expands by rows, merging partial
 # products), kept as the oracle of the Laplace expansion: Leibniz's sum over
 # all n! permutations, each signed by its inversions.
-
-def inversion_sign(seq):
-    """(-1) to the number of pairs i < j with seq[i] > seq[j]."""
-    inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-              if seq[i] > seq[j])
-    return -1 if inv % 2 else 1
-
 
 def leibniz_z_skew_schur(lam, mu):
     """det(z_{lam_i - mu_j - i + j}); equal-length index vectors."""

@@ -1,22 +1,25 @@
 """Alternated parent/change pairs of perfbench/run.py, summarized as JSON.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD \
-        --workloads zring census --seeds 1 2 --pairs 10 --out BENCH_26.json
+    python3 tools/bench_pairs.py --parent 7a1a809 --change HEAD \
+        --out BENCH_26.json
 
 Run from the root of a git checkout.  Both refs are exported with
 `git archive` into fresh temporary directories, so each side runs only its
-committed files, the way the benchmark is run.  For every workload and seed
-the script makes --pairs pairs of `perfbench/run.py --trace 0` runs, one per
-side, and swaps which side runs first from one pair to the next (parent
-first in odd pairs), so slow drift on a shared host falls on both sides.
+committed files, the way the benchmark is run.  The workloads, the
+end-to-end metrics and the run length come from the parent's
+BENCHMARK.json; the script refuses to run when the change's copy differs.
+For every workload and for seeds 1 and 2 it makes 10 pairs of
+`perfbench/run.py --trace 0` runs, one per side, and swaps which side runs
+first from one pair to the next (parent first in odd pairs), so slow drift
+on a shared host falls on both sides.
 
-The output holds, per workload and seed and per end-to-end metric of
-BENCHMARK.json: each side's values in run order, median, quartiles and
-interquartile range, the ratio of the medians, the number of pairs in which
-the change is better, and `clear` (better in at least 90 % of the pairs,
-and the medians apart by more than the parent's interquartile range).  It
-also records both commits, nproc, the Python version and
-PYTHONDONTWRITEBYTECODE.  Stdlib only.
+The output holds, per workload and seed and per end-to-end metric: each
+side's values in run order, median, quartiles and interquartile range, the
+ratio of the medians, the number of pairs in which the change is better,
+and `clear` (better in at least 90 % of the pairs, and the medians apart by
+more than the parent's interquartile range).  It also records both commits,
+the argv of every run (with the workload and seed as placeholders), nproc,
+the Python version and PYTHONDONTWRITEBYTECODE.  Stdlib only.
 """
 
 import argparse
@@ -29,7 +32,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-MIN_PAIRS = 10
+PAIRS = 10
+SEEDS = (1, 2)
 
 
 def _export(ref, into):
@@ -43,12 +47,14 @@ def _export(ref, into):
     return commit
 
 
-def _run(root, workload, seed, seconds):
+def _argv(workload, seed, seconds):
+    return [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+
+
+def _run(root, argv):
     """One perfbench run in root; its last stdout line, the result."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0 or not proc.stdout.strip():
         raise RuntimeError("%s: run.py exited %d: %s" % (
             root, proc.returncode, proc.stderr.strip()[-2000:]))
@@ -85,19 +91,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~1")
     ap.add_argument("--change", default="HEAD")
-    ap.add_argument("--workloads", nargs="+")
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1])
-    ap.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    ap.add_argument("--seconds", type=float)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
-    if args.pairs < MIN_PAIRS:
-        ap.error("--pairs must be at least %d" % MIN_PAIRS)
-
-    bench = json.loads(Path("BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
 
     with tempfile.TemporaryDirectory() as tmp:
         roots = {side: Path(tmp) / side for side in ("parent", "change")}
@@ -105,11 +100,18 @@ def main(argv=None):
         for side, root in roots.items():
             root.mkdir()
             commits[side] = _export(getattr(args, side), root)
+        spec = (roots["parent"] / "BENCHMARK.json").read_text()
+        if (roots["change"] / "BENCHMARK.json").read_text() != spec:
+            sys.exit("BENCHMARK.json differs between %s and %s; the pairs "
+                     "would not measure the same thing" % (
+                         args.parent, args.change))
+        bench = json.loads(spec)
+        metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        seconds = bench["run_seconds"]
         record = {
             "parent": {"ref": args.parent, "commit": commits["parent"]},
             "change": {"ref": args.change, "commit": commits["change"]},
-            "command": ["python3", "perfbench/run.py", "--trace", "0",
-                        "--seconds", str(seconds)],
+            "command": _argv("WORKLOAD", "SEED", seconds),
             "order": "parent first in odd pairs, change first in even pairs",
             "nproc": len(os.sched_getaffinity(0)),
             "cpu_count": os.cpu_count(),
@@ -118,22 +120,23 @@ def main(argv=None):
                 os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "results": [],
         }
-        for workload in workloads:
-            for seed in args.seeds:
+        for workload in (w["name"] for w in bench["workloads"]):
+            for seed in SEEDS:
                 runs = {"parent": [], "change": []}
                 failed = {"parent": 0, "change": 0}
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     order = ("parent", "change") if i % 2 == 0 else (
                         "change", "parent")
                     for side in order:
-                        res = _run(roots[side], workload, seed, seconds)
+                        res = _run(roots[side],
+                                   _argv(workload, seed, seconds))
                         runs[side].append(res)
                         failed[side] += res["failed"]
                     print("%s seed %d: pair %d/%d done" % (
-                        workload, seed, i + 1, args.pairs), file=sys.stderr)
+                        workload, seed, i + 1, PAIRS), file=sys.stderr)
                 record["results"].append({
                     "workload": workload, "seed": seed,
-                    "pairs": args.pairs, "failed": failed,
+                    "pairs": PAIRS, "failed": failed,
                     "all_correct": all(r["correct"] for side in runs.values()
                                        for r in side),
                     "metrics": summarize(metrics, runs["parent"],
