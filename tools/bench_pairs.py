@@ -18,8 +18,9 @@ side's values in run order, median, quartiles and interquartile range, the
 ratio of the medians, the number of pairs in which the change is better,
 and `clear` (better in at least 90 % of the pairs, and the medians apart by
 more than the parent's interquartile range).  It also records both commits,
-the argv of every run (with the workload and seed as placeholders), nproc,
-the Python version and PYTHONDONTWRITEBYTECODE.  Stdlib only.
+the argv of every run (with the interpreter that runs this script, the
+workload and the seed as placeholders), nproc, the Python version and
+PYTHONDONTWRITEBYTECODE.  Stdlib only.
 """
 
 import argparse
@@ -111,7 +112,7 @@ def main(argv=None):
         record = {
             "parent": {"ref": args.parent, "commit": commits["parent"]},
             "change": {"ref": args.change, "commit": commits["change"]},
-            "command": _argv("WORKLOAD", "SEED", seconds),
+            "command": ["PYTHON"] + _argv("WORKLOAD", "SEED", seconds)[1:],
             "order": "parent first in odd pairs, change first in even pairs",
             "nproc": len(os.sched_getaffinity(0)),
             "cpu_count": os.cpu_count(),
