@@ -16,7 +16,8 @@ Shapes are comma-separated integers; the empty shape may be written "" or
 carries the first counterexample in full, and its count is the number of
 cases run, the failing one included), 2 malformed input naming the
 offending token or input too large for the recursive kernels, 3 a tensor
-product mixing positive and negative levels.
+product mixing positive and negative levels.  An internal fault in a verify
+check fails that check with a report: exit 1, not 2.
 """
 
 import argparse

@@ -29,24 +29,6 @@ from functools import cache
 
 # ---------------------------------------------------------------- parsing
 
-def parse_partition(text):
-    """Parse "3,1" to (3, 1).  "" and "0" both denote the empty partition."""
-    text = text.strip()
-    if text in ("", "0"):
-        return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError("bad partition %r" % text)
-    if any(p < 0 for p in parts):
-        raise ValueError("negative part in partition %r" % text)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError("parts not weakly decreasing in %r" % text)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
-
-
 def parse_gen_partition(text):
     """Parse "2,0,-1" to (2, 0, -1); length is significant, negatives kept."""
     text = text.strip()
@@ -59,6 +41,14 @@ def parse_gen_partition(text):
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
         raise ValueError("entries not weakly decreasing in %r" % text)
     return parts
+
+
+def parse_partition(text):
+    """Parse "3,1" to (3, 1).  "" and "0" both denote the empty partition."""
+    parts = parse_gen_partition(text)
+    if parts and parts[-1] < 0:
+        raise ValueError("negative part in partition %r" % text.strip())
+    return normalize(parts)
 
 
 # ---------------------------------------------------------------- shape ops

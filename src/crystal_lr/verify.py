@@ -3,9 +3,10 @@ identity of the package with an independent computation.
 
 A per-case check is a generator that yields None for each passing case and
 a JSON-ready counterexample for a failing one; _scan runs it up to its first
-counterexample.  A check's count is the number of cases run, the failing
-one included, and every check stops on its own first failure, independently
-of the other checks of its suite.
+counterexample, and a ValueError or AssertionError that a case raises is
+that case's counterexample, {"error": "<type>: <message>"}.  A check's count
+is the number of cases run, the failing one included, and every check stops
+on its own first failure, independently of the other checks of its suite.
 """
 
 import itertools
@@ -34,19 +35,20 @@ from .shapes import (conjugate, gen_lr_coefficient, gen_partitions_box,
 def _scan(cases):
     """(cases run, first counterexample or None)."""
     count = 0
-    for bad in cases:
-        count += 1
-        if bad is not None:
-            return count, bad
+    try:
+        for bad in cases:
+            count += 1
+            if bad is not None:
+                return count, bad
+    except (ValueError, AssertionError) as exc:
+        return count + 1, {"error": "%s: %s" % (type(exc).__name__, exc)}
     return count, None
 
 
 def _check(name, result, extra=None):
     count, bad = result
     entry = {"name": name, "status": "pass" if bad is None else "fail",
-             "count": count}
-    if extra:
-        entry.update(extra)
+             "count": count, **(extra or {})}
     if bad is not None:
         entry["counterexample"] = bad
     return entry
@@ -85,19 +87,24 @@ def _suite_bicrystal(cfg):
 def _suite_duality_en(cfg):
     nrows, ncols = (2, 4) if cfg["quick"] else (3, 5)
     mats = list(enumerate_matrices(1, nrows, 1, ncols))
-    comps = dict(bicrystal_components(mats, col_colors=range(1, ncols),
-                                      row_colors=range(1, nrows)))
-    expected = {}
-    for size in range(nrows * ncols + 1):
-        for mu in partitions_of(size, max_part=nrows, max_length=ncols):
-            key = mu + (0,) * (ncols - len(mu))
-            expected[(key, num_sst(mu, ncols)
-                      * num_sst(conjugate(mu), nrows))] = 1
-    bad = next(({"weight": list(key[0]), "size": key[1],
-                 "got": comps.get(key, 0), "expected": expected.get(key, 0)}
-                for key in sorted(set(comps) | set(expected))
-                if comps.get(key, 0) != expected.get(key, 0)), None)
-    return [_check("census", (len(mats), bad),
+
+    def census():
+        comps = dict(bicrystal_components(mats, col_colors=range(1, ncols),
+                                          row_colors=range(1, nrows)))
+        expected = {}
+        for size in range(nrows * ncols + 1):
+            for mu in partitions_of(size, max_part=nrows, max_length=ncols):
+                key = mu + (0,) * (ncols - len(mu))
+                expected[(key, num_sst(mu, ncols)
+                          * num_sst(conjugate(mu), nrows))] = 1
+        yield next(({"weight": list(key[0]), "size": key[1],
+                     "got": comps.get(key, 0),
+                     "expected": expected.get(key, 0)}
+                    for key in sorted(set(comps) | set(expected))
+                    if comps.get(key, 0) != expected.get(key, 0)), None)
+
+    # one census case, counted as the matrices it walks
+    return [_check("census", (len(mats), _scan(census())[1]),
                    {"rows": nrows, "cols": ncols})]
 
 
@@ -142,10 +149,9 @@ def _skew_grid(span, mus):
         for lam in gen_partitions_box(n, -span, span):
             for mu in mus:
                 fits = len(mu) <= n
-                inner_plus = mu_star(mu, n) if fits else None
-                inner_minus = mu + (0,) * (n - len(mu)) if fits else None
-                for sign, inner in ((+1, inner_plus), (-1, inner_minus)):
-                    yield n, lam, mu, sign, inner
+                yield n, lam, mu, +1, mu_star(mu, n) if fits else None
+                yield (n, lam, mu, -1,
+                       mu + (0,) * (n - len(mu)) if fits else None)
 
 
 def _skew_action_cases(grid):
@@ -293,56 +299,42 @@ def _identity_block(rho, p, q, degree, szleft, past):
     one case per target class."""
     m = len(rho)
     total = m + p + q
-    zero = (0,) * total
 
     @cache
     def lift(gen, offset):
-        if not gen:
-            return {zero: 1}
         return characters.lp_lift(characters.laurent_schur(gen), total,
                                   offset)
 
-    def spart(part, nvars, offset):
-        conj = conjugate(part) + (0,) * nvars
-        return lift(conj[:nvars], offset)
+    def legs(sigma, tau):
+        """s_sigma'(y) s_tau'(w); y and w are the p and q after rho's m."""
+        ys = (conjugate(sigma) + (0,) * p)[:p]
+        ws = (conjugate(tau) + (0,) * q)[:q]
+        return characters.lp_mul(lift(ys, m), lift(ws, m + p))
 
-    targets = []
-    for ssz in range(szleft + 1):
-        for sigma in partitions_of(ssz, max_part=p):
-            for tsz in range(szleft - ssz + 1):
-                for tau in partitions_of(tsz, max_part=q):
-                    targets.append((sigma, tau))
-    tkey = {t: ExtremalClass(t[0], t[1], rho) for t in targets}
+    def pairs(size):
+        """(sigma, tau) of total size <= size, by |sigma| then |tau|."""
+        return [(sigma, tau) for ssz in range(size + 1)
+                for sigma in partitions_of(ssz, max_part=p)
+                for tsz in range(size - ssz + 1)
+                for tau in partitions_of(tsz, max_part=q)]
+
+    lhs = {target: {} for target in pairs(szleft)}
+    sizes = {sum(rho) + sum(sigma) - sum(tau) for sigma, tau in lhs}
     lob = (rho[-1] if rho else 0) - degree - 1
     hib = (rho[0] if rho else 0) + degree + 1
-    lhs = {t: {} for t in targets}
-    for mu in (x for s in range(degree + 1)
-               for x in partitions_of(s, max_part=p)):
-        ymono = spart(mu, p, m)
-        for nu in (x for s in range(degree - sum(mu) + 1)
-                   for x in partitions_of(s, max_part=q)):
-            base = characters.lp_mul(ymono, spart(nu, q, m + p))
-            stotals = {}
-            for t in targets:
-                s = (sum(rho) + sum(t[0]) - sum(t[1]) - sum(mu) + sum(nu))
-                stotals.setdefault(s, []).append(t)
-            for s, tlist in stotals.items():
-                for lam in gen_partitions_box(m, lob, hib, s):
-                    dec = past(lam, mu, nu)
-                    term = None
-                    for t in tlist:
-                        c = dec.get(tkey[t], 0)
-                        if not c:
-                            continue
-                        if term is None:
-                            term = characters.lp_mul(lift(lam, 0), base)
-                        lhs[t] = lin_add(lhs[t], term, c)
+    for mu, nu in pairs(degree):
+        base = legs(mu, nu)
+        for s in sizes:
+            for lam in gen_partitions_box(m, lob, hib, s - sum(mu) + sum(nu)):
+                for cls, c in past(lam, mu, nu).items():
+                    key = (cls.mu, cls.nu)
+                    if cls.hw == rho and key in lhs:
+                        term = characters.lp_mul(lift(lam, 0), base)
+                        lhs[key] = lin_add(lhs[key], term, c)
     rhs_base = characters.lp_mul(lift(rho, 0),
                                  _geometry_factor(m, p, q, degree))
-    for sigma, tau in targets:
-        rhs = characters.lp_mul(characters.lp_mul(rhs_base,
-                                                  spart(sigma, p, m)),
-                                spart(tau, q, m + p))
+    for sigma, tau in lhs:
+        rhs = characters.lp_mul(rhs_base, legs(sigma, tau))
         same = (_cut_level0(lhs[(sigma, tau)], m, degree)
                 == _cut_level0(rhs, m, degree))
         yield None if same else {"rho": list(rho), "sigma": list(sigma),
@@ -381,25 +373,22 @@ def _suite_extremal(cfg):
 
 # ---------------------------------------------------------------- hl
 
-def _kostka_charge_cases(grid, actions):
+def _kostka_charge_cases(grid, action):
     for mu in grid:
-        classical = {normalize(lam): tp for lam, tp in actions[mu].items()
+        classical = {normalize(lam): tp for lam, tp in action(mu).items()
                      if all(x >= 0 for x in lam)}
-        wanted = {}
-        for lam in partitions_of(sum(mu), max_length=len(mu)):
-            kp = kostka_foulkes(lam, mu)
-            if kp:
-                wanted[lam] = kp
+        wanted = {lam: kp for lam in partitions_of(sum(mu), max_length=len(mu))
+                  if (kp := kostka_foulkes(lam, mu))}
         yield None if classical == wanted else {"mu": list(mu),
                                                 "T": hl.n_stat(mu)}
 
 
-def _p_expansion_cases(grid, actions):
+def _p_expansion_cases(grid, action):
     hlrow = cache(characters.schur_to_hl)
     for mu in grid:
         n = len(mu)
         lam = next((lam for lam in partitions_of(sum(mu), max_length=n)
-                    if actions[mu].get(lam + (0,) * (n - len(lam)), {})
+                    if action(mu).get(lam + (0,) * (n - len(lam)), {})
                     != hlrow(lam, n).get(mu, {})), None)
         yield None if lam is None else {"mu": list(mu), "lam": list(lam)}
 
@@ -424,12 +413,13 @@ def _suite_hl(cfg):
     maxsz = 4 if cfg["quick"] else 6
     grid = [mu for s in range(1, maxsz + 1)
             for mu in partitions_of(s, max_length=3)]
-    actions = {mu: hl.bt_word_action(mu, hl.n_stat(mu)) for mu in grid}
+    # built inside the checks that read it, so a fault fails those checks
+    action = cache(lambda mu: hl.bt_word_action(mu, hl.n_stat(mu)))
     extra = {"max_size": maxsz}
     checks = [
-        _check("kostka-charge", _scan(_kostka_charge_cases(grid, actions)),
+        _check("kostka-charge", _scan(_kostka_charge_cases(grid, action)),
                extra),
-        _check("p-expansion", _scan(_p_expansion_cases(grid, actions)),
+        _check("p-expansion", _scan(_p_expansion_cases(grid, action)),
                extra),
         _check("rodrigues-t0", _scan(
             None if hl.bt_word_action(mu, 0) == {mu: {0: 1}}

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -168,8 +169,11 @@ def test_verifiers_catch_mutant_row_operator(monkeypatch):
     (check,) = verify.SUITES["bicrystal"](cfg)
     assert check["status"] == "fail"
     assert check["counterexample"]["row_op"] in ("lower", "raise")
-    with pytest.raises(ValueError, match=r"component with \d+ sources"):
-        verify.SUITES["duality-en"](cfg)
+    # the census's own uniqueness check raises, which fails the check
+    (census,) = verify.SUITES["duality-en"](cfg)
+    assert census["status"] == "fail"
+    assert re.fullmatch(r"ValueError: component with \d+ sources",
+                        census["counterexample"]["error"])
 
 
 def test_duality_single_row():

@@ -7,11 +7,15 @@ failing one.
 """
 
 import json
+from functools import cache
 
 import pytest
 
-from crystal_lr import cli, verify
-from crystal_lr.shapes import bump, lin_add
+from crystal_lr import characters, cli, verify
+from crystal_lr.lr_engine import ExtremalClass
+from crystal_lr.shapes import (bump, conjugate, gen_partitions_box, lin_add,
+                               partitions_of)
+from crystal_lr.verify import _cut_level0, _geometry_factor
 
 
 def _drop_first_class(fn):
@@ -101,20 +105,20 @@ def test_suite_catches_mutant(monkeypatch, capsys, suite, name, mutate,
 
 
 
-def _flip_one_odd_term(fn):
-    """On a single monomial of degree >= 2, flip the sign of its j = 0,
-    d = 1 term that lowers the first entry.  A flip on the word actions'
-    path (degree 0 or 1 operands) makes an action non-finite in the z-Schur
-    basis, and the suite then ends in an error before any check reports."""
-    def mutant(k, f, T):
-        out = {e: dict(sl) for e, sl in fn(k, f, T).items()}
-        terms = [(e, z, c) for e, sl in f.items() for z, c in sl.items()]
-        if len(terms) == 1 and len(terms[0][1]) >= 2:
-            (e, z, c), = terms
-            key = tuple(sorted((k + 1, z[0] - 1, *z[1:]), reverse=True))
-            bump(out.setdefault(e, {}), key, 2 * c)
-        return {e: sl for e, sl in out.items() if sl}
-    return mutant
+def _flip_one_odd_term(degree_ok):
+    """A mode mutant: on a single monomial whose degree passes degree_ok,
+    flip the sign of its j = 0, d = 1 term that lowers the first entry."""
+    def mutate(fn):
+        def mutant(k, f, T):
+            out = {e: dict(sl) for e, sl in fn(k, f, T).items()}
+            terms = [(e, z, c) for e, sl in f.items() for z, c in sl.items()]
+            if len(terms) == 1 and degree_ok(len(terms[0][1])):
+                (e, z, c), = terms
+                key = tuple(sorted((k + 1, z[0] - 1, *z[1:]), reverse=True))
+                bump(out.setdefault(e, {}), key, 2 * c)
+            return {e: sl for e, sl in out.items() if sl}
+        return mutant
+    return mutate
 
 
 def _drop_one_top_slice_term(fn):
@@ -127,12 +131,18 @@ def _drop_one_top_slice_term(fn):
     return mutant
 
 
+ALL_HL = {"kostka-charge", "p-expansion", "rodrigues-t0", "monomial-t1",
+          "defining-relation", "bar-commutation"}
+
+
 @pytest.mark.parametrize("mutate,failed", [
-    (_flip_one_odd_term, {"defining-relation", "bar-commutation"}),
-    (_drop_one_top_slice_term, {"kostka-charge", "p-expansion",
-                                "rodrigues-t0", "monomial-t1",
-                                "defining-relation", "bar-commutation"}),
-], ids=["flip-odd-d", "drop-top-term"])
+    (_flip_one_odd_term(lambda degree: degree >= 2),
+     {"defining-relation", "bar-commutation"}),
+    (_drop_one_top_slice_term, ALL_HL),
+    # the word actions' path: the mutant leaves an action outside the finite
+    # z-Schur span, and each check that builds one reports the error
+    (_flip_one_odd_term(lambda degree: degree == 1), ALL_HL),
+], ids=["flip-odd-d", "drop-top-term", "flip-degree-1"])
 def test_hl_suite_catches_mode_mutant(monkeypatch, capsys, mutate, failed):
     # every hl check reaches the mode through the module, verify.hl
     monkeypatch.setattr(verify.hl, "bt_apply", mutate(verify.hl.bt_apply))
@@ -141,3 +151,140 @@ def test_hl_suite_catches_mode_mutant(monkeypatch, capsys, mutate, failed):
     assert report["status"] == "fail"
     assert {c["name"] for c in report["checks"]
             if c["status"] == "fail"} == failed
+
+
+def test_flip_degree_1_reports_the_cap_error(monkeypatch, capsys):
+    mutate = _flip_one_odd_term(lambda degree: degree == 1)
+    monkeypatch.setattr(verify.hl, "bt_apply", mutate(verify.hl.bt_apply))
+    assert cli.main(["verify", "hl", "--quick"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    # (1,) and (2,) act on 1 alone; (1, 1), the third, meets degree 1
+    for name in ("kostka-charge", "p-expansion", "rodrigues-t0"):
+        assert checks[name]["count"] == 3
+        assert checks[name]["counterexample"]["error"].startswith(
+            "ValueError: not a finite z-Schur combination")
+    assert {name: checks[name]["count"] for name in (
+        "monomial-t1", "defining-relation", "bar-commutation")} == {
+        "monomial-t1": 3, "defining-relation": 1, "bar-commutation": 2}
+
+
+def _raise_at_third(exc_type):
+    yield None
+    yield None
+    raise exc_type("case three")
+
+
+@pytest.mark.parametrize("exc_type", [ValueError, AssertionError])
+def test_scan_reports_a_raising_case(exc_type):
+    assert verify._scan(_raise_at_third(exc_type)) == (
+        3, {"error": "%s: case three" % exc_type.__name__})
+
+
+def test_duality_en_reports_a_raising_census(monkeypatch, capsys):
+    def raising(mats, col_colors, row_colors):
+        raise ValueError("no unique doubly-source")
+    monkeypatch.setattr(verify, "bicrystal_components", raising)
+    assert cli.main(["verify", "duality-en", "--quick"]) == 1
+    (entry,) = json.loads(capsys.readouterr().out)["checks"]
+    assert entry["status"] == "fail"
+    # the 2 x 4 matrices walked, 2^8
+    assert entry["count"] == 256
+    assert entry["counterexample"] == {
+        "error": "ValueError: no unique doubly-source"}
+
+
+# the character identity's block as it was before it read hw_past_level0's
+# classes directly: targets keyed by ExtremalClass and grouped by size
+def retired_identity_block(rho, p, q, degree, szleft, past):
+    """Compare, coefficient by coefficient up to the stated level-0 degree,
+    the weighted sum of decomposition multiplicities landing on each target
+    class over the fixed highest weight leg against the closed product form;
+    one case per target class."""
+    m = len(rho)
+    total = m + p + q
+    zero = (0,) * total
+
+    @cache
+    def lift(gen, offset):
+        if not gen:
+            return {zero: 1}
+        return characters.lp_lift(characters.laurent_schur(gen), total,
+                                  offset)
+
+    def spart(part, nvars, offset):
+        conj = conjugate(part) + (0,) * nvars
+        return lift(conj[:nvars], offset)
+
+    targets = []
+    for ssz in range(szleft + 1):
+        for sigma in partitions_of(ssz, max_part=p):
+            for tsz in range(szleft - ssz + 1):
+                for tau in partitions_of(tsz, max_part=q):
+                    targets.append((sigma, tau))
+    tkey = {t: ExtremalClass(t[0], t[1], rho) for t in targets}
+    lob = (rho[-1] if rho else 0) - degree - 1
+    hib = (rho[0] if rho else 0) + degree + 1
+    lhs = {t: {} for t in targets}
+    for mu in (x for s in range(degree + 1)
+               for x in partitions_of(s, max_part=p)):
+        ymono = spart(mu, p, m)
+        for nu in (x for s in range(degree - sum(mu) + 1)
+                   for x in partitions_of(s, max_part=q)):
+            base = characters.lp_mul(ymono, spart(nu, q, m + p))
+            stotals = {}
+            for t in targets:
+                s = (sum(rho) + sum(t[0]) - sum(t[1]) - sum(mu) + sum(nu))
+                stotals.setdefault(s, []).append(t)
+            for s, tlist in stotals.items():
+                for lam in gen_partitions_box(m, lob, hib, s):
+                    dec = past(lam, mu, nu)
+                    term = None
+                    for t in tlist:
+                        c = dec.get(tkey[t], 0)
+                        if not c:
+                            continue
+                        if term is None:
+                            term = characters.lp_mul(lift(lam, 0), base)
+                        lhs[t] = lin_add(lhs[t], term, c)
+    rhs_base = characters.lp_mul(lift(rho, 0),
+                                 _geometry_factor(m, p, q, degree))
+    for sigma, tau in targets:
+        rhs = characters.lp_mul(characters.lp_mul(rhs_base,
+                                                  spart(sigma, p, m)),
+                                spart(tau, q, m + p))
+        same = (_cut_level0(lhs[(sigma, tau)], m, degree)
+                == _cut_level0(rhs, m, degree))
+        yield None if same else {"rho": list(rho), "sigma": list(sigma),
+                                 "tau": list(tau), "p": p, "q": q}
+
+
+def _drop_sigma_classes(fn):
+    def mutant(lam, mu, nu):
+        return {cls: c for cls, c in fn(lam, mu, nu).items() if not cls.mu}
+    return mutant
+
+
+# the quick grid under hw_past_level0 and two mutants of it; the full grid
+# only unmutated, to keep the time down
+@pytest.mark.parametrize("degree,budget,mutate", [
+    (1, 2, None), (1, 2, _drop_first_class), (1, 2, _drop_sigma_classes),
+    (2, 4, None),
+], ids=["quick", "quick-drop-first", "quick-drop-sigma", "full"])
+def test_identity_block_matches_retired_block(monkeypatch, degree, budget,
+                                              mutate):
+    # every block _character_identity_cases builds, with its own past
+    blocks = []
+    monkeypatch.setattr(verify, "_identity_block",
+                        lambda *args: blocks.append(args) or iter(()))
+    if mutate is not None:
+        monkeypatch.setattr(verify, "hw_past_level0",
+                            mutate(verify.hw_past_level0))
+    list(verify._character_identity_cases(degree, budget))
+    monkeypatch.undo()
+    failures = 0
+    for args in blocks:
+        new = list(verify._identity_block(*args))
+        assert new == list(retired_identity_block(*args)), args[:5]
+        failures += sum(bad is not None for bad in new)
+    assert (failures > 0) == (mutate is not None)
