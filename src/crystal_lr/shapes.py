@@ -38,7 +38,7 @@ def parse_gen_partition(text):
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError("bad generalized partition %r" % text)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+    if not is_gen_partition(parts):
         raise ValueError("entries not weakly decreasing in %r" % text)
     return parts
 
@@ -46,7 +46,7 @@ def parse_gen_partition(text):
 def parse_partition(text):
     """Parse "3,1" to (3, 1).  "" and "0" both denote the empty partition."""
     parts = parse_gen_partition(text)
-    if parts and parts[-1] < 0:
+    if not is_partition(parts):
         raise ValueError("negative part in partition %r" % text.strip())
     return normalize(parts)
 

@@ -149,9 +149,10 @@ def _skew_grid(span, mus):
         for lam in gen_partitions_box(n, -span, span):
             for mu in mus:
                 fits = len(mu) <= n
-                yield n, lam, mu, +1, mu_star(mu, n) if fits else None
-                yield (n, lam, mu, -1,
-                       mu + (0,) * (n - len(mu)) if fits else None)
+                inner_plus = mu_star(mu, n) if fits else None
+                inner_minus = mu + (0,) * (n - len(mu)) if fits else None
+                for sign, inner in ((+1, inner_plus), (-1, inner_minus)):
+                    yield n, lam, mu, sign, inner
 
 
 def _skew_action_cases(grid):
@@ -298,11 +299,10 @@ def _identity_block(rho, p, q, degree, szleft, past):
     class over the fixed highest weight leg against the closed product form;
     one case per target class."""
     m = len(rho)
-    total = m + p + q
 
     @cache
     def lift(gen, offset):
-        return characters.lp_lift(characters.laurent_schur(gen), total,
+        return characters.lp_lift(characters.laurent_schur(gen), m + p + q,
                                   offset)
 
     def legs(sigma, tau):
@@ -341,16 +341,13 @@ def _identity_block(rho, p, q, degree, szleft, past):
                                  "tau": list(tau), "p": p, "q": q}
 
 
-def _abs_shapes(length, budget):
-    return [lam for lam in gen_partitions_box(length, -budget, budget)
-            if sum(abs(x) for x in lam) <= budget]
-
-
 def _character_identity_cases(degree, budget):
     past = cache(hw_past_level0)
     for m in (0, 1, 2):
-        for rho in _abs_shapes(m, budget):
+        for rho in gen_partitions_box(m, -budget, budget):
             szleft = budget - sum(abs(x) for x in rho)
+            if szleft < 0:
+                continue
             for p, q in itertools.product((1, 2), repeat=2):
                 yield from _identity_block(rho, p, q, degree, szleft, past)
 
@@ -377,8 +374,11 @@ def _kostka_charge_cases(grid, action):
     for mu in grid:
         classical = {normalize(lam): tp for lam, tp in action(mu).items()
                      if all(x >= 0 for x in lam)}
-        wanted = {lam: kp for lam in partitions_of(sum(mu), max_length=len(mu))
-                  if (kp := kostka_foulkes(lam, mu))}
+        wanted = {}
+        for lam in partitions_of(sum(mu), max_length=len(mu)):
+            kp = kostka_foulkes(lam, mu)
+            if kp:
+                wanted[lam] = kp
         yield None if classical == wanted else {"mu": list(mu),
                                                 "T": hl.n_stat(mu)}
 
