@@ -18,6 +18,12 @@ cases run, the failing one included), 2 malformed input naming the
 offending token or input too large for the recursive kernels, 3 a tensor
 product mixing positive and negative levels.  An internal fault in a verify
 check fails that check with a report: exit 1, not 2.
+
+Hosts that write no bytecode compile every imported source at each start,
+which costs a one-shot query more than its answer.  So the module loads
+only shapes, whose parsers every command uses, and each command its engine
+when it runs: hl-act loads hall_littlewood and ring; decompose, pieri and
+extremal-lr load lr_engine and crystal; verify loads every module.
 """
 
 import argparse
@@ -25,13 +31,12 @@ import functools
 import json
 import sys
 
-from . import shapes, verify
-from . import hall_littlewood as hl
-from .lr_engine import (MixedLevelError, decomposition_to_json,
-                        expr_decompose, extremal_lr, parse_tensor_expr,
-                        pieri_column)
-from .shapes import (gen_lr_coefficient, kostka_foulkes, lr_coefficient,
-                     tpoly_pairs)
+from . import shapes
+
+# verify.SUITES' names, spelt out so that building the parser loads no
+# verify; tests/test_cli.py holds the two equal
+SUITES = ("bicrystal", "duality-en", "pieri", "s-action", "ore", "extremal",
+          "hl", "annihilator")
 
 
 def _entry_window(gshapes, margin):
@@ -49,23 +54,25 @@ def cmd_lr(args):
     lam = shapes.parse_partition(args.lam)
     mu = shapes.parse_partition(args.mu)
     nu = shapes.parse_partition(args.nu)
-    return 0, {"c": lr_coefficient(lam, mu, nu)}
+    return 0, {"c": shapes.lr_coefficient(lam, mu, nu)}
 
 
 def cmd_genlr(args):
     lam = shapes.parse_gen_partition(args.lam)
     mu = shapes.parse_gen_partition(args.mu)
     nu = shapes.parse_gen_partition(args.nu)
-    return 0, {"c": gen_lr_coefficient(lam, mu, nu)}
+    return 0, {"c": shapes.gen_lr_coefficient(lam, mu, nu)}
 
 
 def cmd_kostka_foulkes(args):
     lam = shapes.parse_gen_partition(args.lam)
     mu = shapes.parse_gen_partition(args.mu)
-    return 0, {"tpoly": tpoly_pairs(kostka_foulkes(lam, mu))}
+    return 0, {"tpoly": shapes.tpoly_pairs(shapes.kostka_foulkes(lam, mu))}
 
 
 def cmd_decompose(args):
+    from .lr_engine import (decomposition_to_json, expr_decompose,
+                            parse_tensor_expr)
     factors = parse_tensor_expr(args.expr)
     hws = [f[1] for f in factors if f[0] in ("B", "Bdual")]
     lo, hi = _entry_window(hws, args.margin)
@@ -74,12 +81,14 @@ def cmd_decompose(args):
 
 
 def cmd_pieri(args):
+    from .lr_engine import decomposition_to_json, pieri_column
     lam = shapes.parse_gen_partition(args.lam)
     dec = pieri_column(lam, args.a, dual=args.dual)
     return 0, {"dual": args.dual, "classes": decomposition_to_json(dec)}
 
 
 def cmd_extremal_lr(args):
+    from .lr_engine import decomposition_to_json, extremal_lr
     lam = shapes.parse_gen_partition(args.lam)
     mu = shapes.parse_partition(args.mu)
     nu = shapes.parse_partition(args.nu)
@@ -92,17 +101,19 @@ def cmd_extremal_lr(args):
 
 
 def cmd_hl_act(args):
+    from . import hall_littlewood as hl
     mu = shapes.parse_gen_partition(args.mu)
     T = args.T if args.T is not None else max(0, hl.n_stat(mu))
     if T < 0:
         raise ValueError("truncation order must be nonnegative, got %d" % T)
     exp = hl.bt_word_action(mu, T)
-    terms = [{"lambda": list(lam), "tpoly": tpoly_pairs(exp[lam])}
+    terms = [{"lambda": list(lam), "tpoly": shapes.tpoly_pairs(exp[lam])}
              for lam in sorted(exp)]
     return 0, {"basis": "z-schur", "T": T, "terms": terms}
 
 
 def cmd_verify(args):
+    from . import verify
     report = verify.run(args.suite, args.seed, args.quick)
     return (0 if report["status"] == "pass" else 1), report
 
@@ -159,7 +170,7 @@ def _build_parser():
                    help="truncation order in t")
 
     p = command("verify", cmd_verify, "run a named verification suite")
-    p.add_argument("suite", choices=tuple(verify.SUITES) + ("all",))
+    p.add_argument("suite", choices=SUITES + ("all",))
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomized suites")
     p.add_argument("--quick", action="store_true",
@@ -179,12 +190,11 @@ def main(argv=None):
         return exc.code
     try:
         code, payload = args.func(args)
-    except MixedLevelError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        # only a command that loaded lr_engine can raise its MixedLevelError
+        engine = sys.modules.get(__package__ + ".lr_engine")
+        return 3 if engine and isinstance(exc, engine.MixedLevelError) else 2
     except RecursionError:
         # lr_coefficient's cell filler, enumerate_sst, _window_census's walk
         # and characters._hl_p still recurse

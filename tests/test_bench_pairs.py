@@ -37,3 +37,19 @@ def test_summary_needs_more_than_the_parent_spread():
     assert got["change_wins"] == 10
     assert not got["clear"]
 
+
+
+def test_cli_block_summarizes_wall_time_and_compares_stdout():
+    argv = ["lr", "3,2,1", "2,1", "2,1"]
+    parent = [(t, b'{"c": 2}\n') for t in (10, 11, 12, 13, 14) * 2]
+    change = [(t, b'{"c": 2}\n') for t in (5, 6, 7, 8, 15) * 2]
+    got = bench_pairs.cli_summary(argv, parent, change)
+    assert got["argv"] == argv and got["same_stdout"]
+    wall = got["wall_s"]
+    assert wall["better"] == "lower" and wall["change_wins"] == 8
+    assert wall["parent"]["median"] == 12 and wall["change"]["median"] == 7
+    assert wall["ratio"] == pytest.approx(7 / 12)
+    assert not wall["clear"]
+    # one changed byte on either side is reported
+    change[3] = (8, b'{"c": 3}\n')
+    assert not bench_pairs.cli_summary(argv, parent, change)["same_stdout"]

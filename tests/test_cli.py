@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from crystal_lr import cli
+from crystal_lr import cli, verify
 
 PIERI_DUAL = ["pieri", "--dual", "--", "1,0", "2"]  # golden pieri_dual_10_2
 MISPLACED_FLAG = ["--seed", "0", "verify", "pieri", "--quick"]
@@ -100,11 +100,66 @@ def test_hostile_input_ends_in_time(argv, code):
     assert (proc.stderr == b"") == (code == 0)
 
 
-def _run_module(argv, timeout):
-    """Run python -m crystal_lr.cli on argv with src/ on the path."""
+# one-shot refusals in a fresh process, each with its exit code and the
+# text stderr must carry: an unknown suite is refused before verify loads,
+# and a MixedLevelError from the lazily loaded lr_engine still ends in 3
+REFUSED = [
+    (["verify", "nosuch"], 2, b"'nosuch'"),
+    (["decompose", "Bmn(1;)*Bdual(0)"], 3, b"negative-level factor"),
+]
+
+
+@pytest.mark.parametrize("argv, code, named", REFUSED,
+                         ids=[" ".join(argv) for argv, _, _ in REFUSED])
+def test_refusal_exit_code_in_a_fresh_process(argv, code, named):
+    proc = _run_module(argv, timeout=120)
+    assert proc.returncode == code
+    assert named in proc.stderr and proc.stdout == b""
+
+
+def test_parser_suites_are_verify_suites():
+    assert cli.SUITES == tuple(verify.SUITES)
+
+
+# the crystal_lr modules a fresh process loads, as the module docstring
+# states them: the module and its parser (--help) need only shapes, and
+# each command adds its own engine
+BASE = {"crystal_lr", "crystal_lr.shapes"}
+LOADS = [
+    (["--help"], BASE),
+    (["lr", "3,2,1", "2,1", "2,1"], BASE),
+    (["kostka-foulkes", "3,2,1", "2,2,1,1"], BASE),
+    (["hl-act", "--mu", "2,1,0"],
+     BASE | {"crystal_lr.ring", "crystal_lr.hall_littlewood"}),
+    (["decompose", "B(0) * Bcol(2)"],
+     BASE | {"crystal_lr.crystal", "crystal_lr.lr_engine"}),
+    (["verify", "pieri", "--quick"],
+     BASE | {"crystal_lr." + m for m in (
+         "crystal", "lr_engine", "ring", "hall_littlewood", "characters",
+         "matrices", "verify")}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", LOADS,
+                         ids=[" ".join(argv) for argv, _ in LOADS])
+def test_command_loads_only_its_engine(argv, modules):
+    proc = _run_module(argv, timeout=120, flags=["-X", "importtime"])
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes one "import time: self | cumulative | name"
+    # line to stderr per module imported
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in proc.stderr.decode().splitlines()
+              if line.startswith("import time:")}
+    assert {m for m in loaded if m.split(".")[0] == "crystal_lr"} == modules
+
+
+def _run_module(argv, timeout, flags=()):
+    """Run python -m crystal_lr.cli on argv with src/ on the path, the
+    interpreter flags given before -m."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "crystal_lr.cli"] + argv,
-                          env=env, capture_output=True, timeout=timeout)
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "crystal_lr.cli"] + argv, env=env,
+        capture_output=True, timeout=timeout)

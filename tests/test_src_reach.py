@@ -49,9 +49,11 @@ def _definitions(tree):
 
 def _imports(tree):
     """Module aliases ({alias: module}) and imported names ({name: (module,
-    name)}) bound by the relative imports of a module."""
+    name)}) bound by the relative imports of a module, the ones inside its
+    functions included (cli imports each engine in the command that uses
+    it)."""
     modules, names = {}, {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
                 bound = alias.asname or alias.name

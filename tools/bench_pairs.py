@@ -11,13 +11,19 @@ BENCHMARK.json; the script refuses to run when the change's copy differs.
 For every workload and for seeds 1 and 2 it makes 10 pairs of
 `perfbench/run.py --trace 0` runs, one per side, and swaps which side runs
 first from one pair to the next (parent first in odd pairs), so slow drift
-on a shared host falls on both sides.
+on a shared host falls on both sides.  Before those it times, in 10 pairs
+alternated the same way, fresh `python -m crystal_lr.cli` processes on
+each side for a fixed set of one-shot commands (`CLI_COMMANDS`), with the
+side's src/ as PYTHONPATH: the wall time a user of the CLI waits,
+interpreter start-up and imports included.
 
 The output holds, per workload and seed and per end-to-end metric: each
 side's values in run order, median, quartiles and interquartile range, the
 ratio of the medians, the number of pairs in which the change is better,
 and `clear` (better in at least 90 % of the pairs, and the medians apart by
-more than the parent's interquartile range).  It also records both commits,
+more than the parent's interquartile range).  The same summary of `wall_s`
+is written per CLI command, with `same_stdout`: whether every one of its
+runs, on both sides, printed the same bytes.  It also records both commits,
 the argv of every run (with the interpreter that runs this script, the
 workload and the seed as placeholders), nproc, the Python version and
 PYTHONDONTWRITEBYTECODE.  Stdlib only.
@@ -31,10 +37,17 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 PAIRS = 10
 SEEDS = (1, 2)
+CLI_COMMANDS = [
+    ["lr", "3,2,1", "2,1", "2,1"],
+    ["hl-act", "--mu", "2,1,0"],
+    ["decompose", "B(0) * Bcol(2)"],
+    ["verify", "pieri", "--quick"],
+]
 
 
 def _export(ref, into):
@@ -62,6 +75,31 @@ def _run(root, argv):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _cli_run(root, argv):
+    """One fresh `python -m crystal_lr.cli` process on argv, importing from
+    root's src/; its wall time and stdout."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "crystal_lr.cli"] + argv,
+                          cwd=root, env=env, capture_output=True)
+    wall = time.perf_counter() - t0
+    if proc.returncode != 0:
+        raise RuntimeError("%s: %s exited %d: %s" % (
+            root, argv, proc.returncode, proc.stderr.decode()[-2000:]))
+    return wall, proc.stdout
+
+
+def _alternated(run):
+    """PAIRS pairs of run(side), parent first in odd pairs; each side's
+    results in pair order."""
+    out = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        for side in (("parent", "change") if i % 2 == 0 else
+                     ("change", "parent")):
+            out[side].append(run(side))
+    return out
+
+
 def _side(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": median, "q1": q1, "q3": q3,
@@ -86,6 +124,17 @@ def summarize(metrics, parent_runs, change_runs):
                       and sign * (p["median"] - c["median"]) > p["iqr"]),
         }
     return out
+
+
+def cli_summary(argv, parent, change):
+    """The block of one CLI command; parent and change are its (wall_s,
+    stdout) runs in pair order."""
+    def runs(side):
+        return [{"metrics": {"wall_s": {"value": wall}}} for wall, _ in side]
+    return {"argv": argv,
+            "same_stdout": len({out for _, out in parent + change}) == 1,
+            "wall_s": summarize({"wall_s": "lower"}, runs(parent),
+                                runs(change))["wall_s"]}
 
 
 def main(argv=None):
@@ -119,33 +168,35 @@ def main(argv=None):
             "python": platform.python_version(),
             "PYTHONDONTWRITEBYTECODE":
                 os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "cli_command": ["PYTHON", "-m", "crystal_lr.cli", "ARGV"],
+            "cli": [],
             "results": [],
         }
+        out = Path(args.out)
+        for cmd in CLI_COMMANDS:
+            runs = _alternated(lambda side: _cli_run(roots[side], cmd))
+            record["cli"].append(cli_summary(cmd, runs["parent"],
+                                             runs["change"]))
+            print("cli %s: %d pairs done" % (cmd[0], PAIRS), file=sys.stderr)
+        out.write_text(json.dumps(record, indent=1) + "\n")
         for workload in (w["name"] for w in bench["workloads"]):
             for seed in SEEDS:
-                runs = {"parent": [], "change": []}
-                failed = {"parent": 0, "change": 0}
-                for i in range(PAIRS):
-                    order = ("parent", "change") if i % 2 == 0 else (
-                        "change", "parent")
-                    for side in order:
-                        res = _run(roots[side],
-                                   _argv(workload, seed, seconds))
-                        runs[side].append(res)
-                        failed[side] += res["failed"]
-                    print("%s seed %d: pair %d/%d done" % (
-                        workload, seed, i + 1, PAIRS), file=sys.stderr)
+                runs = _alternated(lambda side: _run(
+                    roots[side], _argv(workload, seed, seconds)))
+                print("%s seed %d: %d pairs done" % (workload, seed, PAIRS),
+                      file=sys.stderr)
                 record["results"].append({
                     "workload": workload, "seed": seed,
-                    "pairs": PAIRS, "failed": failed,
+                    "pairs": PAIRS,
+                    "failed": {side: sum(r["failed"] for r in runs[side])
+                               for side in runs},
                     "all_correct": all(r["correct"] for side in runs.values()
                                        for r in side),
                     "metrics": summarize(metrics, runs["parent"],
                                          runs["change"])})
                 # rewritten after every workload and seed, so a run cut
                 # short keeps what it finished
-                Path(args.out).write_text(json.dumps(record, indent=1)
-                                          + "\n")
+                out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
