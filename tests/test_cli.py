@@ -1,6 +1,8 @@
 """The CLI's parser is built once per process and shared by every call of
 ``cli.main``; these tests hold that sharing to what a fresh parser gives,
-and the one-shot ``python -m crystal_lr.cli`` path to the in-process one."""
+and the one-shot ``python -m crystal_lr.cli`` path to the in-process one.
+A one-shot process loads only the modules its command runs, and still
+ends each refusal in its exit code."""
 
 import argparse
 import os
