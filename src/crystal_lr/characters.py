@@ -107,11 +107,13 @@ def _hl_p(mu, nvars):
     if nvars == 0:
         return {}
     out = {}
-    for k in range(sum(mu) + 1):
-        for nu in shapes.horizontal_strips_below(mu, k):
-            psi = _psi(mu, nu)
-            for e, tp in _hl_p(nu, nvars - 1).items():
-                shapes.bump_poly(out, e + (k,), shapes.tpoly_mul(tp, psi))
+    # the nu interlacing mu, mu_(i+1) <= nu_i <= mu_i, are the nu below mu
+    # with mu/nu a horizontal strip, of size k = |mu| - |nu|
+    for nu in shapes.decreasing_tuples((mu + (0,))[1:], mu):
+        k = sum(mu) - sum(nu)
+        psi = _psi(mu, nu)
+        for e, tp in _hl_p(shapes.normalize(nu), nvars - 1).items():
+            shapes.bump_poly(out, e + (k,), shapes.tpoly_mul(tp, psi))
     return out
 
 

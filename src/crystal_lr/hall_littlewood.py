@@ -57,15 +57,6 @@ def tr_omega(f):
             for e, sl in f.items()}
 
 
-def tr_expand_schur(f, n):
-    """Expand every t-slice in the z-Schur basis; {shape: TPoly}."""
-    out = {}
-    for e, sl in sorted(f.items()):
-        for lam, c in ring.expand_in_z_schur(sl, n).items():
-            out.setdefault(lam, {})[e] = c
-    return out
-
-
 # ---------------------------------------------------------------- modes
 
 def bt_apply(k, f, T):
@@ -118,7 +109,7 @@ def n_stat(mu):
 
 def bt_word_action(mu, T):
     """Act with b^t_{mu_1} ... b^t_{mu_n} on 1, rightmost mode first, and
-    expand in the z-Schur basis.
+    expand each t-slice of the result in the z-Schur basis itself.
 
     Returns {shape: TPoly} over length-n shapes.  For partition shapes the
     coefficient is the Kostka-Foulkes polynomial K_{shape,mu}(t), complete
@@ -131,7 +122,11 @@ def bt_word_action(mu, T):
     f = tr_t_shift(tr_one(), 0, T)
     for m in reversed(mu):
         f = bt_apply(m, f, T)
-    return tr_expand_schur(f, len(mu))
+    out = {}
+    for e, sl in sorted(f.items()):
+        for lam, c in ring.expand_in_z_schur(sl, len(mu)).items():
+            out.setdefault(lam, {})[e] = c
+    return out
 
 
 def bt_commutator_check(m, n, T, sample):

@@ -226,18 +226,6 @@ def extremal_lr(lam, mu, nu, rho, sigma, tau, window):
     return out
 
 
-def product_decomposition(d1, d2, window):
-    """Decomposition of d1 (x) d2 for {class: mult} maps: the linear
-    extension of extremal_lr."""
-    out = {}
-    for c1, a in d1.items():
-        for c2, b in d2.items():
-            for c3, m in extremal_lr(c1.hw, c1.mu, c1.nu, c2.hw, c2.mu,
-                                     c2.nu, window).items():
-                bump(out, c3, a * b * m)
-    return out
-
-
 # ---------------------------------------------------------------- verifier
 
 class _WindowTooSmall(Exception):
@@ -304,15 +292,21 @@ def parse_tensor_expr(text):
 
 
 def expr_decompose(factors, window):
-    """Decomposition of a product of non-negative-level factors; Bdual
-    factors have no closed form here and raise MixedLevelError."""
+    """Decomposition of a product of non-negative-level factors, left to
+    right through extremal_lr; Bdual factors have no closed form here and
+    raise MixedLevelError."""
     factors = [_factor_norm(f) for f in factors]
     if any(f[0] == "Bdual" for f in factors):
         raise MixedLevelError("product involves a negative-level factor")
     dec = {ExtremalClass(): 1}
     for fac in factors:
-        dec = product_decomposition(dec, {ExtremalClass(*_triple(fac)): 1},
-                                    window)
+        right = ExtremalClass(*_triple(fac))
+        out = {}
+        for left, a in dec.items():
+            for cls, m in extremal_lr(left.hw, left.mu, left.nu, right.hw,
+                                      right.mu, right.nu, window).items():
+                bump(out, cls, a * m)
+        dec = out
     return dec
 
 

@@ -6,6 +6,8 @@ and scaled with the kernel of shapes; a z-monomial is a weakly decreasing
 tuple of integer indices (z_0 is a variable, nothing vanishes or
 collapses).  A DElem is the same with keys (z-monomial, s^+ multiset, s^-
 multiset) in normal order: all z's left of all s's, s^+ and s^- commuting.
+Coefficients are ints; h_delem's, and what is built from them, are the only
+rationals, and apply_delem returns ints and refuses a non-integral action.
 
 Sign bookkeeping, fixed once: the symbol s^+_n acts as the derivation
 gamma^+_n = (-1)^(n-1) sum_k z_{k-n} d/dz_k (indices drop), s^-_n raises
@@ -16,7 +18,6 @@ through gamma^+_n.
 """
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from operator import add
 
@@ -28,21 +29,6 @@ from .shapes import (bump, bump_poly, conjugate, lin_add, normalize,
 
 def r_monomial(ks):
     return {tuple(sorted(ks, reverse=True)): 1}
-
-
-def r_mul(f, g):
-    out = {}
-    for k1, c1 in f.items():
-        for k2, c2 in g.items():
-            bump(out, tuple(sorted(k1 + k2, reverse=True)), c1 * c2)
-    return out
-
-
-def r_degree(f, n):
-    for k in f:
-        if len(k) != n:
-            raise ValueError("element not homogeneous of degree %d" % n)
-    return n
 
 
 # ---------------------------------------------------------------- z-Schur
@@ -87,7 +73,8 @@ def expand_in_z_schur(f, n):
     monomial of a z-Schur element dominates its label, so each step is
     forced.  Monomials like z_1 z_0 expand to infinitely many z-Schur
     terms; a cap on the steps turns that into an error."""
-    r_degree(f, n)
+    if any(len(k) != n for k in f):
+        raise ValueError("element not homogeneous of degree %d" % n)
     work = f
     out = {}
     for _ in range(_Z_SCHUR_CAP):
@@ -163,17 +150,12 @@ def apply_delem(d, f):
             g = p_action(-1, n, g)
         for n in sp:
             g = p_action(+1, n, g)
-        for k, v in r_mul(r_monomial(z), g).items():
-            bump(total, k, c * v)
-    intify = {}
-    for k, v in total.items():
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
-                raise ValueError("non-integral action")
-            v = int(v)
-        if v:
-            intify[k] = v
-    return intify
+        for k, v in g.items():
+            bump(total, tuple(sorted(z + k, reverse=True)), c * v)
+    for v in total.values():
+        if v.denominator != 1:
+            raise ValueError("non-integral action")
+    return {k: int(v) for k, v in total.items()}
 
 
 def _z_rho(rho):
@@ -254,6 +236,7 @@ def h_delem(sign, n):
         return omega(h_delem(+1, n))
     if n == 0:
         return d_one()
+    from fractions import Fraction
     out = {}
     for rho in partitions_of(n):
         bump(out, ((), (), tuple(sorted(rho))), Fraction(1, _z_rho(rho)))

@@ -15,7 +15,7 @@ key maps to 0 (or to an empty combination), so two combinations are equal
 exactly when their dicts are.  bump, lin_add and bump_poly below are the one
 arithmetic kernel that keeps this invariant.
 
-Boxes of generalized partitions, the horizontal strips below a partition,
+Boxes of generalized partitions, the partitions interlacing a partition,
 subpartitions and the partitions of n are all weakly decreasing tuples
 between per-entry bounds, sometimes of fixed sum; decreasing_tuples is the
 one enumerator of them.  partitions_of reverses its list, as seeded samples
@@ -123,14 +123,6 @@ def decreasing_tuples(lows, highs, total=None):
             return
         i = len(stack)
         x[i - 1] = v
-
-
-def horizontal_strips_below(mu, k):
-    """Partitions nu <= mu with mu/nu a horizontal strip of size k: the
-    tuples interlacing mu, mu_(i+1) <= nu_i <= mu_i."""
-    mu = normalize(mu)
-    return [normalize(nu) for nu in
-            decreasing_tuples((mu + (0,))[1:], mu, sum(mu) - k)]
 
 
 def partitions_of(n, max_length=None, max_part=None):

@@ -91,12 +91,9 @@ def _suite_duality_en(cfg):
     def census():
         comps = dict(bicrystal_components(mats, col_colors=range(1, ncols),
                                           row_colors=range(1, nrows)))
-        expected = {}
-        for size in range(nrows * ncols + 1):
-            for mu in partitions_of(size, max_part=nrows, max_length=ncols):
-                key = mu + (0,) * (ncols - len(mu))
-                expected[(key, num_sst(mu, ncols)
-                          * num_sst(conjugate(mu), nrows))] = 1
+        expected = {
+            (mu, num_sst(mu, ncols) * num_sst(conjugate(mu), nrows)): 1
+            for mu in gen_partitions_box(ncols, 0, nrows)}
         yield next(({"weight": list(key[0]), "size": key[1],
                      "got": comps.get(key, 0),
                      "expected": expected.get(key, 0)}

@@ -13,13 +13,16 @@ still test the program.
 A weight's sum, negative, difference and pairing with a coroot are plain
 functions here: the program itself never adds, negates or pairs a `Weight`.
 So is the sign of a permutation, which only the tests' determinant and
-alternant oracles read.
+alternant oracles read, and the product of two z-ring elements, which the
+Leibniz and mode oracles read: the program multiplies only by a monomial,
+inside apply_delem.
 """
 
 from collections import namedtuple
 
 from crystal_lr.crystal import Weight, fundamental_weight
 from crystal_lr.matrices import BinaryMatrix, matrix_lower, matrix_raise
+from crystal_lr.shapes import bump
 
 
 # ---------------------------------------------------------------- signs
@@ -29,6 +32,17 @@ def inversion_sign(seq):
     inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
               if seq[i] > seq[j])
     return -1 if inv % 2 else 1
+
+
+# ---------------------------------------------------------------- z-ring
+
+def r_mul(f, g):
+    """The product of two z-ring elements, moved from crystal_lr.ring."""
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            bump(out, tuple(sorted(k1 + k2, reverse=True)), c1 * c2)
+    return out
 
 
 # ---------------------------------------------------------------- weights

@@ -1,11 +1,13 @@
 import itertools
 import random
+from functools import cache
 
 import pytest
 
 from crystal_lr import characters, shapes
 from crystal_lr.characters import _hl_p, lp_lift, lp_mul
 from duality import inversion_sign
+from test_shapes import filtered_horizontal_strips_below
 
 
 # Retired from src/ (the characters module now reads both from the tableau
@@ -85,6 +87,37 @@ def peel_split(lam, m, n):
                       lp_lift(bialternant_schur(nu), m + n, m))
         f = shapes.lin_add(f, prod, -c)
     return out
+
+
+# The strip-by-size loop of _hl_p, retired from src/ (_hl_p now walks the
+# partitions interlacing mu once, for every strip size at once), kept as
+# its oracle.  Its strips come from the filtered oracle of test_shapes, not
+# from the walker that _hl_p reads.
+
+@cache
+def strip_by_size_hl_p(mu, nvars):
+    if not mu:
+        return {(0,) * nvars: {0: 1}}
+    if nvars == 0:
+        return {}
+    out = {}
+    for k in range(sum(mu) + 1):
+        for nu in filtered_horizontal_strips_below(mu, k):
+            psi = characters._psi(mu, nu)
+            for e, tp in strip_by_size_hl_p(nu, nvars - 1).items():
+                shapes.bump_poly(out, e + (k,), shapes.tpoly_mul(tp, psi))
+    return out
+
+
+def test_hl_p_is_the_strip_by_size_loop():
+    cases = 0
+    for n in range(7):
+        for mu in shapes.partitions_of(n):
+            for nvars in range(5):
+                assert _hl_p(mu, nvars) == strip_by_size_hl_p(mu, nvars), (
+                    mu, nvars)
+                cases += 1
+    assert cases == 150
 
 
 # Moved from src/, where only these tests used them.

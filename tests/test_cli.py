@@ -145,14 +145,30 @@ LOADS = [
 @pytest.mark.parametrize("argv, modules", LOADS,
                          ids=[" ".join(argv) for argv, _ in LOADS])
 def test_command_loads_only_its_engine(argv, modules):
+    loaded = _loaded_modules(argv)
+    assert {m for m in loaded if m.split(".")[0] == "crystal_lr"} == modules
+
+
+# only h_delem builds a Fraction, and it imports fractions (with decimal and
+# numbers behind it) itself; a query never reaches it
+@pytest.mark.parametrize("argv", [
+    ["hl-act", "--mu", "2,1,0"],
+    ["lr", "3,2,1", "2,1", "2,1"],
+    ["decompose", "B(0) * Bcol(2)"],
+], ids=lambda argv: argv[0])
+def test_query_loads_no_fractions(argv):
+    assert "fractions" not in _loaded_modules(argv)
+
+
+def _loaded_modules(argv):
+    """The modules a fresh python -m crystal_lr.cli process on argv
+    imports, read from -X importtime, which writes one "import time: self
+    | cumulative | name" line to stderr per module imported."""
     proc = _run_module(argv, timeout=120, flags=["-X", "importtime"])
     assert proc.returncode == 0, proc.stderr
-    # -X importtime writes one "import time: self | cumulative | name"
-    # line to stderr per module imported
-    loaded = {line.rsplit("|", 1)[1].strip()
-              for line in proc.stderr.decode().splitlines()
-              if line.startswith("import time:")}
-    assert {m for m in loaded if m.split(".")[0] == "crystal_lr"} == modules
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.decode().splitlines()
+            if line.startswith("import time:")}
 
 
 def _run_module(argv, timeout, flags=()):

@@ -10,7 +10,7 @@ from crystal_lr.shapes import (bump, bump_poly, conjugate,
                                gen_lr_coefficient, gen_partitions_box,
                                is_gen_partition, lr_coefficient, mu_star,
                                partitions_of)
-from duality import inversion_sign
+from duality import inversion_sign, r_mul
 
 
 def n_stat(mu):
@@ -93,7 +93,7 @@ def two_pass_bt_apply(k, f, T):
                 if not h:
                     continue
                 sign = -1 if d % 2 else 1
-                term = ring.r_mul(ring.r_monomial((j + d + k,)), h)
+                term = r_mul(ring.r_monomial((j + d + k,)), h)
                 for key, c in term.items():
                     bump(acc, key, sign * c)
     return {e: sl for e, sl in out.items() if sl}
@@ -408,7 +408,7 @@ def bt_lambda_classes(lam, T):
                                     c1 = gen_lr_coefficient(lam, eta, star)
                                     if not c1:
                                         continue
-                                    term = ring.r_mul(ring.z_schur(eta), g)
+                                    term = r_mul(ring.z_schur(eta), g)
                                     for key, c in term.items():
                                         bump_poly(out, e + snu, {key: c},
                                                   msign * c1 * c2)

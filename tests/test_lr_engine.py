@@ -16,7 +16,7 @@ from crystal_lr.lr_engine import (ExtremalClass, MixedLevelError,
                                   hw_past_level0, hw_product,
                                   level0_product,
                                   parse_tensor_expr, pieri_column,
-                                  product_decomposition, verify_truncated)
+                                  verify_truncated)
 
 
 def star(v):
@@ -649,6 +649,22 @@ def test_extremal_lr_duality():
         assert m1 == m2
 
 
+# Retired from src/ (expr_decompose now multiplies by each single factor
+# class inline), kept verbatim as the product of the associativity tests and
+# as the oracle of expr_decompose.
+
+def product_decomposition(d1, d2, window):
+    """Decomposition of d1 (x) d2 for {class: mult} maps: the linear
+    extension of extremal_lr."""
+    out = {}
+    for c1, a in d1.items():
+        for c2, b in d2.items():
+            for c3, m in extremal_lr(c1.hw, c1.mu, c1.nu, c2.hw, c2.mu,
+                                     c2.nu, window).items():
+                bump(out, c3, a * b * m)
+    return out
+
+
 def test_extremal_lr_associative():
     # level-zero classes of one and two boxes, level-one factors, and one
     # class of both kinds; at most two of the three factors of level one,
@@ -766,6 +782,30 @@ def test_expr_decompose():
     assert dec == pieri_column((2,), 2)
     with pytest.raises(MixedLevelError):
         expr_decompose([("B", (0,)), ("Bdual", (0,))], (-3, 3))
+
+
+def test_expr_decompose_is_the_left_fold_of_product_decomposition():
+    # each factor as the class it names, read here rather than through
+    # lr_engine's own factor normalization
+    classes = {
+        ("B", (0,)): ExtremalClass(hw=(0,)),
+        ("B", (1, -1)): ExtremalClass(hw=(1, -1)),
+        ("Bcol", 0): ExtremalClass(),
+        ("Bcol", 1): ExtremalClass((1,)),
+        ("Bcol", 2): ExtremalClass((1, 1)),
+        ("Bmn", (), (1,)): ExtremalClass((), (1,)),
+        ("Bmn", (2,), (1,)): ExtremalClass((2,), (1,)),
+    }
+    win = (-5, 5)
+    cases = 0
+    for length in (1, 2, 3):
+        for factors in itertools.product(classes, repeat=length):
+            want = {ExtremalClass(): 1}
+            for fac in factors:
+                want = product_decomposition(want, {classes[fac]: 1}, win)
+            assert expr_decompose(list(factors), win) == want, factors
+            cases += 1
+    assert cases == 399
 
 
 @pytest.mark.parametrize("argv", [

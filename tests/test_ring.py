@@ -12,11 +12,11 @@ from crystal_lr import crystal
 from crystal_lr.ring import (_z_rho, annihilator_relations, apply_delem,
                              d_multiply, d_one, delem_to_json,
                              expand_in_z_schur, h_delem, h_operator, omega,
-                             p_action, r_monomial, r_mul, s_operator, z_schur,
+                             p_action, r_monomial, s_operator, z_schur,
                              z_skew_schur)
 from crystal_lr.shapes import (bump, conjugate, gen_lr_coefficient,
                                lin_add, mu_star, normalize, partitions_of)
-from duality import inversion_sign
+from duality import inversion_sign, r_mul
 
 
 # ------------------------------------------------ power-sum oracle
@@ -497,6 +497,15 @@ def test_annihilators():
             for rel in rels:
                 assert apply_delem(rel, z_schur(lam)) == {}
     assert apply_delem(h_delem(+1, 2), {(5,): 1}) == {}
+
+
+def test_apply_delem_returns_ints_and_refuses_a_non_integral_action():
+    # s^-_1 takes z_0 to z_1: an integral Fraction comes back as an int, a
+    # proper one is refused
+    out = apply_delem({((), (), (1,)): Fraction(4, 2)}, {(0,): 1})
+    assert out == {(1,): 2} and type(out[(1,)]) is int
+    with pytest.raises(ValueError, match="^non-integral action$"):
+        apply_delem({((), (), (1,)): Fraction(1, 2)}, {(0,): 1})
 
 
 def test_json():

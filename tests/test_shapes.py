@@ -9,8 +9,7 @@ from hypothesis import example, given, strategies as st
 from crystal_lr import crystal, shapes
 from crystal_lr.lr_engine import ExtremalClass, pieri_column
 from crystal_lr.shapes import (_pad, conjugate, contains,
-                               decreasing_tuples, horizontal_strips_below,
-                               mu_star, normalize)
+                               decreasing_tuples, mu_star, normalize)
 
 
 # The strip enumerators that pieri_column read, moved from src/ to be its
@@ -54,6 +53,17 @@ def is_vertical_strip(outer, inner):
 def horizontal_strips_above(mu, k):
     """Partitions lam >= mu with lam/mu a horizontal strip of size k."""
     return [normalize(lam) for lam in strips_above(normalize(mu) + (0,), k)]
+
+
+# Moved from src/, where characters._hl_p read it once per strip size; _hl_p
+# now walks the interlacing tuples of all sizes at once.
+
+def horizontal_strips_below(mu, k):
+    """Partitions nu <= mu with mu/nu a horizontal strip of size k: the
+    tuples interlacing mu, mu_(i+1) <= nu_i <= mu_i."""
+    mu = normalize(mu)
+    return [normalize(nu) for nu in
+            decreasing_tuples((mu + (0,))[1:], mu, sum(mu) - k)]
 
 
 def vertical_strips_above(mu, k):
@@ -118,7 +128,7 @@ def test_strips():
 def test_strip_enumeration():
     assert set(horizontal_strips_above((2, 1), 2)) == {
         (4, 1), (3, 2), (3, 1, 1), (2, 2, 1)}
-    assert set(shapes.horizontal_strips_below((2, 1), 1)) == {(1, 1), (2,)}
+    assert set(horizontal_strips_below((2, 1), 1)) == {(1, 1), (2,)}
     assert horizontal_strips_above((), 0) == [()]
     for lam in horizontal_strips_above((3, 2), 3):
         assert is_horizontal_strip(lam, (3, 2))
@@ -141,7 +151,7 @@ def test_strip_enumeration_is_complete():
                     (vertical_strips_above,
                      [lam for lam in above
                       if is_vertical_strip(lam, mu)]),
-                    (shapes.horizontal_strips_below,
+                    (horizontal_strips_below,
                      [nu for nu in below
                       if is_horizontal_strip(mu, nu)]),
                     (vertical_strips_below,
