@@ -241,12 +241,14 @@ def components(nodes, steps):
     pair (raised, lowered) of the node's neighbours at that color, None
     where the operator is undefined; one step reads one signature for both
     directions.  Yields (source, size) per component, the source being its
-    one node without a raised neighbour.  Raises ValueError if a neighbour
-    leaves the set or a component has no unique source.
+    one node without a raised neighbour, in the order of each component's
+    first node in `nodes`.  Raises ValueError if a neighbour leaves the set
+    or a component has no unique source.
     """
-    nodes = set(nodes)
+    order = list(nodes)
+    nodes = set(order)
     seen = set()
-    for start in nodes:
+    for start in order:
         if start in seen:
             continue
         seen.add(start)

@@ -1,48 +1,45 @@
 """Binary matrices with a crystal structure on both index directions.
 
 Row and column index intervals are explicit data: the transpose bijection rho
-negates and swaps them, so nothing may be implicit in array offsets.
+negates and swaps them, so nothing may be implicit in array offsets.  A
+matrix is stored as (row_lo, col_lo, nrows, ncols, bits), the entry at row
+offset r and column offset j being bit r*ncols + j of its code `bits`;
+`entries`, `entry`, `col_weight`, `format_matrix` and `key()` decode.
 
 The column operators (`matrix_lower`/`matrix_raise`, color k) read the pairs
-(A(i, k), A(i, k+1)) down the rows.  The row operators (`cap_lower`/
-`cap_raise`, color l) are their conjugates by rho, computed directly from
-rows l and l+1: the columns are read from right to left (the row order of
-`rho_transpose(A)`), a column (1,0) is +, (0,1) is -, and a + cancels a
-later -.  Lowering moves the 1 of the first surviving + down to row l+1,
-raising moves the 1 of the last surviving - up to row l; this equals
-`rho_inverse(matrix_*(rho_transpose(A), l))` without building either copy.
+(A(i, k), A(i, k+1)) down the rows: (1,0) is +, (0,1) is -, and a + cancels
+a later -.  The row operators (`cap_lower`/`cap_raise`, color l) are their
+conjugates by rho, computed directly from rows l and l+1 read right to left
+(the row order of `rho_transpose(A)`), with (top, bottom) pairs read alike.
+Each family has one bracket kernel on codes, giving the shifts of the last
+surviving - (raising acts there) and the first surviving + (lowering);
+either move is one XOR with the mask that swaps the pair, 3 << s for
+columns and (1 | 1 << ncols) << s for caps.
 """
 
-import itertools
 from collections import Counter, namedtuple
 
 from .crystal import components
 
 
-class BinaryMatrix(namedtuple("BinaryMatrix", "row_lo col_lo entries")):
-    """An I x J zero-one matrix over explicit inclusive index intervals."""
+class BinaryMatrix(namedtuple("BinaryMatrix",
+                              "row_lo col_lo nrows ncols bits")):
+    """An I x J zero-one matrix over explicit inclusive index intervals,
+    built from its rows and stored as their code."""
 
     __slots__ = ()
 
     def __new__(cls, row_lo, col_lo, entries):
-        entries = tuple(tuple(r) for r in entries)
+        entries = [tuple(r) for r in entries]
         if len({len(r) for r in entries}) > 1:
             raise ValueError("ragged rows")
-        return super().__new__(cls, row_lo, col_lo, entries)
-
-    @classmethod
-    def _of_rows(cls, row_lo, col_lo, rows):
-        """The operators' constructor: `rows` is already a tuple of
-        equal-length tuples, so it is shared, not copied or checked."""
-        return tuple.__new__(cls, (row_lo, col_lo, rows))
-
-    @property
-    def nrows(self):
-        return len(self.entries)
-
-    @property
-    def ncols(self):
-        return len(self.entries[0]) if self.entries else 0
+        ncols = len(entries[0]) if entries else 0
+        bits = 0
+        for s, x in enumerate(x for r in entries for x in r):
+            if x not in (0, 1):
+                raise ValueError("entry %r is not 0 or 1" % (x,))
+            bits |= bool(x) << s
+        return super().__new__(cls, row_lo, col_lo, len(entries), ncols, bits)
 
     @property
     def row_hi(self):
@@ -52,11 +49,17 @@ class BinaryMatrix(namedtuple("BinaryMatrix", "row_lo col_lo entries")):
     def col_hi(self):
         return self.col_lo + self.ncols - 1
 
+    @property
+    def entries(self):
+        n = self.ncols
+        return tuple(tuple(self.bits >> r * n + j & 1 for j in range(n))
+                     for r in range(self.nrows))
+
     def entry(self, i, j):
         return self.entries[i - self.row_lo][j - self.col_lo]
 
     def key(self):
-        return tuple(self)
+        return self.row_lo, self.col_lo, self.entries
 
     def __repr__(self):
         return "BinaryMatrix(rows=%d..%d cols=%d..%d)" % (
@@ -64,8 +67,13 @@ class BinaryMatrix(namedtuple("BinaryMatrix", "row_lo col_lo entries")):
 
     def col_weight(self):
         """gl weight over the column interval: column sums."""
-        return tuple(sum(r[c] for r in self.entries)
-                     for c in range(self.ncols))
+        return tuple(map(sum, zip(*self.entries)))
+
+
+def _coded(shape, bits):
+    """The matrix of shape (row_lo, col_lo, nrows, ncols) and code bits,
+    unchecked."""
+    return tuple.__new__(BinaryMatrix, shape + (bits,))
 
 
 def format_matrix(A):
@@ -75,76 +83,75 @@ def format_matrix(A):
     return "\n".join(out)
 
 
-# ---------------------------------------------------------------- column ops
+# ---------------------------------------------------------------- kernels
 
-def _matrix_signature(A, k):
-    """Surviving minus/plus row offsets at color k after cancelling (+,-)
-    pairs with the + in an earlier row."""
-    j = k - A.col_lo
-    if j < 0 or j + 1 >= A.ncols:
-        raise ValueError("columns %d,%d outside matrix" % (k, k + 1))
-    plus, minus = [], []
-    for r, row in enumerate(A.entries):
-        if row[j] != row[j + 1]:
-            if row[j]:
-                plus.append(r)
-            elif plus:
-                plus.pop()
-            else:
-                minus.append(r)
-    return minus, plus
+def _column_bits(x, nrows, ncols, j):
+    """Shifts of the last surviving - and the first surviving +, or None,
+    of the pairs (j, j+1) of code x, read down the rows."""
+    minus, plus = None, []
+    for s in range(j, nrows * ncols, ncols):
+        pair = x >> s & 3
+        if pair == 1:
+            plus.append(s)
+        elif pair == 2 and plus:
+            plus.pop()
+        elif pair == 2:
+            minus = s
+    return minus, plus[0] if plus else None
 
 
-def _column_move(A, r, k, up):
-    """A with the 1 of row offset r moved between columns k and k+1."""
-    j = k - A.col_lo
-    rows = list(A.entries)
-    row = list(rows[r])
-    row[j], row[j + 1] = (1, 0) if up else (0, 1)
-    rows[r] = tuple(row)
-    return BinaryMatrix._of_rows(A.row_lo, A.col_lo, tuple(rows))
+def _cap_bits(x, nrows, ncols, i):
+    """Shifts (of the top entry) of the last surviving - and the first
+    surviving +, or None, of rows i and i+1 of code x, read right to left."""
+    minus, plus = None, []
+    for s in range((i + 1) * ncols - 1, i * ncols - 1, -1):
+        pair = x >> s & 1 | x >> s + ncols - 1 & 2
+        if pair == 1:
+            plus.append(s)
+        elif pair == 2 and plus:
+            plus.pop()
+        elif pair == 2:
+            minus = s
+    return minus, plus[0] if plus else None
+
+
+def _at(color, lo, n, what):
+    """The offset of color's pair, which must lie in the n indices from lo."""
+    at = color - lo
+    if at < 0 or at + 1 >= n:
+        raise ValueError("%s %d,%d outside matrix" % (what, color, color + 1))
+    return at
+
+
+def _act(A, kernel, mask, at, side):
+    """A moved at the kernel's shift in slot side (0 raises, 1 lowers)."""
+    s = kernel(A.bits, A.nrows, A.ncols, at)[side]
+    return None if s is None else _coded(A[:4], A.bits ^ mask << s)
 
 
 def matrix_lower(A, k):
     """Lowering operator at column color k: acts on the left-most good +."""
-    minus, plus = _matrix_signature(A, k)
-    return _column_move(A, plus[0], k, False) if plus else None
+    return _act(A, _column_bits, 3, _at(k, A.col_lo, A.ncols, "columns"), 1)
 
 
 def matrix_raise(A, k):
     """Raising operator at column color k: acts on the right-most good -."""
-    minus, plus = _matrix_signature(A, k)
-    return _column_move(A, minus[-1], k, True) if minus else None
-
-
-def _column_step(A, k):
-    """(matrix_raise(A, k), matrix_lower(A, k)) from one signature."""
-    minus, plus = _matrix_signature(A, k)
-    return (_column_move(A, minus[-1], k, True) if minus else None,
-            _column_move(A, plus[0], k, False) if plus else None)
+    return _act(A, _column_bits, 3, _at(k, A.col_lo, A.ncols, "columns"), 0)
 
 
 # ---------------------------------------------------------------- transpose
 
 def rho_transpose(A):
     """The bijection sending an I x J matrix to a (-J) x I matrix with
-    entry(r, c) = A(c, -r)."""
+    entry(r, c) = A(c, -r): its rows are A's columns, last first."""
     _check_rho(A)
-    rows = []
-    for r in range(-A.col_hi, -A.col_lo + 1):
-        rows.append(tuple(A.entry(c, -r)
-                          for c in range(A.row_lo, A.row_hi + 1)))
-    return BinaryMatrix(-A.col_hi, A.row_lo, rows)
+    return BinaryMatrix(-A.col_hi, A.row_lo, list(zip(*A.entries))[::-1])
 
 
 def rho_inverse(B):
     """Inverse of rho_transpose: entry(i, j) = B(-j, i)."""
     _check_rho(B)
-    rows = []
-    for i in range(B.col_lo, B.col_hi + 1):
-        rows.append(tuple(B.entry(-j, i)
-                          for j in range(-B.row_hi, -B.row_lo + 1)))
-    return BinaryMatrix(B.col_lo, -B.row_hi, rows)
+    return BinaryMatrix(B.col_lo, -B.row_hi, list(zip(*B.entries[::-1])))
 
 
 def _check_rho(A):
@@ -155,72 +162,62 @@ def _check_rho(A):
                          "no columns" % (A.row_lo, A.row_hi))
 
 
-def _cap_signature(A, l):
-    """Row offset i = l - row_lo and the surviving minus/plus column offsets
-    at row color l, in right-to-left reading order."""
-    i = l - A.row_lo
-    if i < 0 or i + 1 >= A.nrows:
-        raise ValueError("rows %d,%d outside matrix" % (l, l + 1))
-    top, bot = A.entries[i], A.entries[i + 1]
-    plus, minus = [], []
-    for j in range(len(top) - 1, -1, -1):
-        if top[j] != bot[j]:
-            if top[j]:
-                plus.append(j)
-            elif plus:
-                plus.pop()
-            else:
-                minus.append(j)
-    return i, minus, plus
-
-
-def _cap_move(A, i, j, up):
-    """A with the 1 in column offset j moved between rows i and i+1."""
-    top, bot = list(A.entries[i]), list(A.entries[i + 1])
-    top[j], bot[j] = (1, 0) if up else (0, 1)
-    rows = list(A.entries)
-    rows[i], rows[i + 1] = tuple(top), tuple(bot)
-    return BinaryMatrix._of_rows(A.row_lo, A.col_lo, tuple(rows))
-
-
 def cap_lower(A, l):
     """Row-direction lowering operator at row color l: the conjugate
     rho_inverse(matrix_lower(rho_transpose(A), l)), acting on the first
     surviving + of rows l, l+1 read right to left."""
-    i, minus, plus = _cap_signature(A, l)
-    return _cap_move(A, i, plus[0], False) if plus else None
+    return _act(A, _cap_bits, 1 | 1 << A.ncols,
+                _at(l, A.row_lo, A.nrows, "rows"), 1)
 
 
 def cap_raise(A, l):
     """Row-direction raising operator: acts on the last surviving -."""
-    i, minus, plus = _cap_signature(A, l)
-    return _cap_move(A, i, minus[-1], True) if minus else None
-
-
-def _cap_step(A, l):
-    """(cap_raise(A, l), cap_lower(A, l)) from one signature."""
-    i, minus, plus = _cap_signature(A, l)
-    return (_cap_move(A, i, minus[-1], True) if minus else None,
-            _cap_move(A, i, plus[0], False) if plus else None)
+    return _act(A, _cap_bits, 1 | 1 << A.ncols,
+                _at(l, A.row_lo, A.nrows, "rows"), 0)
 
 
 # ---------------------------------------------------------------- censuses
 
 def enumerate_matrices(row_lo, row_hi, col_lo, col_hi):
-    nr, nc = row_hi - row_lo + 1, col_hi - col_lo + 1
-    for bits in itertools.product((0, 1), repeat=nr * nc):
-        yield BinaryMatrix._of_rows(
-            row_lo, col_lo, tuple(bits[r * nc:(r + 1) * nc]
-                                  for r in range(nr)))
+    """Every matrix over the intervals, by increasing code; without rows
+    there are no columns either, as in the constructor."""
+    nr = row_hi - row_lo + 1
+    nc = col_hi - col_lo + 1 if nr else 0
+    for bits in range(1 << nr * nc):
+        yield _coded((row_lo, col_lo, nr, nc), bits)
+
+
+def _code_step(kernel, mask, nrows, ncols, at):
+    """A crystal.components step on codes: (raised, lowered), each one
+    XOR away."""
+    def step(x, _color):
+        minus, plus = kernel(x, nrows, ncols, at)
+        return (None if minus is None else x ^ mask << minus,
+                None if plus is None else x ^ mask << plus)
+    return step
 
 
 def bicrystal_components(mats, col_colors, row_colors):
     """Partition matrices under both operator families.
 
-    Returns a Counter over (doubly-source column weight, component size);
-    raises if a component lacks a unique doubly-source.
+    The matrices must share one shape and offsets; the walk runs on their
+    codes and decodes only the sources.  Returns a Counter over
+    (doubly-source column weight, component size), components in the order
+    of their first matrix; raises if a component lacks a unique
+    doubly-source.
     """
-    steps = ([(_column_step, k) for k in col_colors]
-             + [(_cap_step, l) for l in row_colors])
-    return Counter((A.col_weight(), size)
-                   for A, size in components(mats, steps))
+    shapes = {A[:4] for A in mats}
+    if len(shapes) != 1:
+        if shapes:
+            raise ValueError("matrices of %d shapes" % len(shapes))
+        return Counter()
+    (shape,) = shapes
+    row_lo, col_lo, nrows, ncols = shape
+    steps = ([(_code_step(_column_bits, 3, nrows, ncols,
+                          _at(k, col_lo, ncols, "columns")), k)
+              for k in col_colors]
+             + [(_code_step(_cap_bits, 1 | 1 << ncols, nrows, ncols,
+                            _at(l, row_lo, nrows, "rows")), l)
+                for l in row_colors])
+    return Counter((_coded(shape, x).col_weight(), size)
+                   for x, size in components([A.bits for A in mats], steps))

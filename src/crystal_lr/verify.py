@@ -25,8 +25,8 @@ from .matrices import (BinaryMatrix, bicrystal_components, cap_lower,
                        cap_raise, enumerate_matrices, format_matrix,
                        matrix_lower, matrix_raise)
 from .ring import (annihilator_relations, apply_delem, d_multiply,
-                   delem_to_json, expand_in_z_schur, h_operator, r_monomial,
-                   s_operator, z_schur, z_skew_schur)
+                   delem_to_json, expand_in_z_schur, h_delem, h_operator,
+                   r_monomial, s_operator, z_schur, z_skew_schur)
 from .shapes import (conjugate, gen_lr_coefficient, gen_partitions_box,
                      kostka_foulkes, lin_add, lr_coefficient, mu_star,
                      normalize, num_sst, partitions_of)
@@ -452,10 +452,23 @@ def _annihilator_cases(span):
                     "n": n, "lam": list(lam), "relation": delem_to_json(rel)}
 
 
+def _row_operator_cases(span):
+    # the DElem route to h_k(gamma^+/-) against the direct operator
+    for n in (1, 2, 3):
+        for lam in gen_partitions_box(n, -span, span):
+            zl = z_schur(lam)
+            for sign, k in itertools.product((1, -1), (1, 2, 3)):
+                via = apply_delem(h_delem(sign, k), zl)
+                yield None if via == h_operator(sign, k)(zl) else {
+                    "lam": list(lam), "sign": sign, "k": k}
+
+
 def _suite_annihilator(cfg):
     span = 1 if cfg["quick"] else 2
+    extra = {"entry_span": span}
     return [_check("relations-annihilate", _scan(_annihilator_cases(span)),
-                   {"entry_span": span})]
+                   extra),
+            _check("row-operators", _scan(_row_operator_cases(span)), extra)]
 
 
 SUITES = {

@@ -1,11 +1,12 @@
-import itertools
 import random
 import re
 
 import pytest
 
+from collections import Counter
+
 from crystal_lr import matrices, verify
-from crystal_lr.crystal import (Tableau, Weight, enumerate_sst,
+from crystal_lr.crystal import (Tableau, Weight, components, enumerate_sst,
                                 fundamental_weight, lower_word, raise_word,
                                 tableau_word)
 from crystal_lr.matrices import (BinaryMatrix, bicrystal_components,
@@ -39,10 +40,13 @@ def test_row_ops():
 
 def test_records_keep_their_checks():
     rows = ((1, 0, 1), (0, 1, 1))
-    A = BinaryMatrix._of_rows(2, -1, rows)
+    A = M(2, -1, rows)
     assert A == M(2, -1, [list(r) for r in rows])
-    assert hash(A) == hash(M(2, -1, rows))
+    assert hash(A) == hash(M(2, -1, (r for r in rows)))
     assert A.key() == (2, -1, rows)
+    # entry (r, j) at offsets is bit r * ncols + j
+    assert (A.nrows, A.ncols, A.bits) == (2, 3, 0b110101)
+    assert A == matrices._coded((2, -1, 2, 3), 0b110101)
     with pytest.raises(ValueError, match="ragged rows"):
         M(1, 0, [(1, 0), (1,)])
     assert MayaRow("E", delta=[3, 1]) == MayaRow("E", 0, (1, 3, 3))
@@ -50,6 +54,32 @@ def test_records_keep_their_checks():
         MayaRow("G")
     with pytest.raises(ValueError, match="E rows carry no charge"):
         MayaRow("E", charge=1)
+
+
+def test_entries_must_be_zero_or_one():
+    for bad in (2, -1, 0.5, "1", None):
+        with pytest.raises(ValueError, match="is not 0 or 1"):
+            M(0, 0, [(bad, 0)])
+    with pytest.raises(ValueError, match="entry 2 is not 0 or 1"):
+        M(0, 0, [(2, 0)])
+    # bools and integral floats are the entries they equal
+    assert M(0, 0, [(True, False), (1.0, 0.0)]) == M(0, 0, [(1, 0), (1, 0)])
+
+
+def test_codes_round_trip():
+    assert M(2, -1, []).key() == (2, -1, ())
+    assert M(1, 1, [(), ()]).key() == (1, 1, ((), ()))
+    for nrows in range(4):
+        for ncols in range(1, 4):
+            for A in enumerate_matrices(1, nrows, 0, ncols - 1):
+                assert M(*A.key()) == A
+                assert A.col_weight() == tuple(
+                    sum(A.entry(i, j) for i in range(1, A.row_hi + 1))
+                    for j in range(A.col_lo, A.col_hi + 1))
+                # without rows there is no column interval
+                assert A.ncols == (ncols if nrows else 0)
+    with pytest.raises(IndexError):
+        M(1, 0, [(1, 0), (0, 1)]).entry(3, 0)
 
 
 def test_signature_cases():
@@ -149,22 +179,18 @@ def test_cap_row_color_out_of_range():
         cap_raise(M(1, 1, [(), ()]), 3)
 
 
-def _cap_lower_last_plus(A, l):
-    """A mutant of cap_lower: acts on the last surviving + instead of the
-    first."""
-    i, minus, plus = matrices._cap_signature(A, l)
-    return matrices._cap_move(A, i, plus[-1], False) if plus else None
-
-
-def _cap_step_last_plus(A, l):
-    """_cap_step with the same mutant lowering."""
-    return matrices.cap_raise(A, l), _cap_lower_last_plus(A, l)
+def _cap_bits_last_plus(x, nrows, ncols, i):
+    """A mutant of matrices._cap_bits: the last surviving + in place of the
+    first, read off the tuple oracle."""
+    rows = matrices._coded((0, 0, nrows, ncols), x).entries
+    minus, plus = _cap_signature(rows, i)
+    return (i * ncols + minus[-1] if minus else None,
+            i * ncols + plus[-1] if plus else None)
 
 
 def test_verifiers_catch_mutant_row_operator(monkeypatch):
-    monkeypatch.setattr(matrices, "cap_lower", _cap_lower_last_plus)
-    monkeypatch.setattr(verify, "cap_lower", _cap_lower_last_plus)
-    monkeypatch.setattr(matrices, "_cap_step", _cap_step_last_plus)
+    # one patch reaches both the operators and the census walk
+    monkeypatch.setattr(matrices, "_cap_bits", _cap_bits_last_plus)
     cfg = {"seed": 0, "quick": True}
     (check,) = verify.SUITES["bicrystal"](cfg)
     assert check["status"] == "fail"
@@ -311,21 +337,154 @@ def test_census_not_closed():
         bicrystal_components(mats, col_colors=(1, 2), row_colors=(1,))
 
 
+# The retired tuple operators, kept as the oracle of the bit kernels: a
+# matrix is its key (row_lo, col_lo, rows), read and rebuilt row by row.
+
+def _matrix_signature(rows, j):
+    """Surviving minus/plus row offsets at column offset j after cancelling
+    (+,-) pairs with the + in an earlier row."""
+    plus, minus = [], []
+    for r, row in enumerate(rows):
+        if row[j] != row[j + 1]:
+            if row[j]:
+                plus.append(r)
+            elif plus:
+                plus.pop()
+            else:
+                minus.append(r)
+    return minus, plus
+
+
+def _column_move(rows, r, j, up):
+    """rows with the 1 of row r moved between columns j and j+1."""
+    rows = [list(row) for row in rows]
+    rows[r][j], rows[r][j + 1] = (1, 0) if up else (0, 1)
+    return tuple(tuple(row) for row in rows)
+
+
+def _cap_signature(rows, i):
+    """Surviving minus/plus column offsets of rows i, i+1, in right-to-left
+    reading order."""
+    top, bot = rows[i], rows[i + 1]
+    plus, minus = [], []
+    for j in range(len(top) - 1, -1, -1):
+        if top[j] != bot[j]:
+            if top[j]:
+                plus.append(j)
+            elif plus:
+                plus.pop()
+            else:
+                minus.append(j)
+    return minus, plus
+
+
+def _cap_move(rows, i, j, up):
+    """rows with the 1 in column j moved between rows i and i+1."""
+    rows = [list(row) for row in rows]
+    rows[i][j], rows[i + 1][j] = (1, 0) if up else (0, 1)
+    return tuple(tuple(row) for row in rows)
+
+
+def _column_step(key, k):
+    """(raised, lowered) keys at column color k from one signature."""
+    row_lo, col_lo, rows = key
+    j = k - col_lo
+    if j < 0 or j + 1 >= len(rows[0]):
+        raise ValueError("columns %d,%d outside matrix" % (k, k + 1))
+    minus, plus = _matrix_signature(rows, j)
+    return ((row_lo, col_lo, _column_move(rows, minus[-1], j, True))
+            if minus else None,
+            (row_lo, col_lo, _column_move(rows, plus[0], j, False))
+            if plus else None)
+
+
+def _cap_step(key, l):
+    """(raised, lowered) keys at row color l from one signature."""
+    row_lo, col_lo, rows = key
+    i = l - row_lo
+    if i < 0 or i + 1 >= len(rows):
+        raise ValueError("rows %d,%d outside matrix" % (l, l + 1))
+    minus, plus = _cap_signature(rows, i)
+    return ((row_lo, col_lo, _cap_move(rows, i, minus[-1], True))
+            if minus else None,
+            (row_lo, col_lo, _cap_move(rows, i, plus[0], False))
+            if plus else None)
+
+
+def _tuple_bicrystal_components(keys, col_colors, row_colors):
+    """The retired census: the component walk over keys through the tuple
+    steps."""
+    steps = ([(_column_step, k) for k in col_colors]
+             + [(_cap_step, l) for l in row_colors])
+    return Counter((tuple(map(sum, zip(*rows))), size)
+                   for (_, _, rows), size in components(keys, steps))
+
+
+def _key(A):
+    return None if A is None else A.key()
+
+
 def test_steps_match_operators():
-    # every matrix with at most 3 rows and 4 columns, at every color
+    # every matrix with 1-3 rows and 1-4 columns, at every color
     cases = 0
     for nrows in range(1, 4):
         for ncols in range(1, 5):
             for A in enumerate_matrices(-1, nrows - 2, 2, ncols + 1):
+                rows = A.entries
                 for k in range(A.col_lo, A.col_hi):
-                    assert matrices._column_step(A, k) == (
-                        matrix_raise(A, k), matrix_lower(A, k))
+                    j = k - A.col_lo
+                    minus, plus = _matrix_signature(rows, j)
+                    assert matrices._column_bits(A.bits, nrows, ncols, j) == (
+                        minus[-1] * ncols + j if minus else None,
+                        plus[0] * ncols + j if plus else None)
+                    assert _column_step(A.key(), k) == (
+                        _key(matrix_raise(A, k)), _key(matrix_lower(A, k)))
                     cases += 1
                 for l in range(A.row_lo, A.row_hi):
-                    assert matrices._cap_step(A, l) == (
-                        cap_raise(A, l), cap_lower(A, l))
+                    i = l - A.row_lo
+                    minus, plus = _cap_signature(rows, i)
+                    assert matrices._cap_bits(A.bits, nrows, ncols, i) == (
+                        i * ncols + minus[-1] if minus else None,
+                        i * ncols + plus[0] if plus else None)
+                    assert _cap_step(A.key(), l) == (
+                        _key(cap_raise(A, l)), _key(cap_lower(A, l)))
                     cases += 1
     assert cases == 24056
+
+
+@pytest.mark.parametrize("nrows,ncols", [
+    (r, c) for r in range(1, 4) for c in range(1, 4)] + [(2, 5)])
+def test_census_matches_tuple_census(nrows, ncols):
+    for row_lo, col_lo in ((1, 1), (-2, 3)):
+        mats = list(enumerate_matrices(row_lo, row_lo + nrows - 1,
+                                       col_lo, col_lo + ncols - 1))
+        col_colors = range(col_lo, col_lo + ncols - 1)
+        row_colors = range(row_lo, row_lo + nrows - 1)
+        got = bicrystal_components(mats, col_colors, row_colors)
+        want = _tuple_bicrystal_components([A.key() for A in mats],
+                                           col_colors, row_colors)
+        # the same components, found in the same order
+        assert list(got.items()) == list(want.items())
+        assert sum(size * n for (_, size), n in got.items()) == len(mats)
+
+
+def test_census_refuses_mixed_shapes():
+    mats = list(enumerate_matrices(1, 2, 1, 3))
+    for other in (M(1, 1, [(0, 1), (1, 0)]), M(1, 2, [(0, 1, 0)] * 2),
+                  M(2, 1, [(0, 1, 0)] * 2), M(1, 1, [(0, 1, 0)] * 3)):
+        with pytest.raises(ValueError, match="matrices of 2 shapes"):
+            bicrystal_components(mats + [other], col_colors=(1, 2),
+                                 row_colors=(1,))
+    assert bicrystal_components([], col_colors=(1, 2),
+                                row_colors=(1,)) == Counter()
+
+
+def test_census_refuses_colors_outside():
+    mats = list(enumerate_matrices(1, 2, 1, 3))
+    with pytest.raises(ValueError, match="columns 3,4 outside matrix"):
+        bicrystal_components(mats, col_colors=(1, 2, 3), row_colors=(1,))
+    with pytest.raises(ValueError, match="rows 0,1 outside matrix"):
+        bicrystal_components(mats, col_colors=(1, 2), row_colors=(0, 1))
 
 
 def test_maya_weights():

@@ -51,6 +51,10 @@ def _nonzero(fn):
     return lambda rel, f: {((0,),): 1}
 
 
+def _kill_all(fn):
+    return lambda d, f: {}
+
+
 def _only_at_top_left_zero(fn):
     return lambda A, l: fn(A, l) if A.entries[0][0] == 0 else None
 
@@ -75,21 +79,32 @@ MUTANTS = [
      {"mu": [1, 1], "T": 1}),
     ("annihilator", "apply_delem", _nonzero, "relations-annihilate", 1,
      {"n": 1, "lam": [-1]}),
+    # an action that kills everything annihilates every relation; the DElem
+    # route to h_1(gamma^+) z_(-1) = z_0 is the first to differ
+    ("annihilator", "apply_delem", _kill_all, "row-operators", 1,
+     {"lam": [-1], "sign": 1, "k": 1}),
     # every column move keeps the first matrix's corner 1, so the mutant
     # acts on neither side of any square there; on the second, lowering
     # column color 1 empties the corner and only one side acts
     ("bicrystal", "cap_lower", _only_at_top_left_zero, "commutation", 2,
      {"column_color": 1, "row_color": 1, "column_op": "lower",
       "row_op": "lower"}),
-    # the count is the 2 x 4 matrices walked, 2^8; the first component
-    # found, the one dropped, has weight (2, 2, 1, 1)
+    # the count is the 2 x 4 matrices walked, 2^8; the dropped component
+    # is the first matrix's, the zero matrix alone
     ("duality-en", "bicrystal_components", _drop_first_class, "census", 256,
-     {"weight": [2, 2, 1, 1], "got": 0, "expected": 1}),
+     {"weight": [0, 0, 0, 0], "size": 1, "got": 0, "expected": 1}),
 ]
 
 
+# a test id is the suite's name, with the check's name after a suite's first
+# mutant
+_IDS = []
+for m in MUTANTS:
+    _IDS.append(m[0] if m[0] not in _IDS else "%s-%s" % (m[0], m[3]))
+
+
 @pytest.mark.parametrize("suite,name,mutate,check,count,where", MUTANTS,
-                         ids=[m[0] for m in MUTANTS])
+                         ids=_IDS)
 def test_suite_catches_mutant(monkeypatch, capsys, suite, name, mutate,
                               check, count, where):
     monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))

@@ -47,6 +47,7 @@ CLI_COMMANDS = [
     ["hl-act", "--mu", "2,1,0"],
     ["decompose", "B(0) * Bcol(2)"],
     ["verify", "pieri", "--quick"],
+    ["verify", "duality-en"],
 ]
 
 
@@ -177,7 +178,8 @@ def main(argv=None):
             runs = _alternated(lambda side: _cli_run(roots[side], cmd))
             record["cli"].append(cli_summary(cmd, runs["parent"],
                                              runs["change"]))
-            print("cli %s: %d pairs done" % (cmd[0], PAIRS), file=sys.stderr)
+            print("cli %s: %d pairs done" % (" ".join(cmd), PAIRS),
+                  file=sys.stderr)
         out.write_text(json.dumps(record, indent=1) + "\n")
         for workload in (w["name"] for w in bench["workloads"]):
             for seed in SEEDS:
