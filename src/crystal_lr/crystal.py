@@ -10,6 +10,12 @@ Operator conventions (checked against the letter tables; _colors is the
 one place the code states them):
   (i, False): plus at color i, minus at color i-1; lowering sends i to i+1.
   (i, True):  plus at color i-1, minus at color i; lowering sends i to i-1.
+
+decompose_components walks byte codes and decodes only the sources: letter
+(i, dual) is byte 2(i - lo) + dual, lo one below the words' least index.
+Each color has sign and up/down tables, a move is one bytes slice, and the
+codes reach one letter past each side, so a move out of the words' letters
+leaves the set and the walk still raises "set not closed".
 """
 
 from collections import Counter, deque, namedtuple
@@ -106,13 +112,6 @@ def raise_word(word, k):
     """Apply the raising operator at color k, or None."""
     minus, plus = _signature(word, k)
     return _move(word, minus[-1], -1) if minus else None
-
-
-def _word_step(word, k):
-    """(raise_word(word, k), lower_word(word, k)) from one signature."""
-    minus, plus = _signature(word, k)
-    return (_move(word, minus[-1], -1) if minus else None,
-            _move(word, plus[0], 1) if plus else None)
 
 
 def weight(word):
@@ -280,6 +279,33 @@ def components(nodes, steps):
         yield sources[0], size
 
 
+def _byte_step(lo, n, k):
+    """A components step at color k on codes 0..n-1 from lo; the first and
+    last letter, which no walked word holds, get no sign."""
+    sign, up, down = bytearray(256), [None] * n, [None] * n
+    for c in range(2, n - 2):
+        p, m = _colors((lo + c // 2, c & 1))
+        if p == k:
+            sign[c], down[c] = 1, bytes([c + 2 * (p - m)])
+        elif m == k:
+            sign[c], up[c] = 2, bytes([c - 2 * (p - m)])
+
+    def step(w, _color):
+        minus, plus = None, []
+        for idx, t in enumerate(w.translate(sign)):
+            if t == 1:
+                plus.append(idx)
+            elif t == 2 and plus:
+                plus.pop()
+            elif t == 2:
+                minus = idx
+        return (None if minus is None
+                else w[:minus] + up[w[minus]] + w[minus + 1:],
+                w[:plus[0]] + down[w[plus[0]]] + w[plus[0] + 1:]
+                if plus else None)
+    return step
+
+
 def decompose_components(words, colors):
     """Partition a finite closed union of word crystals into components.
 
@@ -287,5 +313,11 @@ def decompose_components(words, colors):
     input is not closed under the operators or a component has no unique
     source.
     """
-    return Counter((weight(w), size) for w, size in components(
-        words, [(_word_step, k) for k in colors]))
+    words = list(words)
+    index = [i for w in words for i, _ in w] or [0]
+    lo, n = min(index) - 1, 2 * (max(index) - min(index) + 3)
+    steps = [(_byte_step(lo, n, k), k) for k in colors]
+    return Counter(
+        (weight(tuple((lo + c // 2, bool(c & 1)) for c in x)), size)
+        for x, size in components(
+            [bytes([2 * (i - lo) + d for i, d in w]) for w in words], steps))

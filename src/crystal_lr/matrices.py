@@ -15,6 +15,14 @@ Each family has one bracket kernel on codes, giving the shifts of the last
 surviving - (raising acts there) and the first surviving + (lowering);
 either move is one XOR with the mask that swaps the pair, 3 << s for
 columns and (1 | 1 << ncols) << s for caps.
+
+Each kernel reads only a window of the code, x >> j & colmask for column
+color j (colmask has bits 0 and 1 of every row) and x >> i*ncols &
+(1 << 2*ncols) - 1 for cap color i (rows i, i+1).  It looks the window up
+in a memo per (family, nrows, ncols) of shifts within it and adds back j or
+i*ncols; a miss runs its bracket loop on the window.  A memo holds at most
+4**nrows column or 4**ncols cap windows, and their interned (minus, plus)
+pairs number at most (nrows+1)**2 or (ncols+1)**2.
 """
 
 from collections import Counter, namedtuple
@@ -56,7 +64,10 @@ class BinaryMatrix(namedtuple("BinaryMatrix",
                      for r in range(self.nrows))
 
     def entry(self, i, j):
-        return self.entries[i - self.row_lo][j - self.col_lo]
+        r, c = i - self.row_lo, j - self.col_lo
+        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
+            raise IndexError("entry (%d, %d) outside matrix" % (i, j))
+        return self.bits >> r * self.ncols + c & 1
 
     def key(self):
         return self.row_lo, self.col_lo, self.entries
@@ -85,12 +96,33 @@ def format_matrix(A):
 
 # ---------------------------------------------------------------- kernels
 
-def _column_bits(x, nrows, ncols, j):
-    """Shifts of the last surviving - and the first surviving +, or None,
-    of the pairs (j, j+1) of code x, read down the rows."""
+# (family, nrows, ncols) -> (window mask, {window: (minus, plus) in it})
+_MEMO = {}
+_PAIRS = {}
+
+
+def _memoized(family, window, x, s, nrows, ncols):
+    """The family's kernel on code x at shift s; window is its miss path."""
+    try:
+        mask, table = _MEMO[family, nrows, ncols]
+    except KeyError:
+        mask, table = _MEMO[family, nrows, ncols] = (
+            sum(3 << r * ncols for r in range(nrows)) if family == "column"
+            else (1 << 2 * ncols) - 1), {}
+    w = x >> s & mask
+    try:
+        minus, plus = table[w]
+    except KeyError:
+        pair = window(w, nrows, ncols)
+        minus, plus = table[w] = _PAIRS.setdefault(pair, pair)
+    return (None if minus is None else minus + s,
+            None if plus is None else plus + s)
+
+
+def _bracket(pairs):
+    """The bracket rule on (shift, pair)s, pair 1 being + and pair 2 -."""
     minus, plus = None, []
-    for s in range(j, nrows * ncols, ncols):
-        pair = x >> s & 3
+    for s, pair in pairs:
         if pair == 1:
             plus.append(s)
         elif pair == 2 and plus:
@@ -98,21 +130,27 @@ def _column_bits(x, nrows, ncols, j):
         elif pair == 2:
             minus = s
     return minus, plus[0] if plus else None
+
+
+def _column_window(w, nrows, ncols):
+    return _bracket((s, w >> s & 3) for s in range(0, nrows * ncols, ncols))
+
+
+def _cap_window(w, nrows, ncols):
+    return _bracket((s, w >> s & 1 | w >> s + ncols - 1 & 2)
+                    for s in range(ncols - 1, -1, -1))
+
+
+def _column_bits(x, nrows, ncols, j):
+    """Shifts of the last surviving - and the first surviving +, or None,
+    of the pairs (j, j+1) of code x, read down the rows."""
+    return _memoized("column", _column_window, x, j, nrows, ncols)
 
 
 def _cap_bits(x, nrows, ncols, i):
     """Shifts (of the top entry) of the last surviving - and the first
     surviving +, or None, of rows i and i+1 of code x, read right to left."""
-    minus, plus = None, []
-    for s in range((i + 1) * ncols - 1, i * ncols - 1, -1):
-        pair = x >> s & 1 | x >> s + ncols - 1 & 2
-        if pair == 1:
-            plus.append(s)
-        elif pair == 2 and plus:
-            plus.pop()
-        elif pair == 2:
-            minus = s
-    return minus, plus[0] if plus else None
+    return _memoized("cap", _cap_window, x, i * ncols, nrows, ncols)
 
 
 def _at(color, lo, n, what):

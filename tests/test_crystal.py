@@ -4,7 +4,7 @@ from collections import Counter, deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crystal_lr import crystal, shapes
+from crystal_lr import crystal, shapes, verify
 from crystal_lr.crystal import (Tableau, Weight, decompose_components,
                                 enumerate_sst, eps, hw_tableau,
                                 fundamental_weight, lower_word, phi,
@@ -335,6 +335,14 @@ def _check_word_step(step):
     check()
 
 
+def _word_step(word, k):
+    """(raise_word(word, k), lower_word(word, k)) from one signature: the
+    oracle of the byte-coded steps of decompose_components."""
+    minus, plus = crystal._signature(word, k)
+    return (crystal._move(word, minus[-1], -1) if minus else None,
+            crystal._move(word, plus[0], 1) if plus else None)
+
+
 def _step_lowering_last_plus(word, k):
     """A mutant of _word_step: lowers at the last surviving + instead of
     the first."""
@@ -344,12 +352,76 @@ def _step_lowering_last_plus(word, k):
 
 
 def test_word_step_matches_operators():
-    _check_word_step(crystal._word_step)
+    _check_word_step(_word_step)
 
 
 def test_word_step_check_catches_mutant():
     with pytest.raises(AssertionError):
         _check_word_step(_step_lowering_last_plus)
+
+
+def _encode(word, lo):
+    """The byte code of a word: letter (i, dual) is byte 2(i - lo) + dual."""
+    return None if word is None else bytes(2 * (i - lo) + d for i, d in word)
+
+
+def _decode(code, lo):
+    return None if code is None else tuple(
+        (lo + c // 2, bool(c & 1)) for c in code)
+
+
+def test_byte_step_matches_word_step():
+    # letters in [-2, 5], coded from one letter below; the codes reach one
+    # letter past each side, where a move out of the letters lands
+    rng = random.Random(32)
+    lo, n = -3, 2 * 10
+    steps = {k: crystal._byte_step(lo, n, k) for k in range(-1, 7)}
+    moved_out = 0
+    for _ in range(3000):
+        word = tuple((rng.randint(-2, 5), rng.random() < 0.5)
+                     for _ in range(rng.randint(0, 10)))
+        for k, step in steps.items():
+            want = _word_step(word, k)
+            assert step(_encode(word, lo), k) == tuple(
+                _encode(x, lo) for x in want)
+            moved_out += any(x and {i for i, _ in x} - set(range(-2, 6))
+                             for x in want)
+    assert moved_out
+
+
+def test_decompose_codes_sources_only():
+    # the words of (1) over [1, 3] and its dual letters, one component each
+    words = [tableau_word(t) for t in enumerate_sst((1,), 1, 3)]
+    duals = [tableau_word(t) for t in enumerate_sst((1,), 1, 3, dual=True)]
+    assert decompose_components(words, range(1, 3)) == {
+        (Weight(0, {1: 1}), 3): 1}
+    assert decompose_components(duals, range(1, 3)) == {
+        (Weight(0, {3: -1}), 3): 1}
+    assert decompose_components([()], range(1, 3)) == {(Weight(0), 1): 1}
+    assert decompose_components([], range(1, 3)) == Counter()
+    # codes past a byte are refused
+    with pytest.raises(ValueError, match="bytes must be in range"):
+        decompose_components([w(0, 200)], [0])
+
+
+def _byte_step_lowering_last_plus(lo, n, k):
+    """A mutant of crystal._byte_step, read off _step_lowering_last_plus."""
+    def step(code, _color):
+        return tuple(_encode(x, lo) for x in _step_lowering_last_plus(
+            _decode(code, lo), k))
+    return step
+
+
+def test_extremal_catches_byte_step_mutant(monkeypatch):
+    monkeypatch.setattr(crystal, "_byte_step", _byte_step_lowering_last_plus)
+    checks = verify.SUITES["extremal"]({"seed": 0, "quick": True})
+    (oracle,) = [c for c in checks if c["name"] == "lr-oracle"]
+    assert oracle["status"] == "fail"
+    # mu = () passes with nu = () and (1); with nu = (2) the mutant lowers
+    # the word 1 1 at its last letter, to 1 2, which no tableau reads
+    assert oracle["count"] == 3
+    assert oracle["counterexample"]["error"].startswith(
+        "ValueError: set not closed under color 1")
 
 
 def is_equivalent(b1, b2, colors, max_nodes=200000):

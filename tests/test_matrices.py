@@ -82,6 +82,17 @@ def test_codes_round_trip():
         M(1, 0, [(1, 0), (0, 1)]).entry(3, 0)
 
 
+def test_entry_refuses_indices_outside():
+    A = M(1, 1, [(1, 0), (0, 1)])
+    assert [[A.entry(i, j) for j in (1, 2)] for i in (1, 2)] == [[1, 0],
+                                                                 [0, 1]]
+    # below each interval a negative offset must not wrap to the far end
+    for i, j in [(0, 1), (3, 1), (1, 0), (1, 3)]:
+        with pytest.raises(IndexError, match=r"entry \(%d, %d\) outside"
+                           % (i, j)):
+            A.entry(i, j)
+
+
 def test_signature_cases():
     A = M(1, 1, [(1, 0), (1, 0)])
     assert matrix_lower(A, 1) == M(1, 1, [(0, 1), (1, 0)])
@@ -186,6 +197,52 @@ def _cap_bits_last_plus(x, nrows, ncols, i):
     minus, plus = _cap_signature(rows, i)
     return (i * ncols + minus[-1] if minus else None,
             i * ncols + plus[-1] if plus else None)
+
+
+def _cap_window_last_plus(w, nrows, ncols):
+    """A mutant of the cap kernel's miss path: the last surviving + in place
+    of the first."""
+    minus, plus = None, []
+    for s in range(ncols - 1, -1, -1):
+        pair = w >> s & 1 | w >> s + ncols - 1 & 2
+        if pair == 1:
+            plus.append(s)
+        elif pair == 2 and plus:
+            plus.pop()
+        elif pair == 2:
+            minus = s
+    return minus, plus[-1] if plus else None
+
+
+def test_verifiers_catch_mutant_cap_window(monkeypatch):
+    # with the memo cleared, every cap lookup misses first into the mutant
+    monkeypatch.setattr(matrices, "_MEMO", {})
+    monkeypatch.setattr(matrices, "_cap_window", _cap_window_last_plus)
+    cfg = {"seed": 0, "quick": True}
+    (check,) = verify.SUITES["bicrystal"](cfg)
+    assert check["status"] == "fail"
+    assert check["counterexample"]["row_op"] in ("lower", "raise")
+    (census,) = verify.SUITES["duality-en"](cfg)
+    assert census["status"] == "fail"
+    assert re.fullmatch(r"ValueError: component with \d+ sources",
+                        census["counterexample"]["error"])
+
+
+def test_window_memo_is_bounded(monkeypatch):
+    # a column window holds 2 bits per row and a cap window 2 rows
+    monkeypatch.setattr(matrices, "_MEMO", {})
+    cfg = {"seed": 0, "quick": True}
+    for suite in ("bicrystal", "duality-en"):
+        assert all(c["status"] == "pass" for c in verify.SUITES[suite](cfg))
+    assert {family for family, _, _ in matrices._MEMO} == {"column", "cap"}
+    for (family, nrows, ncols), (_, table) in matrices._MEMO.items():
+        n = nrows if family == "column" else ncols
+        assert 0 < len(table) <= 4 ** n
+        # each shift is None or one of n, and each distinct pair is one
+        # interned object
+        pairs = set(table.values())
+        assert len(pairs) <= (n + 1) ** 2
+        assert len({id(pair) for pair in table.values()}) == len(pairs)
 
 
 def test_verifiers_catch_mutant_row_operator(monkeypatch):
@@ -424,8 +481,21 @@ def _key(A):
     return None if A is None else A.key()
 
 
-def test_steps_match_operators():
-    # every matrix with 1-3 rows and 1-4 columns, at every color
+def test_steps_match_operators(monkeypatch):
+    # the kernels' shifts agree cold, each window a miss on first sight,
+    # and warm, each a hit
+    monkeypatch.setattr(matrices, "_MEMO", {})
+    assert _check_steps() == 24056
+    filled = {shape: len(table) for shape, (_, table)
+              in matrices._MEMO.items()}
+    assert _check_steps() == 24056
+    assert {shape: len(table) for shape, (_, table)
+            in matrices._MEMO.items()} == filled
+
+
+def _check_steps():
+    """The kernels and operators against the tuple oracle on every matrix
+    with 1-3 rows and 1-4 columns, at every color; the count of cases."""
     cases = 0
     for nrows in range(1, 4):
         for ncols in range(1, 5):
@@ -449,7 +519,7 @@ def test_steps_match_operators():
                     assert _cap_step(A.key(), l) == (
                         _key(cap_raise(A, l)), _key(cap_lower(A, l)))
                     cases += 1
-    assert cases == 24056
+    return cases
 
 
 @pytest.mark.parametrize("nrows,ncols", [

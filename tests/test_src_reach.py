@@ -29,7 +29,8 @@ ALLOWED = {
     "matrices.rho_transpose", "matrices.rho_inverse",
     # wrapped by the benchmark's tracer
     "crystal.phi",
-    # wrapped by the benchmark's tracer; the oracle of `_word_step`
+    # wrapped by the benchmark's tracer; the oracle of the tests'
+    # `_word_step`, itself the oracle of the byte-coded steps
     "crystal.raise_word", "crystal.lower_word",
 }
 

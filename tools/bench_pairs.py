@@ -48,6 +48,8 @@ CLI_COMMANDS = [
     ["decompose", "B(0) * Bcol(2)"],
     ["verify", "pieri", "--quick"],
     ["verify", "duality-en"],
+    ["verify", "bicrystal"],
+    ["verify", "extremal"],
 ]
 
 
