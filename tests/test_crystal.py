@@ -389,7 +389,7 @@ def test_byte_step_matches_word_step():
     assert moved_out
 
 
-def test_decompose_codes_sources_only():
+def test_decompose_dual_and_empty_words():
     # the words of (1) over [1, 3] and its dual letters, one component each
     words = [tableau_word(t) for t in enumerate_sst((1,), 1, 3)]
     duals = [tableau_word(t) for t in enumerate_sst((1,), 1, 3, dual=True)]
