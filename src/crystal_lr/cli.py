@@ -24,12 +24,18 @@ which costs a one-shot query more than its answer.  So the module loads
 only shapes, whose parsers every command uses, and each command its engine
 when it runs: hl-act loads hall_littlewood and ring; decompose, pieri and
 extremal-lr load lr_engine and crystal; verify loads every module.
+
+Stdout is exactly json.dumps(payload, ensure_ascii=False, indent=2) plus a
+newline, built by _to_json and written in one call.  The standard encoder
+is pure Python whenever indent is set: json.dump streams an answer through
+a generator, one write per token, which cost a query about as much as its
+answer.  _to_json shares the C string escaper that ensure_ascii=False uses.
 """
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring
 
 from . import shapes
 
@@ -178,6 +184,37 @@ def _build_parser():
     return parser
 
 
+# ---------------------------------------------------------------- output
+
+_NAMES = {True: "true", False: "false", None: "null"}
+
+
+def _to_json(obj, pad="\n"):
+    """json.dumps(obj, ensure_ascii=False, indent=2) for str-keyed dicts,
+    lists, tuples, strs, ints, bools and None, in one pass; pad is the
+    newline and indent that close obj's brackets."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is dict or kind is list or kind is tuple:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        if kind is dict:
+            # the C escaper refuses a key that is not a str
+            parts = [encode_basestring(k) + ": " + _to_json(v, inner)
+                     for k, v in obj.items()]
+            return "{" + inner + ("," + inner).join(parts) + pad + "}"
+        parts = [_to_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if kind is bool or obj is None:
+        return _NAMES[obj]
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % kind.__name__)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
@@ -201,8 +238,7 @@ def main(argv=None):
         print("error: %s: input too large for the recursive kernels"
               % args.command, file=sys.stderr)
         return 2
-    json.dump(payload, sys.stdout, ensure_ascii=False, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(_to_json(payload) + "\n")
     return code
 
 

@@ -15,7 +15,8 @@ decompose_components walks byte codes and decodes only the sources: letter
 (i, dual) is byte 2(i - lo) + dual, lo one below the words' least index.
 Each color has sign and up/down tables, a move is one bytes slice, and the
 codes reach one letter past each side, so a move out of the words' letters
-leaves the set and the walk still raises "set not closed".
+leaves the set and the walk still raises "set not closed", naming the
+decoded word.
 """
 
 from collections import Counter, deque, namedtuple
@@ -241,8 +242,8 @@ def components(nodes, steps):
     where the operator is undefined; one step reads one signature for both
     directions.  Yields (source, size) per component, the source being its
     one node without a raised neighbour, in the order of each component's
-    first node in `nodes`.  Raises ValueError if a neighbour leaves the set
-    or a component has no unique source.
+    first node in `nodes`.  Raises NotClosed, a ValueError, if a neighbour
+    leaves the set, and ValueError if a component has no unique source.
     """
     order = list(nodes)
     nodes = set(order)
@@ -268,8 +269,7 @@ def components(nodes, steps):
                     if y is None or y in seen:
                         continue
                     if y not in nodes:
-                        raise ValueError(
-                            "set not closed under color %r at %r" % (c, x))
+                        raise NotClosed(c, x)
                     seen.add(y)
                     queue.append(y)
             if is_source:
@@ -277,6 +277,17 @@ def components(nodes, steps):
         if len(sources) != 1:
             raise ValueError("component with %d sources" % len(sources))
         yield sources[0], size
+
+
+class NotClosed(ValueError):
+    """components' refusal: the step at color leaves the set from node.  A
+    walk on codes raises the same message again on the decoded node."""
+
+    message = "set not closed under color %r at %r"
+
+    def __init__(self, color, node):
+        super().__init__(self.message % (color, node))
+        self.color, self.node = color, node
 
 
 def _byte_step(lo, n, k):
@@ -317,7 +328,13 @@ def decompose_components(words, colors):
     index = [i for w in words for i, _ in w] or [0]
     lo, n = min(index) - 1, 2 * (max(index) - min(index) + 3)
     steps = [(_byte_step(lo, n, k), k) for k in colors]
-    return Counter(
-        (weight(tuple((lo + c // 2, bool(c & 1)) for c in x)), size)
-        for x, size in components(
-            [bytes([2 * (i - lo) + d for i, d in w]) for w in words], steps))
+
+    def word(x):
+        return tuple((lo + c // 2, bool(c & 1)) for c in x)
+
+    codes = [bytes([2 * (i - lo) + d for i, d in w]) for w in words]
+    try:
+        return Counter((weight(word(x)), size)
+                       for x, size in components(codes, steps))
+    except NotClosed as exc:
+        raise ValueError(exc.message % (exc.color, word(exc.node))) from None

@@ -27,7 +27,7 @@ pairs number at most (nrows+1)**2 or (ncols+1)**2.
 
 from collections import Counter, namedtuple
 
-from .crystal import components
+from .crystal import NotClosed, components
 
 
 class BinaryMatrix(namedtuple("BinaryMatrix",
@@ -239,7 +239,8 @@ def bicrystal_components(mats, col_colors, row_colors):
     """Partition matrices under both operator families.
 
     The matrices must share one shape and offsets; the walk runs on their
-    codes and decodes only the sources.  Returns a Counter over
+    codes and decodes only the sources, and the node that a "set not
+    closed" refusal names, as its key().  Returns a Counter over
     (doubly-source column weight, component size), components in the order
     of their first matrix; raises if a component lacks a unique
     doubly-source.
@@ -257,5 +258,10 @@ def bicrystal_components(mats, col_colors, row_colors):
              + [(_code_step(_cap_bits, 1 | 1 << ncols, nrows, ncols,
                             _at(l, row_lo, nrows, "rows")), l)
                 for l in row_colors])
-    return Counter((_coded(shape, x).col_weight(), size)
-                   for x, size in components([A.bits for A in mats], steps))
+    codes = [A.bits for A in mats]
+    try:
+        return Counter((_coded(shape, x).col_weight(), size)
+                       for x, size in components(codes, steps))
+    except NotClosed as exc:
+        node = _coded(shape, exc.node).key()
+        raise ValueError(exc.message % (exc.color, node)) from None

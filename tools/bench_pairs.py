@@ -50,6 +50,7 @@ CLI_COMMANDS = [
     ["verify", "duality-en"],
     ["verify", "bicrystal"],
     ["verify", "extremal"],
+    ["extremal-lr", "--margin", "1", "--", "1,0", "1", "", "0", "", "1"],
 ]
 
 
