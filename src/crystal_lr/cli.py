@@ -28,8 +28,9 @@ extremal-lr load lr_engine and crystal; verify loads every module.
 Stdout is exactly json.dumps(payload, ensure_ascii=False, indent=2) plus a
 newline, built by _to_json and written in one call.  The standard encoder
 is pure Python whenever indent is set: json.dump streams an answer through
-a generator, one write per token, which cost a query about as much as its
-answer.  _to_json shares the C string escaper that ensure_ascii=False uses.
+a generator, one write per token, which cost a query more than half the
+time its answer took to compute.  _to_json shares the C string escaper
+that ensure_ascii=False uses.
 """
 
 import argparse

@@ -2,17 +2,22 @@
 ``cli.main``; these tests hold that sharing to what a fresh parser gives,
 and the one-shot ``python -m crystal_lr.cli`` path to the in-process one.
 A one-shot process loads only the modules its command runs, and still
-ends each refusal in its exit code."""
+ends each refusal in its exit code.  The emitter that writes stdout prints
+what json.dumps(obj, ensure_ascii=False, indent=2) prints."""
 
 import argparse
+import json
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from crystal_lr import cli, verify
+from test_golden import CASES, GOLDEN, REPORTS
 
 PIERI_DUAL = ["pieri", "--dual", "--", "1,0", "2"]  # golden pieri_dual_10_2
 MISPLACED_FLAG = ["--seed", "0", "verify", "pieri", "--quick"]
@@ -121,6 +126,60 @@ def test_refusal_exit_code_in_a_fresh_process(argv, code, named):
 
 def test_parser_suites_are_verify_suites():
     assert cli.SUITES == tuple(verify.SUITES)
+
+
+def _dumps(obj):
+    return json.dumps(obj, ensure_ascii=False, indent=2)
+
+
+# strings the C escaper must handle: quotes, backslashes, control
+# characters, U+2028 (JSON leaves it raw) and non-ASCII letters
+TRICKY = '"\\/\x00\x1f\x7f\b\f\n\r\t\u2028\u2029é∅λ😀'
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from(TRICKY)))
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, -1]), st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200).flatmap(
+        lambda n: st.sampled_from([n, -n])),
+    TEXT)
+JSON = st.recursive(SCALARS, lambda kids: st.one_of(
+    st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(TEXT, kids, max_size=4)), max_leaves=25)
+
+
+@given(JSON)
+@example([True, 1, False, 0, None, 2 ** 64, -2 ** 70])
+@example({"a": [], "b": {}, "c": [(), [[]], {"d": {}}], "e": [{}, []]})
+@example({TRICKY: TRICKY, "": "", "\u2028": ["\\", '"']})
+@example(((), [], {}))
+def test_to_json_matches_json_dumps(obj):
+    assert cli._to_json(obj) == _dumps(obj)
+
+
+# json.dumps prints floats and coerces non-str keys; no CLI answer holds
+# either, and the emitter refuses them, as json.dumps refuses a Fraction
+@pytest.mark.parametrize("obj", [
+    1.5, Fraction(1, 2), [1, {"a": 0.0}], {1: 2}, {None: 1}, {True: 1},
+    {"a": {(1,): 1}}], ids=repr)
+def test_to_json_refuses_what_answers_never_hold(obj):
+    with pytest.raises(TypeError):
+        cli._to_json(obj)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_to_json_prints_golden_payloads(name):
+    args = cli._build_parser().parse_args(CASES[name])
+    code, payload = args.func(args)
+    assert code == 0
+    text = cli._to_json(payload)
+    assert text == _dumps(payload)
+    assert text + "\n" == (GOLDEN / (name + ".out")).read_text(
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_to_json_prints_golden_reports(name):
+    report = REPORTS[name]()
+    assert cli._to_json(report) == _dumps(report)
 
 
 # the crystal_lr modules a fresh process loads, as the module docstring

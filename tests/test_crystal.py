@@ -420,8 +420,10 @@ def test_extremal_catches_byte_step_mutant(monkeypatch):
     # mu = () passes with nu = () and (1); with nu = (2) the mutant lowers
     # the word 1 1 at its last letter, to 1 2, which no tableau reads
     assert oracle["count"] == 3
-    assert oracle["counterexample"]["error"].startswith(
-        "ValueError: set not closed under color 1")
+    # the refusal names the word, decoded as the sources are
+    assert oracle["counterexample"]["error"] == (
+        "ValueError: set not closed under color 1 at "
+        "((1, False), (1, False))")
 
 
 def is_equivalent(b1, b2, colors, max_nodes=200000):

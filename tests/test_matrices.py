@@ -390,8 +390,11 @@ def test_census_not_closed():
     # the dropped matrix is [(1, 0, 0), (0, 0, 0)] lowered at column color 1
     mats = list(enumerate_matrices(1, 2, 1, 3))
     mats.remove(M(1, 1, [(0, 1, 0), (0, 0, 0)]))
-    with pytest.raises(ValueError, match="set not closed under color"):
+    with pytest.raises(ValueError, match="set not closed under color") as exc:
         bicrystal_components(mats, col_colors=(1, 2), row_colors=(1,))
+    # the refusal names the matrix by its key(), not by its code
+    assert str(exc.value) == (
+        "set not closed under color 1 at (1, 1, ((1, 0, 0), (0, 0, 0)))")
 
 
 # The retired tuple operators, kept as the oracle of the bit kernels: a

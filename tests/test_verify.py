@@ -109,7 +109,11 @@ def test_suite_catches_mutant(monkeypatch, capsys, suite, name, mutate,
                               check, count, where):
     monkeypatch.setattr(verify, name, mutate(getattr(verify, name)))
     assert cli.main(["verify", suite, "--quick"]) == 1
-    report = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    # the failure report, exception strings included, is what json.dumps
+    # prints
+    assert out == json.dumps(report, ensure_ascii=False, indent=2) + "\n"
     assert report["status"] == "fail"
     (entry,) = [c for c in report["checks"] if c["name"] == check]
     assert entry["status"] == "fail"
