@@ -111,8 +111,6 @@ def cmd_hl_act(args):
     from . import hall_littlewood as hl
     mu = shapes.parse_gen_partition(args.mu)
     T = args.T if args.T is not None else max(0, hl.n_stat(mu))
-    if T < 0:
-        raise ValueError("truncation order must be nonnegative, got %d" % T)
     exp = hl.bt_word_action(mu, T)
     terms = [{"lambda": list(lam), "tpoly": shapes.tpoly_pairs(exp[lam])}
              for lam in sorted(exp)]

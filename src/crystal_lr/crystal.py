@@ -11,12 +11,13 @@ one place the code states them):
   (i, False): plus at color i, minus at color i-1; lowering sends i to i+1.
   (i, True):  plus at color i-1, minus at color i; lowering sends i to i-1.
 
-decompose_components walks byte codes and decodes only the sources: letter
-(i, dual) is byte 2(i - lo) + dual, lo one below the words' least index.
-Each color has sign and up/down tables, a move is one bytes slice, and the
-codes reach one letter past each side, so a move out of the words' letters
-leaves the set and the walk still raises "set not closed", naming the
-decoded word.
+components walks codes, each step taking only its node, and decodes only
+the sources and the node a refusal names.  decompose_components walks byte
+codes: letter (i, dual) is byte 2(i - lo) + dual, lo one below the words'
+least index.  Each color has sign and up/down tables, a move is one bytes
+slice, and the codes reach one letter past each side, so a move out of the
+words' letters leaves the set and the walk raises "set not closed", naming
+the decoded word.
 """
 
 from collections import Counter, deque, namedtuple
@@ -234,16 +235,18 @@ def hw_tableau(lam, lo, hi):
 
 # ---------------------------------------------------------------- components
 
-def components(nodes, steps):
+def components(nodes, steps, decode):
     """Traverse a finite set under crystal operators, one component at a time.
 
-    steps is a list of (step, color) pairs, step(node, color) returning the
-    pair (raised, lowered) of the node's neighbours at that color, None
-    where the operator is undefined; one step reads one signature for both
-    directions.  Yields (source, size) per component, the source being its
-    one node without a raised neighbour, in the order of each component's
-    first node in `nodes`.  Raises NotClosed, a ValueError, if a neighbour
-    leaves the set, and ValueError if a component has no unique source.
+    steps is a list of (color, step) pairs, step(node) returning the pair
+    (raised, lowered) of the node's neighbours at that color, None where
+    the operator is undefined; one step reads one signature for both
+    directions.  A list, not a dict: a column color and a row color may
+    share an index.  Yields (decode(source), size) per component, the
+    source being its one node without a raised neighbour, in the order of
+    each component's first node in `nodes`.  Raises ValueError naming the
+    color and decode(node) if a neighbour leaves the set, and ValueError if
+    a component has no unique source.
     """
     order = list(nodes)
     nodes = set(order)
@@ -259,8 +262,8 @@ def components(nodes, steps):
             x = queue.popleft()
             size += 1
             is_source = True
-            for step, c in steps:
-                raised, lowered = step(x, c)
+            for c, step in steps:
+                raised, lowered = step(x)
                 if raised is not None:
                     is_source = False
                 # seen is inside nodes, so a visited neighbour needs no
@@ -269,25 +272,15 @@ def components(nodes, steps):
                     if y is None or y in seen:
                         continue
                     if y not in nodes:
-                        raise NotClosed(c, x)
+                        raise ValueError("set not closed under color %r at %r"
+                                         % (c, decode(x)))
                     seen.add(y)
                     queue.append(y)
             if is_source:
                 sources.append(x)
         if len(sources) != 1:
             raise ValueError("component with %d sources" % len(sources))
-        yield sources[0], size
-
-
-class NotClosed(ValueError):
-    """components' refusal: the step at color leaves the set from node.  A
-    walk on codes raises the same message again on the decoded node."""
-
-    message = "set not closed under color %r at %r"
-
-    def __init__(self, color, node):
-        super().__init__(self.message % (color, node))
-        self.color, self.node = color, node
+        yield decode(sources[0]), size
 
 
 def _byte_step(lo, n, k):
@@ -301,7 +294,7 @@ def _byte_step(lo, n, k):
         elif m == k:
             sign[c], up[c] = 2, bytes([c - 2 * (p - m)])
 
-    def step(w, _color):
+    def step(w):
         minus, plus = None, []
         for idx, t in enumerate(w.translate(sign)):
             if t == 1:
@@ -327,14 +320,11 @@ def decompose_components(words, colors):
     words = list(words)
     index = [i for w in words for i, _ in w] or [0]
     lo, n = min(index) - 1, 2 * (max(index) - min(index) + 3)
-    steps = [(_byte_step(lo, n, k), k) for k in colors]
+    steps = [(k, _byte_step(lo, n, k)) for k in colors]
 
     def word(x):
         return tuple((lo + c // 2, bool(c & 1)) for c in x)
 
     codes = [bytes([2 * (i - lo) + d for i, d in w]) for w in words]
-    try:
-        return Counter((weight(word(x)), size)
-                       for x, size in components(codes, steps))
-    except NotClosed as exc:
-        raise ValueError(exc.message % (exc.color, word(exc.node))) from None
+    return Counter((weight(w), size)
+                   for w, size in components(codes, steps, word))

@@ -114,12 +114,14 @@ def bt_word_action(mu, T):
     Returns {shape: TPoly} over length-n shapes.  For partition shapes the
     coefficient is the Kostka-Foulkes polynomial K_{shape,mu}(t), complete
     once T >= sum_i (i-1)*mu_i; shapes with negative entries carry t-tails
-    that the truncation cuts off.
+    that the truncation cuts off.  T must be nonnegative.
     """
+    if T < 0:
+        raise ValueError("truncation order must be nonnegative, got %d" % T)
     mu = tuple(mu)
     if not is_gen_partition(mu):
         raise ValueError("mode word must be weakly decreasing")
-    f = tr_t_shift(tr_one(), 0, T)
+    f = tr_one()
     for m in reversed(mu):
         f = bt_apply(m, f, T)
     out = {}

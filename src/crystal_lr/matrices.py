@@ -23,11 +23,16 @@ in a memo per (family, nrows, ncols) of shifts within it and adds back j or
 i*ncols; a miss runs its bracket loop on the window.  A memo holds at most
 4**nrows column or 4**ncols cap windows, and their interned (minus, plus)
 pairs number at most (nrows+1)**2 or (ncols+1)**2.
+
+bicrystal_components walks codes through crystal.components, one step of
+the code alone per color, decoding to matrices, whose repr is their
+constructor call.
 """
 
+import functools
 from collections import Counter, namedtuple
 
-from .crystal import NotClosed, components
+from .crystal import components
 
 
 class BinaryMatrix(namedtuple("BinaryMatrix",
@@ -73,8 +78,7 @@ class BinaryMatrix(namedtuple("BinaryMatrix",
         return self.row_lo, self.col_lo, self.entries
 
     def __repr__(self):
-        return "BinaryMatrix(rows=%d..%d cols=%d..%d)" % (
-            self.row_lo, self.row_hi, self.col_lo, self.col_hi)
+        return "BinaryMatrix(%r, %r, %r)" % self.key()
 
     def col_weight(self):
         """gl weight over the column interval: column sums."""
@@ -228,7 +232,7 @@ def enumerate_matrices(row_lo, row_hi, col_lo, col_hi):
 def _code_step(kernel, mask, nrows, ncols, at):
     """A crystal.components step on codes: (raised, lowered), each one
     XOR away."""
-    def step(x, _color):
+    def step(x):
         minus, plus = kernel(x, nrows, ncols, at)
         return (None if minus is None else x ^ mask << minus,
                 None if plus is None else x ^ mask << plus)
@@ -238,11 +242,11 @@ def _code_step(kernel, mask, nrows, ncols, at):
 def bicrystal_components(mats, col_colors, row_colors):
     """Partition matrices under both operator families.
 
-    The matrices must share one shape and offsets; the walk runs on their
-    codes and decodes only the sources, and the node that a "set not
-    closed" refusal names, as its key().  Returns a Counter over
-    (doubly-source column weight, component size), components in the order
-    of their first matrix; raises if a component lacks a unique
+    The matrices must share one shape and offsets; crystal.components walks
+    their codes and decodes, as matrices of that shape, only the sources
+    and the node that a "set not closed" refusal names.  Returns a Counter
+    over (doubly-source column weight, component size), components in the
+    order of their first matrix; raises if a component lacks a unique
     doubly-source.
     """
     shapes = {A[:4] for A in mats}
@@ -252,16 +256,11 @@ def bicrystal_components(mats, col_colors, row_colors):
         return Counter()
     (shape,) = shapes
     row_lo, col_lo, nrows, ncols = shape
-    steps = ([(_code_step(_column_bits, 3, nrows, ncols,
-                          _at(k, col_lo, ncols, "columns")), k)
+    steps = ([(k, _code_step(_column_bits, 3, nrows, ncols,
+                             _at(k, col_lo, ncols, "columns")))
               for k in col_colors]
-             + [(_code_step(_cap_bits, 1 | 1 << ncols, nrows, ncols,
-                            _at(l, row_lo, nrows, "rows")), l)
+             + [(l, _code_step(_cap_bits, 1 | 1 << ncols, nrows, ncols,
+                               _at(l, row_lo, nrows, "rows")))
                 for l in row_colors])
-    codes = [A.bits for A in mats]
-    try:
-        return Counter((_coded(shape, x).col_weight(), size)
-                       for x, size in components(codes, steps))
-    except NotClosed as exc:
-        node = _coded(shape, exc.node).key()
-        raise ValueError(exc.message % (exc.color, node)) from None
+    return Counter((A.col_weight(), size) for A, size in components(
+        [A.bits for A in mats], steps, functools.partial(_coded, shape)))

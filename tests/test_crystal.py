@@ -382,11 +382,48 @@ def test_byte_step_matches_word_step():
                      for _ in range(rng.randint(0, 10)))
         for k, step in steps.items():
             want = _word_step(word, k)
-            assert step(_encode(word, lo), k) == tuple(
+            assert step(_encode(word, lo)) == tuple(
                 _encode(x, lo) for x in want)
             moved_out += any(x and {i for i, _ in x} - set(range(-2, 6))
                              for x in want)
     assert moved_out
+
+
+def _chain_step(block):
+    """A components step on ints: lowering x + 1 and raising x - 1 inside
+    each run of `block` ints from a multiple of block."""
+    def step(x):
+        return (x - 1 if x % block else None,
+                x + 1 if (x + 1) % block else None)
+    return step
+
+
+def test_components_contract():
+    decoded = []
+
+    def decode(x):
+        decoded.append(x)
+        return "n%d" % x
+
+    # two chains of five under one color, yielded in the order of their
+    # first nodes, and each decoded once, at its source
+    walk = crystal.components([7, 3] + list(range(10)),
+                              [(1, _chain_step(5))], decode)
+    assert list(walk) == [("n5", 5), ("n0", 5)]
+    assert decoded == [5, 0]
+    # lowering 1 leaves the set: the refusal names the color and the
+    # decoded node
+    with pytest.raises(ValueError) as exc:
+        list(crystal.components([0, 1, 3, 4], [(-1, _chain_step(5))], decode))
+    assert str(exc.value) == "set not closed under color -1 at 'n1'"
+    # 1 is lowered from 0 by one step and from 2 by the other, so its
+    # component has two sources; both steps share color 0, which a list of
+    # pairs keeps apart
+    steps = [(0, lambda x: (x - 1 if x == 1 else None,
+                            1 if x == 0 else None)),
+             (0, lambda x: (2 if x == 1 else None, 1 if x == 2 else None))]
+    with pytest.raises(ValueError, match="^component with 2 sources$"):
+        list(crystal.components([0, 1, 2], steps, decode))
 
 
 def test_decompose_dual_and_empty_words():
@@ -406,7 +443,7 @@ def test_decompose_dual_and_empty_words():
 
 def _byte_step_lowering_last_plus(lo, n, k):
     """A mutant of crystal._byte_step, read off _step_lowering_last_plus."""
-    def step(code, _color):
+    def step(code):
         return tuple(_encode(x, lo) for x in _step_lowering_last_plus(
             _decode(code, lo), k))
     return step

@@ -302,8 +302,14 @@ def test_trelem_invariant():
                 tr_t_shift(f, rng.randint(0, 2), T)]
         for g in outs:
             check(g, T)
-    for mu in [(), (1,), (1, 0)]:
-        assert hl.bt_word_action(mu, -1) == {}
+
+
+def test_bt_word_action_refuses_negative_order():
+    # a negative order once cut off the t^0 slice of 1 and returned {}
+    for mu in [(), (1,), (1, 0), (0, 1)]:
+        with pytest.raises(ValueError, match="^truncation order must be "
+                           "nonnegative, got -1$"):
+            hl.bt_word_action(mu, -1)
 
 
 # ---------------------------------------------------------------- oracles

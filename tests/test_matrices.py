@@ -392,9 +392,9 @@ def test_census_not_closed():
     mats.remove(M(1, 1, [(0, 1, 0), (0, 0, 0)]))
     with pytest.raises(ValueError, match="set not closed under color") as exc:
         bicrystal_components(mats, col_colors=(1, 2), row_colors=(1,))
-    # the refusal names the matrix by its key(), not by its code
-    assert str(exc.value) == (
-        "set not closed under color 1 at (1, 1, ((1, 0, 0), (0, 0, 0)))")
+    # the refusal names the matrix by its repr, not by its code
+    assert str(exc.value) == ("set not closed under color 1 at "
+                              "BinaryMatrix(1, 1, ((1, 0, 0), (0, 0, 0)))")
 
 
 # The retired tuple operators, kept as the oracle of the bit kernels: a
@@ -474,10 +474,11 @@ def _cap_step(key, l):
 def _tuple_bicrystal_components(keys, col_colors, row_colors):
     """The retired census: the component walk over keys through the tuple
     steps."""
-    steps = ([(_column_step, k) for k in col_colors]
-             + [(_cap_step, l) for l in row_colors])
+    steps = ([(k, lambda key, k=k: _column_step(key, k)) for k in col_colors]
+             + [(l, lambda key, l=l: _cap_step(key, l)) for l in row_colors])
     return Counter((tuple(map(sum, zip(*rows))), size)
-                   for (_, _, rows), size in components(keys, steps))
+                   for (_, _, rows), size in components(keys, steps,
+                                                        lambda key: key))
 
 
 def _key(A):
