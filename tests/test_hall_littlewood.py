@@ -305,7 +305,8 @@ def test_trelem_invariant():
 
 
 def test_bt_word_action_refuses_negative_order():
-    # a negative order once cut off the t^0 slice of 1 and returned {}
+    # T < 0 would cut off even the t^0 slice of 1; the order is checked
+    # before the mode word, as hl-act reports them
     for mu in [(), (1,), (1, 0), (0, 1)]:
         with pytest.raises(ValueError, match="^truncation order must be "
                            "nonnegative, got -1$"):
