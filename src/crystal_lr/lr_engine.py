@@ -194,7 +194,7 @@ def hw_past_level0(lam, mu, nu):
     lam = tuple(lam)
     if not shapes.is_gen_partition(lam):
         raise ValueError("lam must be weakly decreasing")
-    mu, nu = normalize(mu), normalize(nu)
+    mu, nu, _ = ExtremalClass(mu, nu)
     m = len(lam)
     out = {}
     for (sigma, eta), a in _past_leg(lam, mu).items():
@@ -257,8 +257,7 @@ def _factor_norm(fac):
                              "got %r" % (kind, fac[1]))
         return (kind, lam)
     if kind == "Bmn":
-        mu, nu = normalize(fac[1]), normalize(fac[2])
-        return ("Bmn", mu, nu)
+        return ("Bmn",) + ExtremalClass(fac[1], fac[2])[:2]
     raise ValueError("unknown factor kind %r" % (kind,))
 
 

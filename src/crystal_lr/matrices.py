@@ -11,18 +11,20 @@ The column operators (`matrix_lower`/`matrix_raise`, color k) read the pairs
 a later -.  The row operators (`cap_lower`/`cap_raise`, color l) are their
 conjugates by rho, computed directly from rows l and l+1 read right to left
 (the row order of `rho_transpose(A)`), with (top, bottom) pairs read alike.
-Each family has one bracket kernel on codes, giving the shifts of the last
-surviving - (raising acts there) and the first surviving + (lowering);
-either move is one XOR with the mask that swaps the pair, 3 << s for
-columns and (1 | 1 << ncols) << s for caps.
+Raising swaps the pair of the last surviving -, lowering that of the first
+surviving +.
 
-Each kernel reads only a window of the code, x >> j & colmask for column
-color j (colmask has bits 0 and 1 of every row) and x >> i*ncols &
-(1 << 2*ncols) - 1 for cap color i (rows i, i+1).  It looks the window up
-in a memo per (family, nrows, ncols) of shifts within it and adds back j or
-i*ncols; a miss runs its bracket loop on the window.  A memo holds at most
-4**nrows column or 4**ncols cap windows, and their interned (minus, plus)
-pairs number at most (nrows+1)**2 or (ncols+1)**2.
+Each family is stated once, in the record `_family` builds per (family,
+nrows, ncols): the shift per color offset (1 for columns, ncols for caps),
+the (top, bottom) bits of its pairs in reading order inside the window at
+shift 0 ((r*ncols, r*ncols+1) down the rows, (c, c+ncols) right to left),
+the window mask covering those bits, and a memo from a window to its
+(raise, lower) XOR masks, None where the operator does not act.  A move is
+one XOR with a mask shifted to its color.  `_moves`, one bracket pass over
+the pairs, is the memo's miss path for both families; the census steps
+(`_code_step`) and the four operators (`_act`) read the same memo.  A memo
+holds at most 4**nrows column or 4**ncols cap windows, and their interned
+(raise, lower) pairs number at most (nrows+1)**2 or (ncols+1)**2.
 
 bicrystal_components walks codes through crystal.components, one step of
 the code alone per color, decoding to matrices, whose repr is their
@@ -100,61 +102,58 @@ def format_matrix(A):
 
 # ---------------------------------------------------------------- kernels
 
-# (family, nrows, ncols) -> (window mask, {window: (minus, plus) in it})
-_MEMO = {}
-_PAIRS = {}
+# (family, nrows, ncols) -> its record (stride, window mask, pairs, memo)
+_FAMILIES = {}
+# one object per distinct (raise, lower) pair of XOR masks
+_INTERNED = {}
 
 
-def _memoized(family, window, x, s, nrows, ncols):
-    """The family's kernel on code x at shift s; window is its miss path."""
+def _family(family, nrows, ncols):
+    """The record of an operator family on nrows x ncols codes."""
     try:
-        mask, table = _MEMO[family, nrows, ncols]
+        return _FAMILIES[family, nrows, ncols]
     except KeyError:
-        mask, table = _MEMO[family, nrows, ncols] = (
-            sum(3 << r * ncols for r in range(nrows)) if family == "column"
-            else (1 << 2 * ncols) - 1), {}
-    w = x >> s & mask
-    try:
-        minus, plus = table[w]
-    except KeyError:
-        pair = window(w, nrows, ncols)
-        minus, plus = table[w] = _PAIRS.setdefault(pair, pair)
-    return (None if minus is None else minus + s,
-            None if plus is None else plus + s)
+        pass
+    if family == "column":
+        # (A(r, j), A(r, j+1)) down the rows
+        stride, pairs = 1, [(r * ncols, r * ncols + 1) for r in range(nrows)]
+    else:
+        # (A(i, c), A(i+1, c)) right to left
+        stride, pairs = ncols, [(c, c + ncols) for c in reversed(range(ncols))]
+    record = _FAMILIES[family, nrows, ncols] = (
+        stride, sum(1 << t | 1 << b for t, b in pairs), pairs, {})
+    return record
 
 
-def _bracket(pairs):
-    """The bracket rule on (shift, pair)s, pair 1 being + and pair 2 -."""
+def _moves(record, w):
+    """The memo's miss path: the (raise, lower) XOR masks of window w by
+    one bracket pass over the record's pairs."""
     minus, plus = None, []
-    for s, pair in pairs:
-        if pair == 1:
-            plus.append(s)
-        elif pair == 2 and plus:
+    for t, b in record[2]:
+        pair = w >> t & 1, w >> b & 1
+        if pair == (1, 0):
+            plus.append(1 << t | 1 << b)
+        elif pair == (0, 1) and plus:
             plus.pop()
-        elif pair == 2:
-            minus = s
-    return minus, plus[0] if plus else None
+        elif pair == (0, 1):
+            minus = 1 << t | 1 << b
+    moves = minus, plus[0] if plus else None
+    record[3][w] = moves = _INTERNED.setdefault(moves, moves)
+    return moves
 
 
-def _column_window(w, nrows, ncols):
-    return _bracket((s, w >> s & 3) for s in range(0, nrows * ncols, ncols))
+def _code_step(family, nrows, ncols, at):
+    """A crystal.components step on codes at color offset at: (raised,
+    lowered), each one XOR away."""
+    record = stride, mask, _, memo = _family(family, nrows, ncols)
+    s = at * stride
 
-
-def _cap_window(w, nrows, ncols):
-    return _bracket((s, w >> s & 1 | w >> s + ncols - 1 & 2)
-                    for s in range(ncols - 1, -1, -1))
-
-
-def _column_bits(x, nrows, ncols, j):
-    """Shifts of the last surviving - and the first surviving +, or None,
-    of the pairs (j, j+1) of code x, read down the rows."""
-    return _memoized("column", _column_window, x, j, nrows, ncols)
-
-
-def _cap_bits(x, nrows, ncols, i):
-    """Shifts (of the top entry) of the last surviving - and the first
-    surviving +, or None, of rows i and i+1 of code x, read right to left."""
-    return _memoized("cap", _cap_window, x, i * ncols, nrows, ncols)
+    def step(x):
+        w = x >> s & mask
+        up, down = memo.get(w) or _moves(record, w)
+        return (None if up is None else x ^ up << s,
+                None if down is None else x ^ down << s)
+    return step
 
 
 def _at(color, lo, n, what):
@@ -165,20 +164,24 @@ def _at(color, lo, n, what):
     return at
 
 
-def _act(A, kernel, mask, at, side):
-    """A moved at the kernel's shift in slot side (0 raises, 1 lowers)."""
-    s = kernel(A.bits, A.nrows, A.ncols, at)[side]
-    return None if s is None else _coded(A[:4], A.bits ^ mask << s)
+def _act(A, family, at, side):
+    """A moved by the family's operator at color offset at, side 0 raising
+    and 1 lowering."""
+    record = stride, mask, _, memo = _family(family, A.nrows, A.ncols)
+    s = at * stride
+    w = A.bits >> s & mask
+    move = (memo.get(w) or _moves(record, w))[side]
+    return None if move is None else _coded(A[:4], A.bits ^ move << s)
 
 
 def matrix_lower(A, k):
     """Lowering operator at column color k: acts on the left-most good +."""
-    return _act(A, _column_bits, 3, _at(k, A.col_lo, A.ncols, "columns"), 1)
+    return _act(A, "column", _at(k, A.col_lo, A.ncols, "columns"), 1)
 
 
 def matrix_raise(A, k):
     """Raising operator at column color k: acts on the right-most good -."""
-    return _act(A, _column_bits, 3, _at(k, A.col_lo, A.ncols, "columns"), 0)
+    return _act(A, "column", _at(k, A.col_lo, A.ncols, "columns"), 0)
 
 
 # ---------------------------------------------------------------- transpose
@@ -208,14 +211,12 @@ def cap_lower(A, l):
     """Row-direction lowering operator at row color l: the conjugate
     rho_inverse(matrix_lower(rho_transpose(A), l)), acting on the first
     surviving + of rows l, l+1 read right to left."""
-    return _act(A, _cap_bits, 1 | 1 << A.ncols,
-                _at(l, A.row_lo, A.nrows, "rows"), 1)
+    return _act(A, "cap", _at(l, A.row_lo, A.nrows, "rows"), 1)
 
 
 def cap_raise(A, l):
     """Row-direction raising operator: acts on the last surviving -."""
-    return _act(A, _cap_bits, 1 | 1 << A.ncols,
-                _at(l, A.row_lo, A.nrows, "rows"), 0)
+    return _act(A, "cap", _at(l, A.row_lo, A.nrows, "rows"), 0)
 
 
 # ---------------------------------------------------------------- censuses
@@ -227,16 +228,6 @@ def enumerate_matrices(row_lo, row_hi, col_lo, col_hi):
     nc = col_hi - col_lo + 1 if nr else 0
     for bits in range(1 << nr * nc):
         yield _coded((row_lo, col_lo, nr, nc), bits)
-
-
-def _code_step(kernel, mask, nrows, ncols, at):
-    """A crystal.components step on codes: (raised, lowered), each one
-    XOR away."""
-    def step(x):
-        minus, plus = kernel(x, nrows, ncols, at)
-        return (None if minus is None else x ^ mask << minus,
-                None if plus is None else x ^ mask << plus)
-    return step
 
 
 def bicrystal_components(mats, col_colors, row_colors):
@@ -256,10 +247,10 @@ def bicrystal_components(mats, col_colors, row_colors):
         return Counter()
     (shape,) = shapes
     row_lo, col_lo, nrows, ncols = shape
-    steps = ([(k, _code_step(_column_bits, 3, nrows, ncols,
+    steps = ([(k, _code_step("column", nrows, ncols,
                              _at(k, col_lo, ncols, "columns")))
               for k in col_colors]
-             + [(l, _code_step(_cap_bits, 1 | 1 << ncols, nrows, ncols,
+             + [(l, _code_step("cap", nrows, ncols,
                                _at(l, row_lo, nrows, "rows")))
                 for l in row_colors])
     return Counter((A.col_weight(), size) for A, size in components(

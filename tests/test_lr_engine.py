@@ -1,11 +1,12 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from crystal_lr import characters, cli, shapes
+from crystal_lr import characters, cli, lr_engine, shapes
 from crystal_lr.crystal import Weight
 from crystal_lr.shapes import (bump, conjugate, gen_lr_coefficient,
                                gen_partitions_box, lr_coefficient, normalize)
@@ -50,6 +51,20 @@ def test_extremal_class_normalization():
         ExtremalClass((), (), (1, 2))
     with pytest.raises(ValueError, match="mu and nu must be partitions"):
         ExtremalClass((), (1, -1))
+
+
+def test_bmn_legs_must_be_partitions():
+    # a leg that is no partition is refused as ExtremalClass refuses it,
+    # not answered with a census mismatch, an IndexError or {}
+    for mu, nu in [((-1,), ()), ((1, 2), ()), ((), (0, 1))]:
+        msg = re.escape("mu and nu must be partitions: %r, %r" % (mu, nu))
+        with pytest.raises(ValueError, match=msg):
+            verify_truncated([("Bmn", mu, nu)], (-2, 2), {})
+        with pytest.raises(ValueError, match=msg):
+            hw_past_level0((0,), mu, nu)
+    assert lr_engine._factor_norm(("Bmn", [2, 1, 0], (1, 0))) == (
+        "Bmn", (2, 1), (1,))
+    assert hw_past_level0((0,), (1, 0), ()) == hw_past_level0((0,), (1,), ())
 
 
 def test_extremal_class_uniqueness():

@@ -190,34 +190,51 @@ def test_cap_row_color_out_of_range():
         cap_raise(M(1, 1, [(), ()]), 3)
 
 
-def _cap_bits_last_plus(x, nrows, ncols, i):
-    """A mutant of matrices._cap_bits: the last surviving + in place of the
-    first, read off the tuple oracle."""
-    rows = matrices._coded((0, 0, nrows, ncols), x).entries
-    minus, plus = _cap_signature(rows, i)
-    return (i * ncols + minus[-1] if minus else None,
-            i * ncols + plus[-1] if plus else None)
+def _is_cap(record):
+    return any(family == "cap" and r is record
+               for (family, _, _), r in matrices._FAMILIES.items())
 
 
-def _cap_window_last_plus(w, nrows, ncols):
-    """A mutant of the cap kernel's miss path: the last surviving + in place
-    of the first."""
+def _moves_cap_last_plus(record, w):
+    """A mutant of matrices._moves on caps only, read off the tuple oracle:
+    the last surviving + in place of the first."""
+    if not _is_cap(record):
+        return _ORIGINAL_MOVES(record, w)
+    ncols = len(record[2])
+    rows = matrices._coded((0, 0, 2, ncols), w).entries
+    minus, plus = _cap_signature(rows, 0)
+    moves = tuple(1 << c | 1 << c + ncols if c is not None else None
+                  for c in (minus[-1] if minus else None,
+                            plus[-1] if plus else None))
+    record[3][w] = moves
+    return moves
+
+
+def _moves_last_plus(record, w):
+    """A mutant of the bracket pass of matrices._moves on caps only: the
+    last surviving + in place of the first."""
+    if not _is_cap(record):
+        return _ORIGINAL_MOVES(record, w)
     minus, plus = None, []
-    for s in range(ncols - 1, -1, -1):
-        pair = w >> s & 1 | w >> s + ncols - 1 & 2
-        if pair == 1:
-            plus.append(s)
-        elif pair == 2 and plus:
+    for t, b in record[2]:
+        pair = w >> t & 1, w >> b & 1
+        if pair == (1, 0):
+            plus.append(1 << t | 1 << b)
+        elif pair == (0, 1) and plus:
             plus.pop()
-        elif pair == 2:
-            minus = s
-    return minus, plus[-1] if plus else None
+        elif pair == (0, 1):
+            minus = 1 << t | 1 << b
+    record[3][w] = moves = minus, plus[-1] if plus else None
+    return moves
+
+
+_ORIGINAL_MOVES = matrices._moves
 
 
 def test_verifiers_catch_mutant_cap_window(monkeypatch):
     # with the memo cleared, every cap lookup misses first into the mutant
-    monkeypatch.setattr(matrices, "_MEMO", {})
-    monkeypatch.setattr(matrices, "_cap_window", _cap_window_last_plus)
+    monkeypatch.setattr(matrices, "_FAMILIES", {})
+    monkeypatch.setattr(matrices, "_moves", _moves_last_plus)
     cfg = {"seed": 0, "quick": True}
     (check,) = verify.SUITES["bicrystal"](cfg)
     assert check["status"] == "fail"
@@ -230,24 +247,33 @@ def test_verifiers_catch_mutant_cap_window(monkeypatch):
 
 def test_window_memo_is_bounded(monkeypatch):
     # a column window holds 2 bits per row and a cap window 2 rows
-    monkeypatch.setattr(matrices, "_MEMO", {})
+    monkeypatch.setattr(matrices, "_FAMILIES", {})
     cfg = {"seed": 0, "quick": True}
     for suite in ("bicrystal", "duality-en"):
         assert all(c["status"] == "pass" for c in verify.SUITES[suite](cfg))
-    assert {family for family, _, _ in matrices._MEMO} == {"column", "cap"}
-    for (family, nrows, ncols), (_, table) in matrices._MEMO.items():
+    assert {family for family, _, _ in matrices._FAMILIES} == {"column",
+                                                               "cap"}
+    for (family, nrows, ncols), record in matrices._FAMILIES.items():
+        stride, mask, pairs, table = record
         n = nrows if family == "column" else ncols
+        assert len(pairs) == n and stride == (1 if family == "column"
+                                              else ncols)
+        assert mask == sum(1 << t | 1 << b for t, b in pairs)
         assert 0 < len(table) <= 4 ** n
-        # each shift is None or one of n, and each distinct pair is one
-        # interned object
-        pairs = set(table.values())
-        assert len(pairs) <= (n + 1) ** 2
-        assert len({id(pair) for pair in table.values()}) == len(pairs)
+        assert all(w & ~mask == 0 for w in table)
+        # each move is None or one of n pair swaps, and each distinct
+        # (raise, lower) pair is one interned object
+        swaps = {1 << t | 1 << b for t, b in pairs} | {None}
+        assert all(set(moves) <= swaps for moves in table.values())
+        moves = set(table.values())
+        assert len(moves) <= (n + 1) ** 2
+        assert len({id(m) for m in table.values()}) == len(moves)
 
 
 def test_verifiers_catch_mutant_row_operator(monkeypatch):
     # one patch reaches both the operators and the census walk
-    monkeypatch.setattr(matrices, "_cap_bits", _cap_bits_last_plus)
+    monkeypatch.setattr(matrices, "_FAMILIES", {})
+    monkeypatch.setattr(matrices, "_moves", _moves_cap_last_plus)
     cfg = {"seed": 0, "quick": True}
     (check,) = verify.SUITES["bicrystal"](cfg)
     assert check["status"] == "fail"
@@ -486,15 +512,25 @@ def _key(A):
 
 
 def test_steps_match_operators(monkeypatch):
-    # the kernels' shifts agree cold, each window a miss on first sight,
+    # the kernels' moves agree cold, each window a miss on first sight,
     # and warm, each a hit
-    monkeypatch.setattr(matrices, "_MEMO", {})
+    monkeypatch.setattr(matrices, "_FAMILIES", {})
     assert _check_steps() == 24056
-    filled = {shape: len(table) for shape, (_, table)
-              in matrices._MEMO.items()}
+    filled = {key: len(record[3])
+              for key, record in matrices._FAMILIES.items()}
     assert _check_steps() == 24056
-    assert {shape: len(table) for shape, (_, table)
-            in matrices._MEMO.items()} == filled
+    assert {key: len(record[3])
+            for key, record in matrices._FAMILIES.items()} == filled
+
+
+def _assert_moves(family, x, nrows, ncols, s, moves):
+    """The family's step on code x at shift s makes the (raise, lower)
+    moves, XOR masks at shift 0, which its memo then holds."""
+    _, mask, _, memo = matrices._family(family, nrows, ncols)
+    stride = 1 if family == "column" else ncols
+    step = matrices._code_step(family, nrows, ncols, s // stride)
+    assert step(x) == tuple(None if m is None else x ^ m << s for m in moves)
+    assert memo[x >> s & mask] == moves
 
 
 def _check_steps():
@@ -508,18 +544,19 @@ def _check_steps():
                 for k in range(A.col_lo, A.col_hi):
                     j = k - A.col_lo
                     minus, plus = _matrix_signature(rows, j)
-                    assert matrices._column_bits(A.bits, nrows, ncols, j) == (
-                        minus[-1] * ncols + j if minus else None,
-                        plus[0] * ncols + j if plus else None)
+                    _assert_moves("column", A.bits, nrows, ncols, j, (
+                        3 << minus[-1] * ncols if minus else None,
+                        3 << plus[0] * ncols if plus else None))
                     assert _column_step(A.key(), k) == (
                         _key(matrix_raise(A, k)), _key(matrix_lower(A, k)))
                     cases += 1
                 for l in range(A.row_lo, A.row_hi):
                     i = l - A.row_lo
                     minus, plus = _cap_signature(rows, i)
-                    assert matrices._cap_bits(A.bits, nrows, ncols, i) == (
-                        i * ncols + minus[-1] if minus else None,
-                        i * ncols + plus[0] if plus else None)
+                    swap = 1 | 1 << ncols
+                    _assert_moves("cap", A.bits, nrows, ncols, i * ncols, (
+                        swap << minus[-1] if minus else None,
+                        swap << plus[0] if plus else None))
                     assert _cap_step(A.key(), l) == (
                         _key(cap_raise(A, l)), _key(cap_lower(A, l)))
                     cases += 1
@@ -540,6 +577,31 @@ def test_census_matches_tuple_census(nrows, ncols):
         # the same components, found in the same order
         assert list(got.items()) == list(want.items())
         assert sum(size * n for (_, size), n in got.items()) == len(mats)
+
+
+def test_census_and_operators_share_one_record(monkeypatch):
+    # the census walk fills each family's memo with every window of the
+    # shape; the operators then add no record and no window
+    monkeypatch.setattr(matrices, "_FAMILIES", {})
+    mats = list(enumerate_matrices(-1, 1, 2, 5))
+    bicrystal_components(mats, range(2, 5), range(-1, 1))
+    assert set(matrices._FAMILIES) == {("column", 3, 4), ("cap", 3, 4)}
+    records = dict(matrices._FAMILIES)
+    filled = {key: dict(record[3]) for key, record in records.items()}
+    assert [len(m) for m in filled.values()] == [4 ** 3, 4 ** 4]
+
+    def miss(record, w):
+        raise AssertionError("window %r missed the memo" % (w,))
+    monkeypatch.setattr(matrices, "_moves", miss)
+    for A in mats:
+        for k in range(2, 5):
+            matrix_lower(A, k), matrix_raise(A, k)
+        for l in range(-1, 1):
+            cap_lower(A, l), cap_raise(A, l)
+    assert matrices._FAMILIES == records
+    assert all(matrices._FAMILIES[key] is record
+               for key, record in records.items())
+    assert {key: record[3] for key, record in records.items()} == filled
 
 
 def test_census_refuses_mixed_shapes():
