@@ -15,9 +15,9 @@ Shapes are comma-separated integers; the empty shape may be written "" or
 "0".  Exit codes: 0 success, 1 a verification check failed (its report
 carries the first counterexample in full, and its count is the number of
 cases run, the failing one included), 2 malformed input naming the
-offending token or input too large for the recursive kernels, 3 a tensor
-product mixing positive and negative levels.  An internal fault in a verify
-check fails that check with a report: exit 1, not 2.
+offending token or input too large for the recursive kernels, 3 a product
+with a Bdual factor, which has no closed form here yet.  An internal fault
+in a verify check fails that check with a report: exit 1, not 2.
 
 Hosts that write no bytecode compile every imported source at each start,
 which costs a one-shot query more than its answer.  So the module loads
@@ -232,8 +232,8 @@ def main(argv=None):
         engine = sys.modules.get(__package__ + ".lr_engine")
         return 3 if engine and isinstance(exc, engine.MixedLevelError) else 2
     except RecursionError:
-        # lr_coefficient's cell filler, enumerate_sst, _window_census's walk
-        # and characters._hl_p still recurse
+        # lr_coefficient's cell filler, enumerate_sst and characters._hl_p
+        # still recurse
         print("error: %s: input too large for the recursive kernels"
               % args.command, file=sys.stderr)
         return 2

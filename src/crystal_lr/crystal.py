@@ -63,15 +63,6 @@ class Weight(namedtuple("Weight", "level eps")):
         return "Weight(%s)" % (" ".join(bits) or "0")
 
 
-def fundamental_weight(k):
-    """Lambda_k = Lambda_0 + eps_1+..+eps_k (k>0) or Lambda_0 - eps_{k+1}-..-eps_0."""
-    if k > 0:
-        return Weight(1, {j: 1 for j in range(1, k + 1)})
-    if k < 0:
-        return Weight(1, {j: -1 for j in range(k + 1, 1)})
-    return Weight(1)
-
-
 # ---------------------------------------------------------------- word ops
 
 def _signature(word, k):

@@ -17,8 +17,8 @@ from .shapes import (bump, conjugate, gen_lr_coefficient, gen_partitions_box,
 
 
 class MixedLevelError(ValueError):
-    """Raised for products mixing positive and negative levels, which do not
-    decompose into the classes handled here."""
+    """Raised for a product with a Bdual factor, whatever its other factors:
+    no closed form here decomposes a negative-level factor yet."""
 
 
 class ExtremalClass(namedtuple("ExtremalClass", "mu nu hw")):
@@ -333,20 +333,18 @@ def _factor_shape(fac, lo, hi):
     the weight level*Lambda_{lo-1} + c - shift*(eps_lo + ... + eps_hi),
     with dual letters counting -1 in c.
 
-    B(Lambda_lam) is the column-conjugate of lam - (lo-1); B_{mu,nu} is the
-    dominant rearrangement (mu, 0...0, -reverse(nu)) plus the shift nu_1."""
-    mu, nu, lam = _triple(fac)
-    why = _misfit(mu, nu, lam, lo, hi)
-    if why:
-        raise _WindowTooSmall(why)
-    if lam:
-        shape = conjugate(tuple(x - lo + 1 for x in lam))
-        dual = fac[0] == "Bdual"
-        return shape, -len(lam) if dual else len(lam), dual, 0
+    The shape is the highest weight content (_class_census) plus nu_1:
+    conjugate(lam - (lo-1)) for B(Lambda_lam), the dominant (mu, 0...0,
+    -reverse(nu)) + nu_1 for B_{mu,nu}."""
+    _, nu, _ = triple = _triple(fac)
+    key = _class_census(triple, lo, hi)
+    if key is None:
+        raise _WindowTooSmall(_misfit(*triple, lo, hi))
+    level, content = key
     s = nu[0] if nu else 0
-    parts = ([x + s for x in mu] + [s] * (hi - lo + 1 - len(mu) - len(nu))
-             + [s - x for x in reversed(nu)])
-    return normalize(parts), 0, False, s
+    dual = fac[0] == "Bdual"
+    return (normalize(c + s for c in content), -level if dual else level,
+            dual, s)
 
 
 def _window_census(factors, lo, hi):
@@ -359,17 +357,17 @@ def _window_census(factors, lo, hi):
 
     By Kashiwara's tensor product rule the sources of B1 (x) B2 are exactly
     the b1 (x) b2 with b1 a source of B1 and eps_k(b2) <= phi_k(b1) for
-    every color k.  The walk starts from the trivial crystal, whose one
-    element has phi = 0, so every factor, the leading one included, is
-    enumerated pruned by the running bound: a partial tableau is a prefix
-    of its reading word, and eps_k is monotone on prefixes, so
-    enumerate_sst cuts a branch as soon as its prefix breaks the bound and
-    yields exactly the admissible tableaux.  Every prefix the walk reaches
-    is then a source, and a source has phi_k = <wt, h_k> = c_k - c_{k+1}
-    for the colors k of the window, where the vacuum and the shifts add
-    nothing; so the walk carries only c, from minus the summed shift.
+    every color k.  A source has phi_k = <wt, h_k> = c_k - c_{k+1} for the
+    colors k of the window (the vacuum and the shifts add nothing), so the
+    census folds over the factors: each state is the content of a source
+    of the product so far, with its count, from the trivial crystal's one
+    (content minus the summed shift).  Each factor is enumerated once per
+    state, pruned by its phi: a partial tableau is a prefix of its reading
+    word, and eps_k is monotone on prefixes, so enumerate_sst cuts a branch
+    as soon as its prefix breaks the bound and yields exactly the
+    admissible tableaux, each carrying the state's count to its content.
 
-    Each factor, in order, is refused before the walk when it has more than
+    Each factor, in order, is refused before the fold when it has more than
     _WORD_CAP tableaux.  What the leading factor yields is checked against
     the per-color signature rule, independently of the pruning.
     """
@@ -383,35 +381,33 @@ def _window_census(factors, lo, hi):
         parts.append((shape, dual))
         level += lev
         shift += s
-    out = Counter()
-
-    def walk(i, content):
-        if i == len(parts):
-            out[level, tuple(content)] += 1
-            return
-        shape, dual = parts[i]
+    states = Counter({(-shift,) * n: 1})
+    for i, (shape, dual) in enumerate(parts):
         step = -1 if dual else 1
-        phis = tuple(content[j] - content[j + 1] for j in range(n - 1))
-        for t in crystal.enumerate_sst(shape, lo, hi, dual, phi=phis):
-            if i == 0:
-                word = crystal.tableau_word(t)
-                if any(crystal.eps(word, k) for k in range(lo, hi)):
-                    raise AssertionError("leading factor yielded %r, which "
-                                         "is not highest weight" % (word,))
-            c = list(content)
-            for col in t.cols:
-                for v in col:
-                    c[v - lo] += step
-            walk(i + 1, c)
-
-    walk(0, [-shift] * n)
-    return out
+        reached = Counter()
+        for content, count in states.items():
+            phis = tuple(content[j] - content[j + 1] for j in range(n - 1))
+            for t in crystal.enumerate_sst(shape, lo, hi, dual, phi=phis):
+                if i == 0:
+                    word = crystal.tableau_word(t)
+                    if any(crystal.eps(word, k) for k in range(lo, hi)):
+                        raise AssertionError("leading factor yielded %r, "
+                                             "which is not highest weight"
+                                             % (word,))
+                c = list(content)
+                for col in t.cols:
+                    for v in col:
+                        c[v - lo] += step
+                reached[tuple(c)] += count
+        states = reached
+    return Counter({(level, c): m for c, m in states.items()})
 
 
 def _class_census(cls, lo, hi):
-    """Window image of one class: the census key (level, content) of its one
-    source, or None when the class does not fit the window by the fit rule
-    of the factors (_misfit).
+    """Window image of a class, or of any (mu, nu, hw) triple: the census
+    key (level, content) of its one source, or None when it does not fit
+    the window by the fit rule of the factors (_misfit).  The one reading
+    of a highest weight in the window; _factor_shape reads shapes off it.
 
     Truncation carries each class to a single irreducible (the component of
     the combined highest weight vector), so the census is the canonical
@@ -421,27 +417,25 @@ def _class_census(cls, lo, hi):
     _window_census keys its sources over the same vacuum, so the two keys
     agree exactly whether or not the window holds the origin.
     """
-    if _misfit(*cls, lo, hi):
+    mu, nu, hw = cls
+    if _misfit(mu, nu, hw, lo, hi):
         return None
-    n = hi - lo + 1
-    content = [0] * n
-    for i, x in enumerate(cls.mu):
-        content[i] += x
-    for i, x in enumerate(cls.nu):
-        content[n - 1 - i] -= x
-    for a in cls.hw:
+    content = list(mu) + [0] * (hi - lo + 1 - len(mu) - len(nu)) + [
+        -x for x in reversed(nu)]
+    for a in hw:
         for j in range(a - lo + 1):
             content[j] += 1
-    return cls.level, tuple(content)
+    return len(hw), tuple(content)
 
 
 def _weight_key(key, lo):
     """The Weight key of the census key (level, content) on a window from
-    lo: content plus level*Lambda_{lo-1}, the vacuum."""
+    lo: content plus the vacuum level*Lambda_{lo-1}, which is level*Lambda_0
+    plus level on the letters 1..lo-1, or minus level on lo..0."""
     level, content = key
-    eps = {i: level * c for i, c in crystal.fundamental_weight(lo - 1).eps}
-    for i, c in enumerate(content, lo):
-        eps[i] = eps.get(i, 0) + c
+    eps = Counter(dict(enumerate(content, lo)))
+    eps.update(dict.fromkeys(range(1, lo), level))
+    eps.subtract(dict.fromkeys(range(lo, 1), level))
     return Weight(level, eps).key()
 
 

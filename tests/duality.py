@@ -12,6 +12,8 @@ still test the program.
 
 A weight's sum, negative, difference and pairing with a coroot are plain
 functions here: the program itself never adds, negates or pairs a `Weight`.
+So is the fundamental weight Lambda_k: the census builds its vacuum
+Lambda_{lo-1} letter by letter, and only the tests build Lambda_k.
 So is the sign of a permutation, which only the tests' determinant and
 alternant oracles read, and the product of two z-ring elements, which the
 Leibniz and mode oracles read: the program multiplies only by a monomial,
@@ -20,7 +22,7 @@ inside apply_delem.
 
 from collections import namedtuple
 
-from crystal_lr.crystal import Weight, fundamental_weight
+from crystal_lr.crystal import Weight
 from crystal_lr.matrices import BinaryMatrix, matrix_lower, matrix_raise
 from crystal_lr.shapes import bump
 
@@ -46,6 +48,15 @@ def r_mul(f, g):
 
 
 # ---------------------------------------------------------------- weights
+
+def fundamental_weight(k):
+    """Lambda_k = Lambda_0 + eps_1+..+eps_k (k>0) or Lambda_0 - eps_{k+1}-..-eps_0."""
+    if k > 0:
+        return Weight(1, {j: 1 for j in range(1, k + 1)})
+    if k < 0:
+        return Weight(1, {j: -1 for j in range(k + 1, 1)})
+    return Weight(1)
+
 
 def weight_add(a, b):
     eps = dict(a.eps)

@@ -2,7 +2,9 @@
 enumerates every factor in full, the eps-bounded enumeration it walks, its
 irreducibility and size-refusal invariants, windows away from the origin,
 the two-factor grid where the census is exact, mutated predictions it must
-reject, and the window-edge over-count that is still open."""
+reject, the retired recursive walk and two-branch factor shapes as oracles
+of the fold and of the one highest weight reading, and the window-edge
+over-count that is still open."""
 
 import random
 from collections import Counter
@@ -406,6 +408,156 @@ def test_mutated_pieri_prediction_is_a_mismatch(factors, lam, a, dual,
         assert rep["status"] == "mismatch", kind
         assert rep["window"] == windows[kind], kind
         assert rep["discrepancies"], kind
+
+
+# ---------------------------------------------------------------- retired
+
+def retired_factor_shape(fac, lo, hi):
+    """The two hand-written branches that _factor_shape had before it read
+    each shape off _class_census: B(Lambda_lam) as the conjugate of
+    lam - (lo-1), B_{mu,nu} as (mu, 0...0, -reverse(nu)) plus nu_1."""
+    mu, nu, lam = lr_engine._triple(fac)
+    why = lr_engine._misfit(mu, nu, lam, lo, hi)
+    if why:
+        raise lr_engine._WindowTooSmall(why)
+    if lam:
+        shape = shapes.conjugate(tuple(x - lo + 1 for x in lam))
+        dual = fac[0] == "Bdual"
+        return shape, -len(lam) if dual else len(lam), dual, 0
+    s = nu[0] if nu else 0
+    parts = ([x + s for x in mu] + [s] * (hi - lo + 1 - len(mu) - len(nu))
+             + [s - x for x in reversed(nu)])
+    return shapes.normalize(parts), 0, False, s
+
+
+def walked_census(factors, lo, hi):
+    """The recursive walk that the fold of _window_census replaced, on the
+    retired factor shapes: one enumerate_sst call per source of each proper
+    prefix of the product, so a content that many sources share is extended
+    once per source."""
+    n = hi - lo + 1
+    parts = []
+    level = shift = 0
+    for fac in factors:
+        shape, lev, dual, s = retired_factor_shape(fac, lo, hi)
+        if shapes.num_sst(shape, n) > lr_engine._WORD_CAP:
+            raise lr_engine._TooLarge(shape, lo, hi)
+        parts.append((shape, dual))
+        level += lev
+        shift += s
+    out = Counter()
+
+    def walk(i, content):
+        if i == len(parts):
+            out[level, tuple(content)] += 1
+            return
+        shape, dual = parts[i]
+        step = -1 if dual else 1
+        phis = tuple(content[j] - content[j + 1] for j in range(n - 1))
+        for t in crystal.enumerate_sst(shape, lo, hi, dual, phi=phis):
+            c = list(content)
+            for col in t.cols:
+                for v in col:
+                    c[v - lo] += step
+            walk(i + 1, c)
+
+    walk(0, [-shift] * n)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (lr_engine._WindowTooSmall, lr_engine._TooLarge) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# windows on the origin, and off it by d letters, where every hw entry is
+# moved by d too so that the factors still fit
+OFFSETS = [0, 7, -6]
+
+
+def _moved(fac, d):
+    if fac[0] in ("B", "Bdual"):
+        return (fac[0], tuple(x + d for x in fac[1]))
+    return fac
+
+
+@pytest.mark.parametrize("d", OFFSETS)
+@pytest.mark.parametrize("fac", GRID, ids=repr)
+def test_factor_shape_matches_retired_branches(fac, d):
+    fac = lr_engine._factor_norm(_moved(fac, d))
+    for lo in (-3, -2, -1):
+        for nletters in range(1, 7):
+            lo_d, hi_d = lo + d, lo + d + nletters - 1
+            assert _outcome(lr_engine._factor_shape, fac, lo_d, hi_d) == \
+                _outcome(retired_factor_shape, fac, lo_d, hi_d), (lo_d, hi_d)
+
+
+POOL = [("B", (0,)), ("B", (1, -1)), ("B", (1, 0)), ("Bdual", (0,)),
+        ("Bdual", (1,)), ("Bmn", (1,), ()), ("Bmn", (), (1,)),
+        ("Bmn", (1,), (1,)), ("Bcol", 1), ("Bcol", 2)]
+
+
+def _fold_grid():
+    """Products of two, three and four factors from POOL: every pair, and
+    seeded samples of triples and quadruples."""
+    rng = random.Random(36)
+    products = [[a, b] for a in POOL for b in POOL]
+    products += [rng.sample(POOL, 3) for _ in range(40)]
+    products += [rng.sample(POOL, 4) for _ in range(30)]
+    return products
+
+
+def test_fold_matches_retired_walk():
+    # windows on and off the origin; a product that fits no window is
+    # refused alike by both routes
+    counted = merged = 0
+    for factors in _fold_grid():
+        for d in OFFSETS:
+            facs = [lr_engine._factor_norm(_moved(f, d)) for f in factors]
+            for lo, hi in [(-2 + d, 2 + d), (-1 + d, 3 + d)]:
+                new = _outcome(lr_engine._window_census, facs, lo, hi)
+                assert new == _outcome(walked_census, facs, lo, hi), (
+                    facs, lo, hi)
+                if isinstance(new, Counter):
+                    counted += 1
+                    merged += max(new.values()) > 1
+    assert counted > 500 and merged > 100
+
+
+def _sst_calls(monkeypatch, census, factors, lo, hi):
+    calls = []
+    enumerate_sst = crystal.enumerate_sst
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_sst(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(crystal, "enumerate_sst", counted)
+        census(factors, lo, hi)
+    return len(calls)
+
+
+@pytest.mark.parametrize("factors, window, fold, walk", [
+    ([("B", (1, 0)), ("B", (0, -1)), ("B", (0,)), ("Bmn", (1,), ())],
+     (-4, 4), 126, 666),
+    ([("B", (0,)), ("Bcol", 1), ("Bmn", (), (1,))], (-2, 2), None, None),
+    ([("Bdual", (4,)), ("B", (4,)), ("Bcol", 1), ("Bcol", 1)], (3, 6), None,
+     None),
+])
+def test_fold_enumerates_once_per_distinct_state(monkeypatch, factors, window,
+                                                 fold, walk):
+    # the fold enumerates each factor once per distinct content its prefix
+    # reaches; the retired walk once per source of the prefix
+    facs = [lr_engine._factor_norm(f) for f in factors]
+    prefixes = [lr_engine._window_census(facs[:i], *window)
+                for i in range(len(facs))]
+    got = _sst_calls(monkeypatch, lr_engine._window_census, facs, *window)
+    assert got == sum(len(p) for p in prefixes) == (fold or got)
+    got = _sst_calls(monkeypatch, walked_census, facs, *window)
+    assert got == sum(sum(p.values()) for p in prefixes) == (walk or got)
 
 
 # ---------------------------------------------------------------- window edge

@@ -109,10 +109,12 @@ def test_hostile_input_ends_in_time(argv, code):
 
 # one-shot refusals in a fresh process, each with its exit code and the
 # text stderr must carry: an unknown suite is refused before verify loads,
-# and a MixedLevelError from the lazily loaded lr_engine still ends in 3
+# and a MixedLevelError from the lazily loaded lr_engine still ends in 3,
+# for any Bdual factor, with a positive-level factor beside it or without
 REFUSED = [
     (["verify", "nosuch"], 2, b"'nosuch'"),
     (["decompose", "Bmn(1;)*Bdual(0)"], 3, b"negative-level factor"),
+    (["decompose", "Bdual(0)"], 3, b"negative-level factor"),
 ]
 
 

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from crystal_lr import crystal, shapes, verify
 from crystal_lr.crystal import (Tableau, Weight, decompose_components,
-                                enumerate_sst, eps, hw_tableau,
-                                fundamental_weight, lower_word, phi,
-                                raise_word, tableau_word, weight)
-from duality import (dual_word, hw_weight, pairing, weight_add, weight_neg,
-                     weight_sub)
+                                enumerate_sst, eps, hw_tableau, lower_word,
+                                phi, raise_word, tableau_word, weight)
+from duality import (dual_word, fundamental_weight, hw_weight, pairing,
+                     weight_add, weight_neg, weight_sub)
 
 
 def w(*letters):

@@ -67,6 +67,37 @@ def test_bmn_legs_must_be_partitions():
     assert hw_past_level0((0,), (1, 0), ()) == hw_past_level0((0,), (1,), ())
 
 
+def _refuses(call):
+    """True when call() raises ValueError; False when it answers or fails
+    with any other exception."""
+    try:
+        call()
+    except ValueError:
+        return True
+    except Exception:
+        return False
+    return False
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="is_partition and is_gen_partition check order and "
+                          "sign, not integrality")
+@pytest.mark.parametrize("call", [
+    # built
+    lambda: ExtremalClass((1.5,), ()),
+    # answers hw (1.5,) and (0.5,)
+    lambda: hw_past_level0((0.5,), (1,), ()),
+    # answers hw (0.5,)
+    lambda: expr_decompose([("B", (0.5,))], (-2, 2)),
+    # TypeError inside the census
+    lambda: verify_truncated([("B", (0.5,)), ("Bcol", 1)], (-1, 1),
+                             pieri_column((0.5,), 1)),
+], ids=["ExtremalClass", "hw_past_level0", "expr_decompose",
+        "verify_truncated"])
+def test_non_integer_entries_are_refused(call):
+    assert _refuses(call)
+
+
 def test_extremal_class_uniqueness():
     boxes = [ExtremalClass((1,), ()), ExtremalClass((), (1,)),
              ExtremalClass(hw=(1,))]

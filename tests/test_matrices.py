@@ -7,16 +7,15 @@ from collections import Counter
 
 from crystal_lr import matrices, verify
 from crystal_lr.crystal import (Tableau, Weight, components, enumerate_sst,
-                                fundamental_weight, lower_word, raise_word,
-                                tableau_word)
+                                lower_word, raise_word, tableau_word)
 from crystal_lr.matrices import (BinaryMatrix, bicrystal_components,
                                  cap_lower, cap_raise, enumerate_matrices,
                                  format_matrix, matrix_lower, matrix_raise,
                                  rho_inverse, rho_transpose)
 from crystal_lr.shapes import conjugate, num_sst, partitions_of
-from duality import (MayaRow, dual, embed_sigma, embed_tau, hw_weight,
-                     maya_lower, maya_raise, maya_weight, maya_weight_total,
-                     row_reverse, weight_sub)
+from duality import (MayaRow, dual, embed_sigma, embed_tau,
+                     fundamental_weight, hw_weight, maya_lower, maya_raise,
+                     maya_weight, maya_weight_total, row_reverse, weight_sub)
 
 
 def M(row_lo, col_lo, rows):
