@@ -12,7 +12,7 @@ still test the program.
 
 A weight's sum, negative, difference and pairing with a coroot are plain
 functions here: the program itself never adds, negates or pairs a `Weight`.
-So is the fundamental weight Lambda_k: the census builds its vacuum
+The fundamental weight Lambda_k is one too: the census builds its vacuum
 Lambda_{lo-1} letter by letter, and only the tests build Lambda_k.
 So is the sign of a permutation, which only the tests' determinant and
 alternant oracles read, and the product of two z-ring elements, which the
