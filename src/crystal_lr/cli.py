@@ -228,9 +228,7 @@ def main(argv=None):
         code, payload = args.func(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
-        # only a command that loaded lr_engine can raise its MixedLevelError
-        engine = sys.modules.get(__package__ + ".lr_engine")
-        return 3 if engine and isinstance(exc, engine.MixedLevelError) else 2
+        return getattr(exc, "exit_code", 2)
     except RecursionError:
         # lr_coefficient's cell filler, enumerate_sst and characters._hl_p
         # still recurse

@@ -20,6 +20,8 @@ class MixedLevelError(ValueError):
     """Raised for a product with a Bdual factor, whatever its other factors:
     no closed form here decomposes a negative-level factor yet."""
 
+    exit_code = 3
+
 
 class ExtremalClass(namedtuple("ExtremalClass", "mu nu hw")):
     """Isomorphism class of B_{mu,nu} (x) B(Lambda_hw).
@@ -154,8 +156,8 @@ def pieri_column(lam, a, dual=False):
 
     hw_past_level0 with mu = (1^a), or with nu = (1^a) when dual is set.
     """
-    if a < 0:
-        raise ValueError("column length must be nonnegative, got %d" % a)
+    if type(a) is not int or a < 0:
+        raise ValueError("column length must be an int >= 0, got %r" % (a,))
     if dual:
         return hw_past_level0(lam, (), (1,) * a)
     return hw_past_level0(lam, (1,) * a, ())
@@ -246,7 +248,7 @@ def _factor_norm(fac):
     kind = fac[0]
     if kind == "Bcol":
         a = fac[1]
-        if not isinstance(a, int) or a < 0:
+        if type(a) is not int or a < 0:
             raise ValueError("Bcol needs a nonnegative integer, got %r"
                              % (fac[1],))
         return ("Bmn", (1,) * a, ())

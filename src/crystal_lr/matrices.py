@@ -21,8 +21,9 @@ shift 0 ((r*ncols, r*ncols+1) down the rows, (c, c+ncols) right to left),
 the window mask covering those bits, and a memo from a window to its
 (raise, lower) XOR masks, None where the operator does not act.  A move is
 one XOR with a mask shifted to its color.  `_moves`, one bracket pass over
-the pairs, is the memo's miss path for both families; the census steps
-(`_code_step`) and the four operators (`_act`) read the same memo.  A memo
+the pairs, is the memo's miss path for both families; the steps on codes
+(`code_step`: the census and verify's commutation check) and the four
+operators (`_act`: the benchmark and the tests) read the same memo.  A memo
 holds at most 4**nrows column or 4**ncols cap windows, and their interned
 (raise, lower) pairs number at most (nrows+1)**2 or (ncols+1)**2.
 
@@ -142,7 +143,7 @@ def _moves(record, w):
     return moves
 
 
-def _code_step(family, nrows, ncols, at):
+def code_step(family, nrows, ncols, at):
     """A crystal.components step on codes at color offset at: (raised,
     lowered), each one XOR away."""
     record = stride, mask, _, memo = _family(family, nrows, ncols)
@@ -247,11 +248,11 @@ def bicrystal_components(mats, col_colors, row_colors):
         return Counter()
     (shape,) = shapes
     row_lo, col_lo, nrows, ncols = shape
-    steps = ([(k, _code_step("column", nrows, ncols,
-                             _at(k, col_lo, ncols, "columns")))
+    steps = ([(k, code_step("column", nrows, ncols,
+                            _at(k, col_lo, ncols, "columns")))
               for k in col_colors]
-             + [(l, _code_step("cap", nrows, ncols,
-                               _at(l, row_lo, nrows, "rows")))
+             + [(l, code_step("cap", nrows, ncols,
+                              _at(l, row_lo, nrows, "rows")))
                 for l in row_colors])
     return Counter((A.col_weight(), size) for A, size in components(
         [A.bits for A in mats], steps, functools.partial(_coded, shape)))

@@ -21,9 +21,8 @@ from .crystal import (decompose_components, enumerate_sst, hw_tableau,
                       tableau_word, weight)
 from .lr_engine import (ExtremalClass, hw_past_level0, pieri_column,
                         verify_truncated)
-from .matrices import (BinaryMatrix, bicrystal_components, cap_lower,
-                       cap_raise, enumerate_matrices, format_matrix,
-                       matrix_lower, matrix_raise)
+from .matrices import (BinaryMatrix, bicrystal_components, code_step,
+                       enumerate_matrices, format_matrix)
 from .ring import (annihilator_relations, apply_delem, d_multiply,
                    delem_to_json, expand_in_z_schur, h_delem, h_operator,
                    r_monomial, s_operator, z_schur, z_skew_schur)
@@ -54,28 +53,28 @@ def _check(name, result, extra=None):
     return entry
 
 
-def _then(op, A, c):
-    return None if A is None else op(A, c)
+def _then(step, x, slot):
+    return None if x is None else step(x)[slot]
 
 
 # ---------------------------------------------------------------- bicrystal
 
 def _commutation_cases(rng, count):
-    colops = (("lower", matrix_lower), ("raise", matrix_raise))
-    rowops = (("lower", cap_lower), ("raise", cap_raise))
+    # slot 1 lowers before slot 0 raises; column colors 1..6, then rows 1..3
+    colsteps = [(k, code_step("column", 4, 7, k - 1)) for k in range(1, 7)]
+    rowsteps = [(l, code_step("cap", 4, 7, l - 1)) for l in range(1, 4)]
     for _ in range(count):
         A = BinaryMatrix(1, 1, [tuple(rng.randint(0, 1) for _ in range(7))
                                 for _ in range(4)])
-        cols = {(k, cn, cop): cop(A, k)
-                for k in range(1, 7) for cn, cop in colops}
-        rows = {(l, rn, rop): rop(A, l)
-                for l in range(1, 4) for rn, rop in rowops}
+        cols = [(k, col, col(A.bits)) for k, col in colsteps]
+        rows = [(l, row, row(A.bits)) for l, row in rowsteps]
         yield next(({"matrix": format_matrix(A), "column_color": k,
-                     "row_color": l, "column_op": cn, "row_op": rn}
-                    for (k, cn, cop), (l, rn, rop)
-                    in itertools.product(cols, rows)
-                    if _then(rop, cols[k, cn, cop], l)
-                    != _then(cop, rows[l, rn, rop], k)), None)
+                     "row_color": l, "column_op": ("raise", "lower")[s],
+                     "row_op": ("raise", "lower")[t]}
+                    for (k, col, x_col), s, (l, row, x_row), t
+                    in itertools.product(cols, (1, 0), rows, (1, 0))
+                    if _then(row, x_col[s], t) != _then(col, x_row[t], s)),
+                   None)
 
 
 def _suite_bicrystal(cfg):

@@ -98,6 +98,18 @@ def test_non_integer_entries_are_refused(call):
     assert _refuses(call)
 
 
+# a bool answered as a = 1 and a float failed with a TypeError
+@pytest.mark.parametrize("call, got", [
+    (lambda: pieri_column((0,), True), "True"),
+    (lambda: pieri_column((0,), 1.0), "1.0"),
+    (lambda: verify_truncated([("B", (0,)), ("Bcol", True)], (-1, 1), {}),
+     "True"),
+], ids=["pieri_column-bool", "pieri_column-float", "Bcol-bool"])
+def test_column_length_must_be_an_int(call, got):
+    with pytest.raises(ValueError, match="got %s$" % re.escape(got)):
+        call()
+
+
 def test_extremal_class_uniqueness():
     boxes = [ExtremalClass((1,), ()), ExtremalClass((), (1,)),
              ExtremalClass(hw=(1,))]

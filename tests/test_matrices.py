@@ -527,7 +527,7 @@ def _assert_moves(family, x, nrows, ncols, s, moves):
     moves, XOR masks at shift 0, which its memo then holds."""
     _, mask, _, memo = matrices._family(family, nrows, ncols)
     stride = 1 if family == "column" else ncols
-    step = matrices._code_step(family, nrows, ncols, s // stride)
+    step = matrices.code_step(family, nrows, ncols, s // stride)
     assert step(x) == tuple(None if m is None else x ^ m << s for m in moves)
     assert memo[x >> s & mask] == moves
 

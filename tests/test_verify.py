@@ -6,12 +6,14 @@ the counterexample, and count the cases run up to and including the first
 failing one.
 """
 
+import itertools
 import json
+import random
 from functools import cache
 
 import pytest
 
-from crystal_lr import characters, cli, verify
+from crystal_lr import characters, cli, matrices, verify
 from crystal_lr.lr_engine import ExtremalClass
 from crystal_lr.shapes import (bump, conjugate, gen_partitions_box, lin_add,
                                partitions_of)
@@ -59,6 +61,21 @@ def _only_at_top_left_zero(fn):
     return lambda A, l: fn(A, l) if A.entries[0][0] == 0 else None
 
 
+def _cap_lowering_at_top_left_zero(fn):
+    """_only_at_top_left_zero on codes: cap steps lower only codes whose
+    bit 0, the top-left entry, is clear."""
+    def mutant(family, nrows, ncols, at):
+        step = fn(family, nrows, ncols, at)
+        if family != "cap":
+            return step
+
+        def cap(x):
+            up, down = step(x)
+            return up, down if x & 1 == 0 else None
+        return cap
+    return mutant
+
+
 MUTANTS = [
     # every prediction loses a class, so the first case fails
     ("pieri", "pieri_column", _drop_first_class, "column-pieri", 1,
@@ -86,7 +103,8 @@ MUTANTS = [
     # every column move keeps the first matrix's corner 1, so the mutant
     # acts on neither side of any square there; on the second, lowering
     # column color 1 empties the corner and only one side acts
-    ("bicrystal", "cap_lower", _only_at_top_left_zero, "commutation", 2,
+    ("bicrystal", "code_step", _cap_lowering_at_top_left_zero, "commutation",
+     2,
      {"column_color": 1, "row_color": 1, "column_op": "lower",
       "row_op": "lower"}),
     # the count is the 2 x 4 matrices walked, 2^8; the dropped component
@@ -177,6 +195,53 @@ def test_hl_suite_catches_mode_mutant(monkeypatch, capsys, mutate, failed,
     assert {c["name"] for c in bad
             if c["counterexample"].get("error", "").startswith(
                 "ValueError: not a finite z-Schur combination")} == errors
+
+
+# the commutation check as it was before it read code_step: the four
+# operators on BinaryMatrix objects
+def retired_commutation_cases(rng, count):
+    colops = (("lower", matrices.matrix_lower),
+              ("raise", matrices.matrix_raise))
+    rowops = (("lower", matrices.cap_lower), ("raise", matrices.cap_raise))
+    then = lambda op, A, c: None if A is None else op(A, c)
+    for _ in range(count):
+        A = matrices.BinaryMatrix(1, 1, [
+            tuple(rng.randint(0, 1) for _ in range(7)) for _ in range(4)])
+        cols = {(k, cn, cop): cop(A, k)
+                for k in range(1, 7) for cn, cop in colops}
+        rows = {(l, rn, rop): rop(A, l)
+                for l in range(1, 4) for rn, rop in rowops}
+        yield next(({"matrix": matrices.format_matrix(A), "column_color": k,
+                     "row_color": l, "column_op": cn, "row_op": rn}
+                    for (k, cn, cop), (l, rn, rop)
+                    in itertools.product(cols, rows)
+                    if then(rop, cols[k, cn, cop], l)
+                    != then(cop, rows[l, rn, rop], k)), None)
+
+
+@pytest.mark.parametrize("mutated", [False, True],
+                         ids=["sound", "cap-lowering-at-top-left-zero"])
+def test_commutation_steps_match_retired_operators(monkeypatch, mutated):
+    # seed 0's quick matrices, each route mutated in its own terms
+    if mutated:
+        monkeypatch.setattr(matrices, "cap_lower",
+                            _only_at_top_left_zero(matrices.cap_lower))
+        monkeypatch.setattr(verify, "code_step",
+                            _cap_lowering_at_top_left_zero(verify.code_step))
+    want = list(retired_commutation_cases(random.Random(0), 500))
+    assert any(want) == mutated
+    assert list(verify._commutation_cases(random.Random(0), 500)) == want
+
+
+def test_bicrystal_suite_calls_no_matrix_operator(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("a matrix operator was called")
+    # _act too, as the operators' bindings in other modules reach it
+    for name in ("matrix_lower", "matrix_raise", "cap_lower", "cap_raise",
+                 "_act"):
+        monkeypatch.setattr(matrices, name, refuse)
+    (entry,) = verify.SUITES["bicrystal"]({"seed": 0, "quick": True})
+    assert entry["status"] == "pass" and entry["count"] == 500
 
 
 def _raise_at_third(exc_type):
