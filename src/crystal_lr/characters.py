@@ -41,20 +41,20 @@ def _tableau_content(lam, split=None):
     """{content - (p^n): count} over the tableaux of shape lam + (p^n) with
     entries in 1..n, n = len(lam) and p = max(0, -lam_n) the shift to a
     partition.  With split = m, only the tableaux with eps_k = 0 at every
-    color k but m; color m gets the cap |lam + (p^n)|, which no word of the
-    shape reaches."""
+    color k but m: enumerate_sst prunes by the block content (|s|^m,
+    0^(n-m)) of the shape s = lam + (p^n), flat but for one step of |s| at
+    color m, which no word of the shape climbs."""
     lam = tuple(lam)
     if not shapes.is_gen_partition(lam):
         raise ValueError("not weakly decreasing: %r" % (lam,))
     n = len(lam)
     p = max(0, -lam[-1]) if lam else 0
     shape = [x + p for x in lam]
-    phi = None
+    content = None
     if split is not None:
-        phi = [0] * (n - 1)
-        phi[split - 1] = sum(shape)
+        content = [sum(shape)] * split + [0] * (n - split)
     out = {}
-    for tab in crystal.enumerate_sst(shape, 1, n, phi=phi):
+    for tab in crystal.enumerate_sst(shape, 1, n, content=content):
         e = [-p] * n
         for col in tab.cols:
             for v in col:

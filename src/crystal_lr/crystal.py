@@ -136,27 +136,26 @@ def tableau_word(tab):
     return tuple((v, tab.dual) for col in reversed(tab.cols) for v in col)
 
 
-def enumerate_sst(lam, lo, hi, dual=False, phi=None):
+def enumerate_sst(lam, lo, hi, dual=False, content=None):
     """All semistandard tableaux of shape lam over the alphabet interval
     [lo, hi] (dualized letters if dual; their order is reversed, so rank r
     maps to hi-r instead of lo+r).
 
     Columns are chosen right to left as strictly increasing rank tuples,
-    each entrywise at most the column to its right; without phi every
+    each entrywise at most the column to its right; without content every
     partial choice extends, so nothing is generated and then rejected.
 
-    With phi, a vector over the colors lo..hi-1, only the tableaux t with
-    eps_k(t) <= phi[k] for every color k are yielded.  The reading word is
-    the columns right to left, each top to bottom, which is the order the
-    letters are chosen in, so every partial choice is a prefix u of the
-    word uv of each of its extensions.  Since eps_k(uv) = eps_k(u) +
-    max(0, eps_k(v) - phi_k(u)) >= eps_k(u), a prefix over the bound has
-    no admissible extension, and the letter that puts it over ends its
-    branch.  For that test the per-color counts of unmatched pluses and
-    minuses are carried letter by letter: a letter is plus or minus only at
-    colors i-1 and i, its minus cancels the latest unmatched plus of its
-    color or else stays unmatched, and eps_k is the unmatched minus count of
-    color k.  Without phi every bound is one no word of the shape reaches.
+    With content, a weakly decreasing vector c over the letters lo..hi (a
+    dual letter counting -1), only the tableaux t with eps_k(t) <= c_k -
+    c_{k+1} at every color k in lo..hi-1 are yielded: those whose reading
+    word keeps c plus the content of each of its prefixes weakly
+    decreasing.  By the bracket rule a minus cancels the latest earlier
+    plus of its color, so eps_k(w) is the most by which a prefix of w has
+    more minuses than pluses at k: a plain k+1 and a dual k are minus
+    there, a plain k and a dual k+1 plus.  The letters are chosen in
+    reading order, columns right to left and each top to bottom, so a
+    partial choice is a prefix and the letter that breaks the rule ends
+    its branch.
     """
     lam = shapes.normalize(lam)
     n = hi - lo + 1
@@ -164,25 +163,19 @@ def enumerate_sst(lam, lo, hi, dual=False, phi=None):
         return
     heights = shapes.conjugate(lam)
     letter = [hi - r if dual else lo + r for r in range(n)]
-
-    # slot c + 1 - lo holds color c, so the letters' colors lo-1 and hi get
-    # slots 0 and n; those two, and every color when phi is None, get a cap
-    # no word of sum(lam) letters reaches.  A letter's colors move with its
-    # index, so letter i has the slots of the colors of letter i + 1 - lo.
-    free = sum(lam) + 1
-    cap = (free,) * (n + 1) if phi is None else (free,) + tuple(phi) + (free,)
-    p, m = _colors((1 - lo, dual))
-    slots = [(p + i, m + i) for i in letter]
-    plus = [0] * (n + 1)
-    minus = [0] * (n + 1)
+    # c in rank order, negated for dual letters, so a letter adds 1 at its
+    # rank; without content, gaps that no word of the shape closes
+    if content is None:
+        load = [-r * (sum(lam) + 1) for r in range(n)]
+    else:
+        load = [-c for c in reversed(content)] if dual else list(content)
 
     def columns(h, bound, col=(), r=0):
         """Columns of h ranks extending col, entrywise at most the column of
         ranks bound (which may be shorter; below it only the alphabet
-        bounds them), whose letters keep every unmatched minus count within
-        its cap.  plus and minus hold the counts of the word read so far,
-        this column's letters included; each letter's update is undone once
-        its extensions are exhausted."""
+        bounds them), whose letters keep load weakly decreasing.  load holds
+        the word read so far, this column's letters included; each letter
+        is taken back once its extensions are exhausted."""
         i = len(col)
         if i == h:
             yield col
@@ -191,18 +184,10 @@ def enumerate_sst(lam, lo, hi, dual=False, phi=None):
         if i < len(bound):
             top = min(top, bound[i])
         for x in range(r, top + 1):
-            p, m = slots[x]
-            plus[p] += 1
-            if plus[m]:
-                plus[m] -= 1
+            load[x] += 1
+            if x == 0 or load[x] <= load[x - 1]:
                 yield from columns(h, bound, col + (x,), x + 1)
-                plus[m] += 1
-            else:
-                minus[m] += 1
-                if minus[m] <= cap[m]:
-                    yield from columns(h, bound, col + (x,), x + 1)
-                minus[m] -= 1
-            plus[p] -= 1
+            load[x] -= 1
 
     def fill(j, right, done):
         if j < 0:

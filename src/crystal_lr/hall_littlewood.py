@@ -114,8 +114,10 @@ def bt_word_action(mu, T):
     Returns {shape: TPoly} over length-n shapes.  For partition shapes the
     coefficient is the Kostka-Foulkes polynomial K_{shape,mu}(t), complete
     once T >= sum_i (i-1)*mu_i; shapes with negative entries carry t-tails
-    that the truncation cuts off.  T must be nonnegative.
+    that the truncation cuts off.  T must be a nonnegative int.
     """
+    if type(T) is not int:
+        raise ValueError("truncation order must be an int, got %r" % (T,))
     if T < 0:
         raise ValueError("truncation order must be nonnegative, got %d" % T)
     mu = tuple(mu)

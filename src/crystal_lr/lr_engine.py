@@ -364,10 +364,10 @@ def _window_census(factors, lo, hi):
     census folds over the factors: each state is the content of a source
     of the product so far, with its count, from the trivial crystal's one
     (content minus the summed shift).  Each factor is enumerated once per
-    state, pruned by its phi: a partial tableau is a prefix of its reading
-    word, and eps_k is monotone on prefixes, so enumerate_sst cuts a branch
-    as soon as its prefix breaks the bound and yields exactly the
-    admissible tableaux, each carrying the state's count to its content.
+    state, pruned by the state's content: enumerate_sst yields exactly the
+    tableaux whose reading word keeps that content weakly decreasing
+    prefix by prefix, which are the admissible ones, each carrying the
+    state's count to its content.
 
     Each factor, in order, is refused before the fold when it has more than
     _WORD_CAP tableaux.  What the leading factor yields is checked against
@@ -388,8 +388,7 @@ def _window_census(factors, lo, hi):
         step = -1 if dual else 1
         reached = Counter()
         for content, count in states.items():
-            phis = tuple(content[j] - content[j + 1] for j in range(n - 1))
-            for t in crystal.enumerate_sst(shape, lo, hi, dual, phi=phis):
+            for t in crystal.enumerate_sst(shape, lo, hi, dual, content):
                 if i == 0:
                     word = crystal.tableau_word(t)
                     if any(crystal.eps(word, k) for k in range(lo, hi)):

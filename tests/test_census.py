@@ -1,12 +1,15 @@
 """The windowed source census of verify_truncated against an oracle that
-enumerates every factor in full, the eps-bounded enumeration it walks, its
+enumerates every factor in full, the eps-bounded enumeration it walks and
+the retired signature-count walker as the oracle of its content rule, its
 irreducibility and size-refusal invariants, windows away from the origin,
 the two-factor grid where the census is exact, mutated predictions it must
 reject, the retired recursive walk and two-branch factor shapes as oracles
 of the fold and of the one highest weight reading, and the window-edge
 over-count that is still open."""
 
+import inspect
 import random
+import textwrap
 from collections import Counter
 
 import pytest
@@ -147,9 +150,19 @@ def _bounds(ncolors, rng):
         yield tuple(rng.randrange(0, 3) for _ in range(ncolors))
 
 
+def _content(bounds, base):
+    """The weakly decreasing content over the letters whose differences
+    c_k - c_{k+1} are the bounds, ending at base."""
+    out = [base]
+    for b in reversed(bounds):
+        out.append(out[-1] + b)
+    return tuple(reversed(out))
+
+
 @pytest.mark.parametrize("dual", [False, True])
-@pytest.mark.parametrize("lo, hi", [(-1, 1), (-2, 2), (0, 5)])
-def test_bounded_enumeration_is_the_filtered_enumeration(dual, lo, hi):
+@pytest.mark.parametrize("lo, hi, base", [(-1, 1, 0), (-2, 2, 0), (0, 5, 0),
+                                          (2, 5, -3)])
+def test_bounded_enumeration_is_the_filtered_enumeration(dual, lo, hi, base):
     rng = random.Random(hi - lo)
     colors = range(lo, hi)
     pruned = 0
@@ -161,10 +174,125 @@ def test_bounded_enumeration_is_the_filtered_enumeration(dual, lo, hi):
                 want = [t for t, w in zip(full, words)
                         if all(crystal.eps(w, k) <= b
                                for k, b in zip(colors, p))]
-                got = list(crystal.enumerate_sst(shape, lo, hi, dual, phi=p))
+                got = list(crystal.enumerate_sst(shape, lo, hi, dual,
+                                                 content=_content(p, base)))
                 assert got == want, (shape, p)
                 pruned += len(full) - len(got)
     assert pruned
+
+
+def retired_enumerate_sst(lam, lo, hi, dual=False, phi=None):
+    """The walker that the running content of enumerate_sst replaced: it
+    carries per-color counts of unmatched pluses and minuses letter by
+    letter, and bounds each color's unmatched minus count by phi (over the
+    colors lo..hi-1), or by a cap no word of the shape reaches."""
+    lam = shapes.normalize(lam)
+    n = hi - lo + 1
+    if len(lam) > n:
+        return
+    heights = shapes.conjugate(lam)
+    letter = [hi - r if dual else lo + r for r in range(n)]
+
+    # slot c + 1 - lo holds color c, so the letters' colors lo-1 and hi get
+    # slots 0 and n
+    free = sum(lam) + 1
+    cap = (free,) * (n + 1) if phi is None else (free,) + tuple(phi) + (free,)
+    p, m = crystal._colors((1 - lo, dual))
+    slots = [(p + i, m + i) for i in letter]
+    plus = [0] * (n + 1)
+    minus = [0] * (n + 1)
+
+    def columns(h, bound, col=(), r=0):
+        i = len(col)
+        if i == h:
+            yield col
+            return
+        top = n - h + i
+        if i < len(bound):
+            top = min(top, bound[i])
+        for x in range(r, top + 1):
+            p, m = slots[x]
+            plus[p] += 1
+            if plus[m]:
+                plus[m] -= 1
+                yield from columns(h, bound, col + (x,), x + 1)
+                plus[m] += 1
+            else:
+                minus[m] += 1
+                if minus[m] <= cap[m]:
+                    yield from columns(h, bound, col + (x,), x + 1)
+                minus[m] -= 1
+            plus[p] -= 1
+
+    def fill(j, right, done):
+        if j < 0:
+            yield crystal.Tableau(done, dual)
+            return
+        for ranks in columns(heights[j], right):
+            col = tuple(letter[x] for x in ranks)
+            yield from fill(j - 1, ranks, (col,) + done)
+
+    yield from fill(len(heights) - 1, (), ())
+
+
+def _walker_cases():
+    """(shape, lo, hi, dual, content) for every shape of at most 6 cells,
+    windows of 1 to 6 letters from lo in {-3, 0, 2} and both alphabets, with
+    no content, a constant one (every bound 0) and two seeded weakly
+    decreasing ones."""
+    rng = random.Random(38)
+    for size in range(7):
+        for shape in shapes.partitions_of(size):
+            for lo in (-3, 0, 2):
+                for n in range(1, 7):
+                    for dual in (False, True):
+                        contents = [None, (0,) * n] + [
+                            tuple(sorted((rng.randrange(-2, 3)
+                                          for _ in range(n)), reverse=True))
+                            for _ in range(2)]
+                        for c in contents:
+                            yield shape, lo, lo + n - 1, dual, c
+
+
+def _walker_differences():
+    """The cases where crystal.enumerate_sst and the retired walker yield
+    different tableau sequences, order included."""
+    out = []
+    for shape, lo, hi, dual, c in _walker_cases():
+        phi = None if c is None else tuple(
+            c[j] - c[j + 1] for j in range(len(c) - 1))
+        if (list(crystal.enumerate_sst(shape, lo, hi, dual, content=c))
+                != list(retired_enumerate_sst(shape, lo, hi, dual, phi))):
+            out.append((shape, lo, hi, dual, c))
+    return out
+
+
+def test_content_walker_matches_retired_walker():
+    assert sum(1 for _ in _walker_cases()) == 4320
+    assert _walker_differences() == []
+
+
+def _mutated(fn, old, new):
+    """fn recompiled in its own module's globals with old replaced by new
+    in its source."""
+    src = textwrap.dedent(inspect.getsource(fn))
+    assert src.count(old) == 1, old
+    namespace = dict(fn.__globals__)
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize("old, new", [
+    # a tie is allowed: an equal load is still weakly decreasing
+    ("load[x] <= load[x - 1]", "load[x] < load[x - 1]"),
+    # dual letters read the content in reverse rank order
+    ("[-c for c in reversed(content)]", "[-c for c in content]"),
+])
+def test_retired_walker_catches_a_mutated_content_rule(monkeypatch, old, new):
+    monkeypatch.setattr(crystal, "enumerate_sst",
+                        _mutated(crystal.enumerate_sst, old, new))
+    assert _walker_differences()
 
 
 # ---------------------------------------------------------------- sources
@@ -179,8 +307,8 @@ GRID = ([("B", lam) for lam in [(0,), (1,), (-1,), (1, 0), (0, 0), (1, -1),
 
 @pytest.mark.parametrize("fac", GRID, ids=repr)
 def test_factor_source_is_unique_and_computed(fac):
-    # the census enumerates each factor from phi = 0, which must yield
-    # exactly the zero-eps rows of the factor's full table, one of them
+    # enumerated from a constant content (every bound 0), each factor must
+    # yield exactly the zero-eps rows of its full table, one of them
     fac = lr_engine._factor_norm(fac)
     checked = 0
     for nletters in range(3, 7):
@@ -195,7 +323,7 @@ def test_factor_source_is_unique_and_computed(fac):
             assert len(sources) == 1
             shape, _, dual, _ = lr_engine._factor_shape(fac, lo, hi)
             yielded = [crystal.tableau_word(t) for t in crystal.enumerate_sst(
-                shape, lo, hi, dual, phi=(0,) * (hi - lo))]
+                shape, lo, hi, dual, content=(0,) * (hi - lo + 1))]
             assert _rows_per_color(yielded, lo, hi) == sources
             assert lr_engine._window_census([fac], lo, hi) == Counter(
                 {_census_key(sources[0][2], level, shift, lo, hi): 1})
@@ -453,8 +581,7 @@ def walked_census(factors, lo, hi):
             return
         shape, dual = parts[i]
         step = -1 if dual else 1
-        phis = tuple(content[j] - content[j + 1] for j in range(n - 1))
-        for t in crystal.enumerate_sst(shape, lo, hi, dual, phi=phis):
+        for t in crystal.enumerate_sst(shape, lo, hi, dual, content=content):
             c = list(content)
             for col in t.cols:
                 for v in col:

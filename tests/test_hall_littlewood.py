@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -311,6 +312,14 @@ def test_bt_word_action_refuses_negative_order():
         with pytest.raises(ValueError, match="^truncation order must be "
                            "nonnegative, got -1$"):
             hl.bt_word_action(mu, -1)
+
+
+@pytest.mark.parametrize("T", [2.5, True, None])
+def test_bt_word_action_refuses_an_order_that_is_not_an_int(T):
+    # 2.5 raised a TypeError inside bt_apply and True answered as T = 1
+    with pytest.raises(ValueError, match=r"^truncation order must be an "
+                       r"int, got %s$" % re.escape(repr(T))):
+        hl.bt_word_action((1, 0), T)
 
 
 # ---------------------------------------------------------------- oracles

@@ -9,8 +9,10 @@ suite reads, live in the test fixtures of tests/duality.py for that
 reason.  A private top-level name must be reached from the console script
 or from an allowed name, so no helper outlives its last caller.  A
 parameter with a default must be passed by some call in src/ or perfbench/,
-so no option exists only for the tests.  A last guard keeps private names
-private: no module of crystal_lr takes a `_name` from another one.
+so no option exists only for the tests.  Another keeps private names
+private: no module of crystal_lr takes a `_name` from another one.  A last
+one keeps the closed forms of lr_engine apart from the crystal kernel that
+its census, their oracle, walks.
 """
 
 import ast
@@ -261,3 +263,36 @@ def unpassed_defaults():
 
 def test_every_default_is_set_by_a_program_caller():
     assert unpassed_defaults() == set()
+
+
+# the closed forms of lr_engine: what the CLI answers and verify predicts
+CLOSED_FORMS = ["ExtremalClass", "level0_product", "hw_product",
+                "pieri_column", "hw_past_level0", "extremal_lr",
+                "expr_decompose", "parse_tensor_expr",
+                "decomposition_to_json"]
+# the census, the closed forms' oracle, and the key it is printed by
+CENSUS = {"_window_census", "_weight_key"}
+
+
+def kernel_users(roots=None):
+    """Definitions of lr_engine that name `crystal` or `Weight`; with roots,
+    only those reached from roots by references inside lr_engine."""
+    tree = ast.parse((SRC / "lr_engine.py").read_text())
+    defs = _definitions(tree)
+    if roots is not None:
+        _, refs = reference_graph()
+        local = {key: {r for r in out if r[0] == "lr_engine"}
+                 for key, out in refs.items() if key[0] == "lr_engine"}
+        defs = {name: defs[name] for _, name in
+                reached_from([("lr_engine", r) for r in roots], local)}
+    return {name for name, node in defs.items()
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id in ("crystal", "Weight")}
+
+
+def test_closed_forms_do_not_reach_the_crystal_kernel():
+    # an oracle must not share the kernel it checks: a closed form that
+    # counted tableaux with crystal.enumerate_sst would agree with the census
+    # by construction
+    assert kernel_users(CLOSED_FORMS) == set()
+    assert kernel_users() == CENSUS
