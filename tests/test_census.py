@@ -160,9 +160,10 @@ def _content(bounds, base):
 
 
 @pytest.mark.parametrize("dual", [False, True])
-@pytest.mark.parametrize("lo, hi, base", [(-1, 1, 0), (-2, 2, 0), (0, 5, 0),
-                                          (2, 5, -3)])
-def test_bounded_enumeration_is_the_filtered_enumeration(dual, lo, hi, base):
+@pytest.mark.parametrize("lo, hi", [(-1, 1), (-2, 2), (0, 5), (2, 5)])
+def test_bounded_enumeration_is_the_filtered_enumeration(dual, lo, hi):
+    # only the differences of the content bound: it ends at lo, so its base
+    # is nonzero off the origin
     rng = random.Random(hi - lo)
     colors = range(lo, hi)
     pruned = 0
@@ -175,7 +176,7 @@ def test_bounded_enumeration_is_the_filtered_enumeration(dual, lo, hi, base):
                         if all(crystal.eps(w, k) <= b
                                for k, b in zip(colors, p))]
                 got = list(crystal.enumerate_sst(shape, lo, hi, dual,
-                                                 content=_content(p, base)))
+                                                 content=_content(p, lo)))
                 assert got == want, (shape, p)
                 pruned += len(full) - len(got)
     assert pruned
