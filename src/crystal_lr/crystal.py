@@ -159,6 +159,9 @@ def enumerate_sst(lam, lo, hi, dual=False, content=None):
     """
     lam = shapes.normalize(lam)
     n = hi - lo + 1
+    if content is not None and len(content) != n:
+        raise ValueError("content of length %d for the %d letters %d..%d"
+                         % (len(content), n, lo, hi))
     if len(lam) > n:
         return
     heights = shapes.conjugate(lam)

@@ -68,13 +68,14 @@ def bt_apply(k, f, T):
     slice and power of t; it never annihilates, so j is cut by T alone.
     The row (d) lowers d distinct entries by one, so the row pass and the
     multiplication are one loop over the 0/1 vectors b of each monomial,
-    d = |b|, which gives d <= degree by construction.
+    d = |b|, which gives d <= degree by construction.  At j = 0 the column
+    operator is the identity, so the slice passes through.
     """
     out = {}
     flips = {}
     for e, sl in f.items():
         for j in range(T - e + 1):
-            g = ring.s_operator(-1, (1,) * j)(sl)
+            g = ring.s_operator(-1, (1,) * j)(sl) if j else sl
             if not g:
                 continue
             acc = out.setdefault(e + j, {})
@@ -135,12 +136,14 @@ def bt_word_action(mu, T):
 
 def bt_commutator_check(m, n, T, sample):
     """Check the defining relation of the modes on one sample: b_m b_n -
-    t b_n b_m - t b_{m+1} b_{n-1} + b_{n-1} b_{m+1} kills it mod t^{T+1}."""
-    def w2(a, b):
+    t b_n b_m - t b_{m+1} b_{n-1} + b_{n-1} b_{m+1} kills it mod t^{T+1}.
+    The t-shifted terms are built at order T - 1: a mode's slice e reads
+    only input slices <= e, so that is their value at T less the t^T slice."""
+    def w2(a, b, T):
         return bt_apply(a, bt_apply(b, sample, T), T)
 
-    acc = w2(m, n)
-    acc = tr_add(acc, tr_t_shift(w2(n, m), 1, T, -1))
-    acc = tr_add(acc, tr_t_shift(w2(m + 1, n - 1), 1, T, -1))
-    acc = tr_add(acc, w2(n - 1, m + 1))
+    acc = w2(m, n, T)
+    acc = tr_add(acc, tr_t_shift(w2(n, m, T - 1), 1, T, -1))
+    acc = tr_add(acc, tr_t_shift(w2(m + 1, n - 1, T - 1), 1, T, -1))
+    acc = tr_add(acc, w2(n - 1, m + 1, T))
     return not acc

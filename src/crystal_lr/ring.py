@@ -108,18 +108,28 @@ def _s_times(sign, n, d):
 
 
 def d_multiply(a, b):
-    out = {}
+    """The product of DElems.  _s_times reads only the symbol part of a
+    carrier term and is linear in its z-part, so b is grouped by symbol
+    part and moved once through each distinct symbol part of a; each
+    z-part of a with that symbol part then multiplies the moved terms."""
+    carrier = {}
+    for (z2, sp2, sm2), c2 in b.items():
+        carrier.setdefault((sp2, sm2), {})[z2] = c2
+    lefts = {}
     for (z1, sp1, sm1), c1 in a.items():
-        for (z2, sp2, sm2), c2 in b.items():
-            carrier = {(sp2, sm2): {z2: c1 * c2}}
-            for n in sm1:
-                carrier = _s_times(-1, n, carrier)
-            for n in sp1:
-                carrier = _s_times(+1, n, carrier)
-            for (sp, sm), f in carrier.items():
-                for z, c in f.items():
+        lefts.setdefault((sp1, sm1), []).append((z1, c1))
+    out = {}
+    for (sp1, sm1), zs in lefts.items():
+        moved = carrier
+        for n in sm1:
+            moved = _s_times(-1, n, moved)
+        for n in sp1:
+            moved = _s_times(+1, n, moved)
+        for (sp, sm), f in moved.items():
+            for z, c in f.items():
+                for z1, c1 in zs:
                     key = (tuple(sorted(z1 + z, reverse=True)), sp, sm)
-                    bump(out, key, c)
+                    bump(out, key, c1 * c)
     return out
 
 

@@ -7,6 +7,7 @@ counterexample, and a ValueError or AssertionError that a case raises is
 that case's counterexample, {"error": "<type>: <message>"}.  A check's count
 is the number of cases run, the failing one included, and every check stops
 on its own first failure, independently of the other checks of its suite.
+_scan also times the cases; run writes that time to stderr, not the report.
 """
 
 import itertools
@@ -32,22 +33,24 @@ from .shapes import (conjugate, gen_lr_coefficient, gen_partitions_box,
 
 
 def _scan(cases):
-    """(cases run, first counterexample or None)."""
-    count = 0
+    """(cases run, first counterexample or None, seconds taken)."""
+    t0 = time.perf_counter()
+    count, bad = 0, None
     try:
         for bad in cases:
             count += 1
             if bad is not None:
-                return count, bad
+                break
     except (ValueError, AssertionError) as exc:
-        return count + 1, {"error": "%s: %s" % (type(exc).__name__, exc)}
-    return count, None
+        count += 1
+        bad = {"error": "%s: %s" % (type(exc).__name__, exc)}
+    return count, bad, time.perf_counter() - t0
 
 
 def _check(name, result, extra=None):
-    count, bad = result
+    count, bad, seconds = result
     entry = {"name": name, "status": "pass" if bad is None else "fail",
-             "count": count, **(extra or {})}
+             "count": count, **(extra or {}), "seconds": seconds}
     if bad is not None:
         entry["counterexample"] = bad
     return entry
@@ -100,7 +103,7 @@ def _suite_duality_en(cfg):
                     if comps.get(key, 0) != expected.get(key, 0)), None)
 
     # one census case, counted as the matrices it walks
-    return [_check("census", (len(mats), _scan(census())[1]),
+    return [_check("census", (len(mats), *_scan(census())[1:]),
                    {"rows": nrows, "cols": ncols})]
 
 
@@ -485,8 +488,8 @@ SUITES = {
 def run(suite, seed, quick):
     """Run one named suite, or every suite for "all", and return the report.
 
-    Each suite's time goes to stderr, so the report is reproducible per
-    seed.
+    Each suite's time goes to stderr, followed by each of its checks' time
+    and count, so the report is reproducible per seed.
     """
     names = list(SUITES) if suite == "all" else [suite]
     cfg = {"seed": seed, "quick": quick}
@@ -498,6 +501,8 @@ def run(suite, seed, quick):
                                             time.perf_counter() - t0),
               file=sys.stderr)
         for entry in part:
+            line = (entry["name"], entry["count"], entry.pop("seconds"))
+            print("  %s: %d case(s) in %.2fs" % line, file=sys.stderr)
             entry["suite"] = name
         checks.extend(part)
     ok = all(entry["status"] == "pass" for entry in checks)

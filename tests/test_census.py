@@ -296,6 +296,18 @@ def test_retired_walker_catches_a_mutated_content_rule(monkeypatch, old, new):
     assert _walker_differences()
 
 
+@pytest.mark.parametrize("lam, lo, hi, dual, content", [
+    # too short: the walk indexed past its end
+    ((1, 1), 1, 2, False, (0,)),
+    # too long, on dual letters: reversed, the extra entry shifted the rest
+    ((1,), 1, 2, True, (5, 0, 0)),
+])
+def test_content_of_the_wrong_length_is_refused(lam, lo, hi, dual, content):
+    msg = r"content of length %d for the 2 letters 1\.\.2" % len(content)
+    with pytest.raises(ValueError, match=msg):
+        next(crystal.enumerate_sst(lam, lo, hi, dual, content=content))
+
+
 # ---------------------------------------------------------------- sources
 
 GRID = ([("B", lam) for lam in [(0,), (1,), (-1,), (1, 0), (0, 0), (1, -1),

@@ -12,6 +12,7 @@ from crystal_lr.shapes import (bump, bump_poly, conjugate,
                                is_gen_partition, lr_coefficient, mu_star,
                                partitions_of)
 from duality import inversion_sign, r_mul
+from test_verify import _drop_one_top_slice_term, _flip_one_odd_term
 
 
 def n_stat(mu):
@@ -258,6 +259,56 @@ def test_defining_relation():
         for n in range(-2, 3):
             for f in samples:
                 assert hl.bt_commutator_check(m, n, 2, f)
+
+
+# Retired from src/ (the t-shifted compositions now stop at T - 1), kept
+# as an oracle: bt_commutator_check as it was, every composition at T, its
+# names read through hl so that a mode patched there reaches it.
+
+def full_order_commutator_check(m, n, T, sample):
+    """Check the defining relation of the modes on one sample: b_m b_n -
+    t b_n b_m - t b_{m+1} b_{n-1} + b_{n-1} b_{m+1} kills it mod t^{T+1}."""
+    def w2(a, b):
+        return hl.bt_apply(a, hl.bt_apply(b, sample, T), T)
+
+    acc = w2(m, n)
+    acc = hl.tr_add(acc, hl.tr_t_shift(w2(n, m), 1, T, -1))
+    acc = hl.tr_add(acc, hl.tr_t_shift(w2(m + 1, n - 1), 1, T, -1))
+    acc = hl.tr_add(acc, w2(n - 1, m + 1))
+    return not acc
+
+
+def _relation_cases(count):
+    """(m, n, T, sample): verify hl's full grid at T = 2, then count seeded
+    samples at T in 0..3."""
+    monos = [(), *((k,) for k in range(-2, 3)), *gen_partitions_box(2, -2, 2)]
+    for m, n in itertools.product(range(-2, 3), repeat=2):
+        for mono in monos:
+            yield m, n, 2, hl.tr_from_r(ring.r_monomial(mono))
+    rng = random.Random(39)
+    for _ in range(count):
+        T = rng.randint(0, 3)
+        f = _random_trelem(rng, T)
+        yield rng.randint(-2, 2), rng.randint(-2, 2), T, f
+
+
+# the samples cost about 0.07 s each on both routes, so the mutants, which
+# fail on the grid already, run on the grid alone
+@pytest.mark.parametrize("mutate, count", [
+    (None, 200), (_drop_one_top_slice_term, 0),
+    (_flip_one_odd_term(lambda degree: degree >= 2), 0),
+    (_flip_one_odd_term(lambda degree: degree == 1), 0),
+], ids=["sound", "drop-top-term", "flip-odd-d", "flip-degree-1"])
+def test_relation_check_matches_full_order_oracle(monkeypatch, mutate,
+                                                  count):
+    if mutate is not None:
+        monkeypatch.setattr(hl, "bt_apply", mutate(hl.bt_apply))
+    cases = list(_relation_cases(count))
+    assert len(cases) == 525 + count
+    want = [full_order_commutator_check(*case) for case in cases]
+    assert [hl.bt_commutator_check(*case) for case in cases] == want
+    # a mutant must fail some cases, or the comparison shows nothing
+    assert all(want) == (mutate is None)
 
 
 def test_bar_commutation():

@@ -253,6 +253,19 @@ def test_d_multiply_matches_flat_oracle():
         assert d_multiply(a, b) == flat_d_multiply(a, b), (a, b)
 
 
+def test_d_multiply_matches_flat_oracle_on_grouped_left_factors():
+    # a product as the left factor has dozens of terms over few symbol parts,
+    # so d_multiply moves b through each part for many z-parts at once
+    rng = random.Random(39)
+    grouped = 0
+    for _ in range(60):
+        a = flat_d_multiply(_random_delem(rng), _random_delem(rng))
+        b = _random_delem(rng)
+        assert d_multiply(a, b) == flat_d_multiply(a, b), (a, b)
+        grouped += len(a) >= 20 and len({k[1:] for k in a}) <= len(a) // 2
+    assert grouped >= 10
+
+
 def test_p_action_frozen():
     assert p_action(+1, 1, {(0,): 1}) == {(-1,): 1}
     assert p_action(-1, 2, {(0, 0): 1}) == {(2, 0): -2}

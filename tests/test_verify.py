@@ -8,7 +8,9 @@ failing one.
 
 import itertools
 import json
+import pathlib
 import random
+import re
 from functools import cache
 
 import pytest
@@ -252,8 +254,29 @@ def _raise_at_third(exc_type):
 
 @pytest.mark.parametrize("exc_type", [ValueError, AssertionError])
 def test_scan_reports_a_raising_case(exc_type):
-    assert verify._scan(_raise_at_third(exc_type)) == (
-        3, {"error": "%s: case three" % exc_type.__name__})
+    count, bad, seconds = verify._scan(_raise_at_third(exc_type))
+    assert (count, bad) == (3, {"error": "%s: case three" % exc_type.__name__})
+    assert seconds >= 0
+
+
+def test_run_writes_each_check_to_stderr_only(capsys):
+    # stdout is the golden report; stderr holds each suite's line and under
+    # it one line per check of that suite, in report order, with its count
+    assert cli.main(["verify", "all", "--quick", "--seed", "0"]) == 0
+    out, err = capsys.readouterr()
+    golden = pathlib.Path(__file__).with_name("golden")
+    assert out == (golden / "verify_all_quick_seed0.out").read_text(
+        encoding="utf-8")
+    want = []
+    for suite in verify.SUITES:
+        checks = [c for c in json.loads(out)["checks"] if c["suite"] == suite]
+        want.append(r"%s: %d check\(s\) in \d+\.\d\ds" % (suite, len(checks)))
+        want += [r"  %s: %d case\(s\) in \d+\.\d\ds" % (c["name"], c["count"])
+                 for c in checks]
+    lines = err.splitlines()
+    assert len(lines) == len(want) == len(verify.SUITES) + 19
+    for line, pattern in zip(lines, want):
+        assert re.fullmatch(pattern, line), (line, pattern)
 
 
 def test_duality_en_reports_a_raising_census(monkeypatch, capsys):

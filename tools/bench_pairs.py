@@ -50,6 +50,8 @@ CLI_COMMANDS = [
     ["verify", "duality-en"],
     ["verify", "bicrystal"],
     ["verify", "extremal"],
+    ["verify", "ore"],
+    ["verify", "hl"],
     ["extremal-lr", "--margin", "1", "--", "1,0", "1", "", "0", "", "1"],
 ]
 
