@@ -137,8 +137,8 @@ def bt_word_action(mu, T):
 def bt_commutator_check(m, n, T, sample):
     """Check the defining relation of the modes on one sample: b_m b_n -
     t b_n b_m - t b_{m+1} b_{n-1} + b_{n-1} b_{m+1} kills it mod t^{T+1}.
-    The t-shifted terms are built at order T - 1: a mode's slice e reads
-    only input slices <= e, so that is their value at T less the t^T slice."""
+    The t-shifted terms are built at order T - 1, as the shift drops their
+    t^T slice and a mode's slice e reads only input slices <= e."""
     def w2(a, b, T):
         return bt_apply(a, bt_apply(b, sample, T), T)
 
