@@ -155,23 +155,28 @@ def enumerate_sst(lam, lo, hi, dual=False, content=None):
     there, a plain k and a dual k+1 plus.  The letters are chosen in
     reading order, columns right to left and each top to bottom, so a
     partial choice is a prefix and the letter that breaks the rule ends
-    its branch.
+    its branch.  A content of another length, or one that is not weakly
+    decreasing, is refused with a ValueError.
     """
     lam = shapes.normalize(lam)
     n = hi - lo + 1
-    if content is not None and len(content) != n:
-        raise ValueError("content of length %d for the %d letters %d..%d"
-                         % (len(content), n, lo, hi))
-    if len(lam) > n:
-        return
-    heights = shapes.conjugate(lam)
-    letter = [hi - r if dual else lo + r for r in range(n)]
     # c in rank order, negated for dual letters, so a letter adds 1 at its
     # rank; without content, gaps that no word of the shape closes
     if content is None:
         load = [-r * (sum(lam) + 1) for r in range(n)]
     else:
+        if len(content) != n:
+            raise ValueError("content of length %d for the %d letters "
+                             "%d..%d" % (len(content), n, lo, hi))
         load = [-c for c in reversed(content)] if dual else list(content)
+        # reversed and negated, a weakly decreasing content stays so
+        if any(a < b for a, b in zip(load, load[1:])):
+            raise ValueError("content %r is not weakly decreasing"
+                             % (tuple(content),))
+    if len(lam) > n:
+        return
+    heights = shapes.conjugate(lam)
+    letter = [hi - r if dual else lo + r for r in range(n)]
 
     def columns(h, bound, col=(), r=0):
         """Columns of h ranks extending col, entrywise at most the column of

@@ -65,9 +65,12 @@ def decomposition_to_json(dec):
 
 # ---------------------------------------------------------------- LR sums
 
+@cache
 def _lr_expand(mu, nu, max_len=None):
     """Classical product expansion s_mu s_nu = {lam: c}; with max_len the
     GL_max_len rule, l(lam) <= max_len, empty when a factor is longer.
+    Cached, so every caller shares the returned dict and must not mutate
+    it.
 
     Only the lam with max(mu_i, nu_i) <= lam_i <= mu_i + nu_1 are scanned.
     lam contains mu and nu.  Each row of an LR tableau of shape lam/mu is a

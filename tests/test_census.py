@@ -257,13 +257,17 @@ def _walker_cases():
 
 def _walker_differences():
     """The cases where crystal.enumerate_sst and the retired walker yield
-    different tableau sequences, order included."""
+    different tableau sequences, order included; a ValueError raised by
+    enumerate_sst counts as a difference."""
     out = []
     for shape, lo, hi, dual, c in _walker_cases():
         phi = None if c is None else tuple(
             c[j] - c[j + 1] for j in range(len(c) - 1))
-        if (list(crystal.enumerate_sst(shape, lo, hi, dual, content=c))
-                != list(retired_enumerate_sst(shape, lo, hi, dual, phi))):
+        try:
+            got = list(crystal.enumerate_sst(shape, lo, hi, dual, content=c))
+        except ValueError as err:
+            got = err
+        if got != list(retired_enumerate_sst(shape, lo, hi, dual, phi)):
             out.append((shape, lo, hi, dual, c))
     return out
 
@@ -306,6 +310,16 @@ def test_content_of_the_wrong_length_is_refused(lam, lo, hi, dual, content):
     msg = r"content of length %d for the 2 letters 1\.\.2" % len(content)
     with pytest.raises(ValueError, match=msg):
         next(crystal.enumerate_sst(lam, lo, hi, dual, content=content))
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@pytest.mark.parametrize("lam", [(1,), (1, 1, 1)])
+def test_content_that_is_not_weakly_decreasing_is_refused(lam, dual):
+    # (0, 5) yielded ((1,),) on plain letters and ((2,),) on dual ones; a
+    # shape too tall for the letters is refused too, not answered empty
+    with pytest.raises(ValueError, match=r"^content \(0, 5\) is not weakly "
+                       r"decreasing$"):
+        next(crystal.enumerate_sst(lam, 1, 2, dual, content=(0, 5)))
 
 
 # ---------------------------------------------------------------- sources

@@ -1,10 +1,11 @@
 import itertools
 import random
 import re
+from operator import sub
 
 import pytest
 
-from crystal_lr import characters, ring, shapes
+from crystal_lr import characters, ring, shapes, verify
 from crystal_lr import hall_littlewood as hl
 from crystal_lr.hall_littlewood import bt_apply, tr_t_shift
 from crystal_lr.shapes import (bump, bump_poly, conjugate,
@@ -156,6 +157,151 @@ def test_bt_apply_matches_retired_routes():
         got = bt_apply(k, f, T)
         assert got == two_pass_bt_apply(k, f, T)
         assert got == formula_bt_apply(k, f, T)
+
+
+# Retired from src/ (bt_apply now reads one memoized row table per
+# monomial, with the vectors b that give one multiset merged), kept as an
+# oracle: the row pass over every 0/1 vector b, its table built once per
+# monomial length and call.
+
+def flip_pass_bt_apply(k, f, T):
+    """Apply the mode operator b^t_k, raising z-degree by exactly one.
+
+    The mode expands as sum_{j,d} (-1)^d t^j [multiply by z_{j+d+k}] o
+    [lower by the row (d)] o [lower by the column (1^j)], left factor
+    outermost (Jing 1991).  The column pass is one ring.s_operator call per
+    slice and power of t; it never annihilates, so j is cut by T alone.
+    The row (d) lowers d distinct entries by one, so the row pass and the
+    multiplication are one loop over the 0/1 vectors b of each monomial,
+    d = |b|, which gives d <= degree by construction.  At j = 0 the column
+    operator is the identity, so the slice passes through.
+    """
+    out = {}
+    flips = {}
+    for e, sl in f.items():
+        for j in range(T - e + 1):
+            g = ring.s_operator(-1, (1,) * j)(sl) if j else sl
+            if not g:
+                continue
+            acc = out.setdefault(e + j, {})
+            for z, c in g.items():
+                rows = flips.get(len(z))
+                if rows is None:
+                    rows = flips[len(z)] = [
+                        (b, sum(b), -1 if sum(b) % 2 else 1)
+                        for b in itertools.product((0, 1), repeat=len(z))]
+                for b, d, sign in rows:
+                    key = tuple(sorted((j + d + k, *map(sub, z, b)),
+                                       reverse=True))
+                    v = acc.get(key, 0) + sign * c
+                    if v:
+                        acc[key] = v
+                    elif key in acc:
+                        del acc[key]
+    return {e: sl for e, sl in out.items() if sl}
+
+
+def _repeated_trelem(rng, T):
+    """1-2 slices at powers <= T, each of 1-2 monomials of degree 0-6 with
+    entries in [-3, 3]; from degree 2 on one entry is copied onto another,
+    so every such monomial has a repeated entry."""
+    f = {}
+    for _ in range(rng.randint(1, 2)):
+        sl = {}
+        for _ in range(rng.randint(1, 2)):
+            z = [rng.randint(-3, 3) for _ in range(rng.randint(0, 6))]
+            if len(z) >= 2:
+                i, j = rng.sample(range(len(z)), 2)
+                z[i] = z[j]
+            bump(sl, tuple(sorted(z, reverse=True)),
+                 rng.choice((-3, -2, -1, 1, 2, 3)))
+        bump_poly(f, rng.randint(0, T), sl)
+    return f
+
+
+def _repeated_cases(count):
+    """count seeded (k, f, T): T in 0..4, k in -3..3."""
+    rng = random.Random(40)
+    for _ in range(count):
+        T = rng.randint(0, 4)
+        yield rng.randint(-3, 3), _repeated_trelem(rng, T), T
+
+
+def _weights_reduced_to_signs(rows):
+    """A row table mutant: each merged weight becomes its sign (-1)^d, as
+    if the vectors b that give one multiset counted once."""
+    def mutant(z):
+        rests, ds, _ = rows(z)
+        return rests, ds, tuple(-1 if d % 2 else 1 for d in ds)
+    return mutant
+
+
+def _memo_keyed_by_length(rows):
+    """A row table mutant: the table of the first monomial of each length
+    serves every monomial of that length."""
+    memo = {}
+
+    def mutant(z):
+        if len(z) not in memo:
+            memo[len(z)] = rows(z)
+        return memo[len(z)]
+    return mutant
+
+
+def test_rows_merge_equal_multisets():
+    # z_1 z_1: the vectors (0, 1) and (1, 0) both give z_1 z_0
+    assert hl._rows((1, 1)) == (((1, 1), (1, 0), (0, 0)), (0, 1, 2),
+                                (1, -2, 1))
+    assert hl._rows(()) == (((),), (0,), (1,))
+    # runs of different values stay apart, in the order of the first b
+    assert hl._rows((2, 1)) == (((2, 1), (2, 0), (1, 1), (1, 0)),
+                                (0, 1, 1, 2), (1, -1, -1, 1))
+    rests, ds, ws = hl._rows((0, 0, 0, -1))
+    assert len(rests) == 8 and sum(map(abs, ws)) == 16
+
+
+def test_row_memo_is_bounded_by_a_constant():
+    for fn in (hl._rows, hl._lowerings):
+        maxsize = fn.cache_info().maxsize
+        assert type(maxsize) is int and maxsize > 0
+    assert hl._rows.cache_info().maxsize == hl.ROWS_MAXSIZE
+    # 0^6 at T = 4 reads about 1400 distinct monomials
+    hl._rows.cache_clear()
+    hl.bt_word_action((0,) * 6, 4)
+    info = hl._rows.cache_info()
+    assert info.currsize == info.maxsize < info.misses
+
+
+def test_bt_apply_matches_flip_pass_on_the_hl_suite(monkeypatch):
+    # every mode a full verify hl applies, against the retired row pass
+    calls, differ = [], []
+
+    def both(k, f, T):
+        got = bt_apply(k, f, T)
+        calls.append(k)
+        if got != flip_pass_bt_apply(k, f, T):
+            differ.append((k, f, T))
+        return got
+
+    monkeypatch.setattr(hl, "bt_apply", both)
+    report = verify.run("hl", 0, False)
+    assert report["status"] == "pass"
+    # 6480 modes: the word actions, both relations and the bar commutation
+    assert len(calls) == 6480 and differ == []
+
+
+@pytest.mark.parametrize("mutate, count", [
+    (None, 2000), (_weights_reduced_to_signs, 200),
+    (_memo_keyed_by_length, 200),
+], ids=["sound", "weight-is-sign", "memo-by-length"])
+def test_bt_apply_matches_flip_pass_with_repeated_entries(monkeypatch,
+                                                          mutate, count):
+    if mutate is not None:
+        monkeypatch.setattr(hl, "_rows", mutate(hl._rows))
+    differ = sum(bt_apply(k, f, T) != flip_pass_bt_apply(k, f, T)
+                 for k, f, T in _repeated_cases(count))
+    # a mutant must fail some cases, or the comparison shows nothing
+    assert (differ == 0) == (mutate is None)
 
 
 def test_formula_oracle_frozen():

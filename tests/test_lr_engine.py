@@ -315,6 +315,29 @@ def test_coproduct_memo_is_never_mutated():
         assert _coproduct(mu, m) == _coproduct.__wrapped__(mu, m), (mu, m)
 
 
+def test_lr_expand_memo_is_never_mutated(monkeypatch):
+    # the expansions are cached and shared as well: after a grid of both
+    # callers every cached entry must still equal the scanning oracle
+    _lr_expand.cache_clear()
+    keys = set()
+
+    def recording(*args):
+        keys.add(args)
+        return _lr_expand(*args)
+
+    monkeypatch.setattr(lr_engine, "_lr_expand", recording)
+    rng = random.Random(40)
+    for _ in range(60):
+        lam = rand_gen_partition(rng, rng.randrange(0, 4))
+        mu, nu, sigma, tau = (rand_partition(rng) for _ in range(4))
+        hw_past_level0(lam, mu, nu)
+        level0_product(mu, nu, sigma, tau)
+    info = _lr_expand.cache_info()
+    assert info.currsize == len(keys) > 20 and info.hits > info.currsize
+    for args in keys:
+        assert _lr_expand(*args) == scanned_lr_expand(*args), args
+
+
 def test_hw_past_level0_frozen():
     assert hw_past_level0((2, 1), (), ()) == {
         ExtremalClass((), (), (2, 1)): 1}

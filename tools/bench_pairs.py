@@ -15,15 +15,18 @@ on a shared host falls on both sides.  Before those it times, in 10 pairs
 alternated the same way, fresh `python -m crystal_lr.cli` processes on
 each side for a fixed set of one-shot commands (`CLI_COMMANDS`), with the
 side's src/ as PYTHONPATH: the wall time a user of the CLI waits,
-interpreter start-up and imports included.
+interpreter start-up and imports included, and each process's own peak
+RSS (from wait4).  The last command, `hl-act` on the mode word 0^7 at
+T = 5, reads about 9000 distinct monomials, far more than the row-table
+memo of `hall_littlewood` keeps, so it guards the cost of a memo miss.
 
 The output holds, per workload and seed and per end-to-end metric: each
 side's values in run order, median, quartiles and interquartile range, the
 ratio of the medians, the number of pairs in which the change is better,
 and `clear` (better in at least 90 % of the pairs, and the medians apart by
 more than the parent's interquartile range).  The same summary of `wall_s`
-is written per CLI command, with `same_stdout`: whether every one of its
-runs, on both sides, printed the same bytes.  It also records both commits,
+and `peak_rss_mb` is written per CLI command, with `same_stdout`: whether
+every one of its runs, on both sides, printed the same bytes.  It also records both commits,
 the argv of every run (with the interpreter that runs this script, the
 workload and the seed as placeholders), nproc, the Python version and
 PYTHONDONTWRITEBYTECODE.  Stdlib only.
@@ -53,6 +56,8 @@ CLI_COMMANDS = [
     ["verify", "ore"],
     ["verify", "hl"],
     ["extremal-lr", "--margin", "1", "--", "1,0", "1", "", "0", "", "1"],
+    # a long mode word: most of its monomials miss the row-table memo
+    ["hl-act", "--mu", "0,0,0,0,0,0,0", "--T", "5"],
 ]
 
 
@@ -83,16 +88,23 @@ def _run(root, argv):
 
 def _cli_run(root, argv):
     """One fresh `python -m crystal_lr.cli` process on argv, importing from
-    root's src/; its wall time and stdout."""
+    root's src/; its wall time, stdout and peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "crystal_lr.cli"] + argv,
-                          cwd=root, env=env, capture_output=True)
-    wall = time.perf_counter() - t0
-    if proc.returncode != 0:
-        raise RuntimeError("%s: %s exited %d: %s" % (
-            root, argv, proc.returncode, proc.stderr.decode()[-2000:]))
-    return wall, proc.stdout
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crystal_lr.cli"] + argv, cwd=root,
+            env=env, stdout=out, stderr=err)
+        # wait4 reports this child's own peak RSS (KB on Linux)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        if proc.returncode != 0:
+            raise RuntimeError("%s: %s exited %d: %s" % (
+                root, argv, proc.returncode, err.read().decode()[-2000:]))
+        return wall, out.read(), usage.ru_maxrss / 1024
 
 
 def _alternated(run):
@@ -134,13 +146,16 @@ def summarize(metrics, parent_runs, change_runs):
 
 def cli_summary(argv, parent, change):
     """The block of one CLI command; parent and change are its (wall_s,
-    stdout) runs in pair order."""
+    stdout, peak_rss_mb) runs in pair order."""
     def runs(side):
-        return [{"metrics": {"wall_s": {"value": wall}}} for wall, _ in side]
-    return {"argv": argv,
-            "same_stdout": len({out for _, out in parent + change}) == 1,
-            "wall_s": summarize({"wall_s": "lower"}, runs(parent),
-                                runs(change))["wall_s"]}
+        return [{"metrics": {"wall_s": {"value": wall},
+                             "peak_rss_mb": {"value": rss}}}
+                for wall, _, rss in side]
+    out = {"argv": argv,
+           "same_stdout": len({out for _, out, _ in parent + change}) == 1}
+    out.update(summarize({"wall_s": "lower", "peak_rss_mb": "lower"},
+                         runs(parent), runs(change)))
+    return out
 
 
 def main(argv=None):
