@@ -26,10 +26,10 @@ ratio of the medians, the number of pairs in which the change is better,
 and `clear` (better in at least 90 % of the pairs, and the medians apart by
 more than the parent's interquartile range).  The same summary of `wall_s`
 and `peak_rss_mb` is written per CLI command, with `same_stdout`: whether
-every one of its runs, on both sides, printed the same bytes.  It also records both commits,
-the argv of every run (with the interpreter that runs this script, the
-workload and the seed as placeholders), nproc, the Python version and
-PYTHONDONTWRITEBYTECODE.  Stdlib only.
+every one of its runs, on both sides, printed the same bytes.  It also
+records both commits, the argv of every run (with the interpreter that
+runs this script, the workload and the seed as placeholders), nproc, the
+Python version and PYTHONDONTWRITEBYTECODE.  Stdlib only.
 """
 
 import argparse
@@ -151,11 +151,11 @@ def cli_summary(argv, parent, change):
         return [{"metrics": {"wall_s": {"value": wall},
                              "peak_rss_mb": {"value": rss}}}
                 for wall, _, rss in side]
-    out = {"argv": argv,
-           "same_stdout": len({out for _, out, _ in parent + change}) == 1}
-    out.update(summarize({"wall_s": "lower", "peak_rss_mb": "lower"},
-                         runs(parent), runs(change)))
-    return out
+    block = {"argv": argv,
+             "same_stdout": len({out for _, out, _ in parent + change}) == 1}
+    block.update(summarize({"wall_s": "lower", "peak_rss_mb": "lower"},
+                           runs(parent), runs(change)))
+    return block
 
 
 def main(argv=None):
